@@ -6,13 +6,11 @@ from .allocate import (
     Chosen,
     NoMatch,
     PromptRequired,
-    Rank,
     allocate,
     allocate_and_execute,
     min_loss_chooser,
     oma_allocate,
     proposed_allocate,
-    rank_constraint,
 )
 from .corpus import CorpusDocument, load_corpus, parse_corpus, serialize_corpus
 from .engine import (
@@ -39,7 +37,6 @@ from .labels import (
     ConstraintName,
     Label,
     Times,
-    compare_labels,
     cp_label,
     label_cp,
     label_sublicense,
@@ -63,14 +60,9 @@ from .model import (
     Unconstrained,
     matches,
     sat_cp,
-    sat_license,
-    sat_set,
-    sat_sublicense,
 )
 from .rights import (
     candidates,
-    find_matching_cp,
-    find_matching_sublicense,
     is_lossy,
     loss,
     remnants,

@@ -21,30 +21,11 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .engine import AgentState, consume
 from .errors import ChooserContractError
-from .labels import Label, Times, compare_labels, cp_label, label_sort_key, sublicense_label
+from .labels import Times, cp_label, sublicense_label
 from .model import Constraint, DateTime, Request, constraint_rank
 from .rights import RightsMultiset, candidate_losses, candidates, select_target
 
 DATETIME_TIEBREAKS = ("earliest", "furthest")
-
-
-@dataclass(frozen=True)
-class Rank:
-    """Selection priority of a single constraint.
-
-    ``ordinal`` orders the constraint kinds (0 best).  For date-time
-    constraints ``datetime_end`` carries the end bound so equal ordinals can
-    be broken by expiry.
-    """
-
-    ordinal: int
-    datetime_end: Optional[int] = None
-
-
-def rank_constraint(constraint: Constraint) -> Rank:
-    if isinstance(constraint, DateTime):
-        return Rank(ordinal=constraint_rank(constraint), datetime_end=constraint.end)
-    return Rank(ordinal=constraint_rank(constraint))
 
 
 @dataclass(frozen=True)
@@ -78,68 +59,63 @@ def min_loss_chooser(request: Request, ids: Sequence[str], losses: Mapping[str, 
     return min(ids, key=lambda lid: (sum(losses[lid].values()), lid))
 
 
-def _dt_key(rank: Rank, tiebreak: str) -> float:
+def _check_tiebreak(datetime_tiebreak: str) -> None:
+    if datetime_tiebreak not in DATETIME_TIEBREAKS:
+        raise ValueError(f"unknown datetime tiebreak {datetime_tiebreak!r}")
+
+
+def _constraint_key(constraint: Constraint, tiebreak: str) -> tuple[int, float]:
     # An end-of-validity bound means the right is lost by waiting, so by
     # default the soonest-expiring one is used first; an absent end never
     # expires.  The "furthest" mode inverts this.
-    if rank.ordinal != 1:
-        return 0.0
-    end = math.inf if rank.datetime_end is None else float(rank.datetime_end)
-    return end if tiebreak == "earliest" else -end
+    if not isinstance(constraint, DateTime):
+        return (constraint_rank(constraint), 0.0)
+    end = math.inf if constraint.end is None else float(constraint.end)
+    return (constraint_rank(constraint), end if tiebreak == "earliest" else -end)
 
 
 def _list_key(constraints: Sequence[Constraint], tiebreak: str) -> tuple[int, float]:
-    """Best (ordinal, expiry) over a constraint list; empty lists act unconstrained."""
+    """Best (rank, expiry) over a constraint list; empty lists act unconstrained."""
     if not constraints:
         return (0, 0.0)
-    return min((r.ordinal, _dt_key(r, tiebreak)) for r in map(rank_constraint, constraints))
+    return min(_constraint_key(c, tiebreak) for c in constraints)
 
 
-def _candidate_key(
-    state: AgentState, license_id: str, request: Request, tiebreak: str
-) -> tuple:
-    sl_id, cp_id = select_target(state, license_id, request)
-    sl = state.sublicense(license_id, sl_id)
-    cp = sl.cp(cp_id)
-    # The written rules rank a right by the best constraint in its full
-    # governing conjunction.  Ties are broken structurally: the constraint
-    # carried by the sublicense scopes the whole branch, so it outweighs one
-    # local to the cp; after that, declaration order decides.
-    return (
-        _list_key(tuple(sl.constraints) + tuple(cp.constraints), tiebreak),
-        _list_key(sl.constraints, tiebreak),
-        _list_key(cp.constraints, tiebreak),
-        state.licenses.index(license_id),
-    )
+def _best_ranked(
+    state: AgentState, targets: Mapping[str, tuple[str, str]], tiebreak: str
+) -> Chosen:
+    """The best-ranked candidate of a non-empty {license id: (sublicense id, cp id)} map.
+
+    The written rules rank a right by the best constraint in its full
+    governing conjunction.  Ties are broken structurally: the constraint
+    carried by the sublicense scopes the whole branch, so it outweighs one
+    local to the cp; after that, declaration order decides (the map is in
+    declaration order and ``min`` keeps the first of equal keys).
+    """
+
+    def key(license_id: str) -> tuple:
+        sl_id, cp_id = targets[license_id]
+        sl = state.sublicense(license_id, sl_id)
+        cp = sl.cp(cp_id)
+        return (
+            _list_key(sl.constraints + cp.constraints, tiebreak),
+            _list_key(sl.constraints, tiebreak),
+            _list_key(cp.constraints, tiebreak),
+        )
+
+    best = min(targets, key=key)
+    return Chosen(best, *targets[best])
 
 
 def oma_allocate(
-    state: AgentState,
-    request: Request,
-    *,
-    datetime_tiebreak: str = "earliest",
-    restrict_to: Optional[Sequence[str]] = None,
+    state: AgentState, request: Request, *, datetime_tiebreak: str = "earliest"
 ) -> AllocationDecision:
     """Baseline allocation: best-ranked valid candidate, no loss awareness."""
-    if datetime_tiebreak not in DATETIME_TIEBREAKS:
-        raise ValueError(f"unknown datetime tiebreak {datetime_tiebreak!r}")
-    pool = candidates(state, request)
-    if restrict_to is not None:
-        allowed = set(restrict_to)
-        pool = [lid for lid in pool if lid in allowed]
-    if not pool:
+    _check_tiebreak(datetime_tiebreak)
+    targets = {lid: select_target(state, lid, request) for lid in candidates(state, request)}
+    if not targets:
         return NoMatch()
-    best = min(pool, key=lambda lid: _candidate_key(state, lid, request, datetime_tiebreak))
-    sl_id, cp_id = select_target(state, best, request)
-    return Chosen(best, sl_id, cp_id)
-
-
-def _target_labels(state: AgentState, license_id: str, request: Request) -> tuple[Label, Label]:
-    sl_id, cp_id = select_target(state, license_id, request)
-    return (
-        sublicense_label(state, license_id, sl_id),
-        cp_label(state, license_id, sl_id, cp_id),
-    )
+    return _best_ranked(state, targets, datetime_tiebreak)
 
 
 def proposed_allocate(
@@ -161,41 +137,39 @@ def proposed_allocate(
     4. Otherwise every candidate costs the user something: prompt, or resolve
        through the supplied chooser.
     """
-    pool = candidates(state, request)
-    if not pool:
+    _check_tiebreak(datetime_tiebreak)
+    targets = {lid: select_target(state, lid, request) for lid in candidates(state, request)}
+    if not targets:
         return NoMatch()
-    if len(pool) == 1:
-        sl_id, cp_id = select_target(state, pool[0], request)
-        return Chosen(pool[0], sl_id, cp_id)
+    if len(targets) == 1:
+        ((lid, target),) = targets.items()
+        return Chosen(lid, *target)
 
-    labels = {lid: _target_labels(state, lid, request) for lid in pool}
-    survivors = [
-        lid
-        for lid in pool
-        if not labels[lid][0].depleting_and_complex
-        and not labels[lid][1].depleting_and_complex
-    ]
+    labels = {
+        lid: (sublicense_label(state, lid, sl_id), cp_label(state, lid, sl_id, cp_id))
+        for lid, (sl_id, cp_id) in targets.items()
+    }
+    survivors = {
+        lid: target
+        for lid, target in targets.items()
+        if not any(label.depleting_and_complex for label in labels[lid])
+    }
     if survivors:
-        non_depleting = [
-            lid
-            for lid in survivors
-            if labels[lid][0].times is Times.MANY and labels[lid][1].times is Times.MANY
-        ]
-        return oma_allocate(
-            state,
-            request,
-            datetime_tiebreak=datetime_tiebreak,
-            restrict_to=non_depleting or survivors,
-        )
+        non_depleting = {
+            lid: target
+            for lid, target in survivors.items()
+            if all(label.times is Times.MANY for label in labels[lid])
+        }
+        return _best_ranked(state, non_depleting or survivors, datetime_tiebreak)
 
-    losses = candidate_losses(state, request, pool)
+    pool = tuple(targets)
+    losses = candidate_losses(state, request, list(pool))
     if chooser is not None:
-        picked = chooser(request, tuple(pool), losses)
+        picked = chooser(request, pool, losses)
         if picked not in pool:
             raise ChooserContractError(f"chooser returned {picked!r}, not a candidate")
-        sl_id, cp_id = select_target(state, picked, request)
-        return Chosen(picked, sl_id, cp_id, via_prompt=True)
-    return PromptRequired(tuple(pool), losses)
+        return Chosen(picked, *targets[picked], via_prompt=True)
+    return PromptRequired(pool, losses)
 
 
 def allocate(
@@ -246,13 +220,9 @@ __all__ = [
     "Chosen",
     "NoMatch",
     "PromptRequired",
-    "Rank",
     "allocate",
     "allocate_and_execute",
-    "compare_labels",
-    "label_sort_key",
     "min_loss_chooser",
     "oma_allocate",
     "proposed_allocate",
-    "rank_constraint",
 ]

@@ -390,14 +390,21 @@ def cmd_verify(args) -> int:
     unknown = set(checks) - known
     if unknown:
         return _fail(f"unknown checks: {sorted(unknown)}", EXIT_LOAD)
-    caps = GeneratorCaps(
-        max_licenses=args.max_licenses,
-        max_sublicenses=args.max_sublicenses,
-        max_cps=args.max_cps,
-        max_permissions=args.max_permissions,
-        max_count=args.max_count,
-        max_requests=args.max_requests,
-    )
+    if args.trials < 1:
+        return _fail(f"--trials must be >= 1, got {args.trials}", EXIT_LOAD)
+    try:
+        caps = GeneratorCaps(
+            max_licenses=args.max_licenses,
+            max_sublicenses=args.max_sublicenses,
+            max_cps=args.max_cps,
+            max_permissions=args.max_permissions,
+            max_count=args.max_count,
+            max_requests=args.max_requests,
+        )
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_LOAD)
+    if "neutrality" in checks and caps.max_count < 2:
+        return _fail("the neutrality check needs --max-count >= 2", EXIT_LOAD)
     reports = []
     decision_checks = [c for c in checks if c in ("soundness", "minimal_loss", "pair_discipline")]
     if decision_checks:

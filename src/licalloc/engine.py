@@ -13,7 +13,7 @@ log always reproduces the same final state.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InvalidTargetError
@@ -96,10 +96,6 @@ class AgentState:
 
     licenses: LicenseSet
     cstate: dict[StateKey, ConstraintState]
-    _by_license: dict[str, License] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._by_license = {lic.id: lic for lic in self.licenses}
 
     def license(self, license_id: str) -> License:
         return self.licenses.license(license_id)

@@ -34,6 +34,7 @@ from .model import (
     SubLicense,
     TimedCount,
     Unconstrained,
+    _RANK,
     constraint_rank,
 )
 
@@ -64,13 +65,7 @@ _NAME_BY_TYPE = {
     Count: ConstraintName.COUNT,
 }
 
-_NAME_RANK = {
-    ConstraintName.TRUE: 0,
-    ConstraintName.DATETIME: 1,
-    ConstraintName.INTERVAL: 2,
-    ConstraintName.TIMED_COUNT: 3,
-    ConstraintName.COUNT: 4,
-}
+_NAME_RANK = {name: _RANK[kind] for kind, name in _NAME_BY_TYPE.items()}
 
 
 @dataclass(frozen=True)
@@ -171,13 +166,3 @@ def label_sort_key(label: Label) -> tuple[int, int, int]:
         0 if label.complexity is Complexity.SIMPLE else 1,
         _NAME_RANK[label.constraint],
     )
-
-
-def compare_labels(a: Label, b: Label) -> int:
-    """-1 if ``a`` is preferred, 1 if ``b`` is preferred, 0 on a tie."""
-    ka, kb = label_sort_key(a), label_sort_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0

@@ -246,12 +246,6 @@ class LicenseSet:
                 return lic
         raise NotFoundError(f"no license {license_id!r} in set")
 
-    def index(self, license_id: str) -> int:
-        for i, lic in enumerate(self.licenses):
-            if lic.id == license_id:
-                return i
-        raise NotFoundError(f"no license {license_id!r} in set")
-
 
 # --- structural matching ---------------------------------------------------
 
@@ -265,14 +259,3 @@ def sat_cp(cp: ConstraintPermissionSet, request: Request) -> bool:
     """True iff some permission of the cp matches the request (structure only)."""
     return any(matches(p, request) for p in cp.permissions)
 
-
-def sat_sublicense(sublicense: SubLicense, request: Request) -> bool:
-    return any(sat_cp(cp, request) for cp in sublicense.cps)
-
-
-def sat_license(license: License, request: Request) -> bool:
-    return any(sat_sublicense(sl, request) for sl in license.sublicenses)
-
-
-def sat_set(licenses: LicenseSet, request: Request) -> bool:
-    return any(sat_license(lic, request) for lic in licenses)

@@ -42,48 +42,29 @@ def candidates(state: AgentState, request: Request) -> list[str]:
     ]
 
 
-def find_matching_sublicense(state: AgentState, license_id: str, request: Request) -> SubLicense:
-    """The sublicense the request belongs to.
+def select_target(state: AgentState, license_id: str, request: Request) -> tuple[str, str]:
+    """(sublicense id, cp id) a selection of this license would consume.
 
-    When several sublicenses hold a valid matching cp, the one whose current
-    label compares best wins; ties go to declaration order.
+    Among the sublicenses holding a valid matching cp, the one whose current
+    label compares best wins; within it, the matching cp with the best label
+    wins.  Ties go to declaration order.
     """
-    pairs = valid_matches(state, license_id, request)
-    if not pairs:
+    cps_by_sublicense: dict[str, list[str]] = {}
+    for sl, cp in valid_matches(state, license_id, request):
+        cps_by_sublicense.setdefault(sl.id, []).append(cp.id)
+    if not cps_by_sublicense:
         raise NotFoundError(
             f"license {license_id!r} has no valid permission matching the request"
         )
-    seen: list[SubLicense] = []
-    for sl, _ in pairs:
-        if sl not in seen:
-            seen.append(sl)
-    return min(seen, key=lambda sl: label_sort_key(sublicense_label(state, license_id, sl.id)))
-
-
-def find_matching_cp(
-    state: AgentState, license_id: str, sublicense_id: str, request: Request
-) -> ConstraintPermissionSet:
-    """The valid matching cp inside a sublicense, best label first."""
-    sl = state.sublicense(license_id, sublicense_id)
-    matching = [
-        cp
-        for cp in sl.cps
-        if sat_cp(cp, request) and cp_valid(state, license_id, sl.id, cp.id, request.at)
-    ]
-    if not matching:
-        raise NotFoundError(
-            f"sublicense {license_id}/{sublicense_id} has no valid cp matching the request"
-        )
-    return min(
-        matching, key=lambda cp: label_sort_key(cp_label(state, license_id, sl.id, cp.id))
+    sl_id = min(
+        cps_by_sublicense,
+        key=lambda sl: label_sort_key(sublicense_label(state, license_id, sl)),
     )
-
-
-def select_target(state: AgentState, license_id: str, request: Request) -> tuple[str, str]:
-    """(sublicense id, cp id) a selection of this license would consume."""
-    sl = find_matching_sublicense(state, license_id, request)
-    cp = find_matching_cp(state, license_id, sl.id, request)
-    return sl.id, cp.id
+    cp_id = min(
+        cps_by_sublicense[sl_id],
+        key=lambda cp: label_sort_key(cp_label(state, license_id, sl_id, cp)),
+    )
+    return sl_id, cp_id
 
 
 def rights(state: AgentState, at: Timestamp) -> RightsMultiset:

@@ -244,6 +244,11 @@ class GeneratorCaps:
     actions: int = 2
     contents: int = 4
 
+    def __post_init__(self) -> None:
+        for name, value in self.to_json().items():
+            if value < 1:
+                raise ValueError(f"generator cap {name} must be >= 1, got {value}")
+
     def to_json(self) -> dict:
         return {
             "max_licenses": self.max_licenses,
@@ -284,8 +289,8 @@ class InstanceGenerator:
         self.caps = caps
         self.seed = seed
         self.profile = profile
-        self._actions = list(Action)[: max(1, caps.actions)]
-        self._contents = [f"c{i}" for i in range(1, max(1, caps.contents) + 1)]
+        self._actions = list(Action)[: caps.actions]
+        self._contents = [f"c{i}" for i in range(1, caps.contents + 1)]
 
     def _rng(self, index: int) -> random.Random:
         return random.Random(self.seed * 1_000_003 + index)

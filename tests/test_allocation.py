@@ -1,21 +1,22 @@
-import pytest
+import functools
+import importlib
 from collections import Counter
+
+import pytest
 
 from licalloc.allocate import (
     Chosen,
     NoMatch,
     PromptRequired,
     allocate_and_execute,
-    compare_labels,
     min_loss_chooser,
     oma_allocate,
     proposed_allocate,
-    rank_constraint,
 )
-from licalloc.cases import REQUEST_AT, case_studies
-from licalloc.engine import initial_state
+from licalloc.cases import REQUEST_AT, all_lossy_licenses, case_studies
+from licalloc.engine import consume, initial_state
 from licalloc.errors import ChooserContractError
-from licalloc.labels import Complexity, ConstraintName, Label, Times
+from licalloc.labels import Complexity, ConstraintName, Label, Times, dominant_constraint, label_sort_key
 from licalloc.model import (
     CP,
     Action,
@@ -28,40 +29,47 @@ from licalloc.model import (
     SubLicense,
     TimedCount,
     Unconstrained,
+    constraint_rank,
 )
-from licalloc.rights import rights
+from licalloc.rights import candidates, rights
 
 from conftest import perm
+
+# ``licalloc.allocate`` the attribute is the dispatch function; this is the module.
+allocate_module = importlib.import_module("licalloc.allocate")
 
 
 class TestRank:
     def test_unconstrained_is_best(self):
-        assert rank_constraint(Unconstrained()).ordinal == 0
+        assert constraint_rank(Unconstrained()) == 0
 
     def test_datetime_beats_interval(self):
-        assert rank_constraint(DateTime(end=10)).ordinal < rank_constraint(Interval(10)).ordinal
+        assert constraint_rank(DateTime(end=10)) < constraint_rank(Interval(10))
 
     def test_timed_count_beats_count(self):
-        assert rank_constraint(TimedCount(3, timer=5)).ordinal < rank_constraint(Count(3)).ordinal
-
-    def test_datetime_carries_secondary_key(self):
-        assert rank_constraint(DateTime(end=42)).datetime_end == 42
+        assert constraint_rank(TimedCount(3, timer=5)) < constraint_rank(Count(3))
 
 
 class TestCompareLabels:
     def test_many_preferred_over_once(self):
         a = Label(Complexity.COMPLEX, Times.MANY, ConstraintName.COUNT)
         b = Label(Complexity.SIMPLE, Times.ONCE, ConstraintName.TRUE)
-        assert compare_labels(a, b) == -1
+        assert label_sort_key(a) < label_sort_key(b)
 
     def test_equal_labels_tie(self):
         a = Label(Complexity.SIMPLE, Times.MANY, ConstraintName.TRUE)
-        assert compare_labels(a, a) == 0
+        assert label_sort_key(a) == label_sort_key(Label(Complexity.SIMPLE, Times.MANY, ConstraintName.TRUE))
 
     def test_simple_preferred_when_depleting(self):
         a = Label(Complexity.SIMPLE, Times.ONCE, ConstraintName.COUNT)
         b = Label(Complexity.COMPLEX, Times.ONCE, ConstraintName.COUNT)
-        assert compare_labels(a, b) == -1
+        assert label_sort_key(a) < label_sort_key(b)
+
+    def test_constraint_names_follow_constraint_rank(self):
+        constraints = [Count(3), TimedCount(3, timer=5), Interval(10), DateTime(end=10), Unconstrained()]
+        for c in constraints:
+            label = Label(Complexity.SIMPLE, Times.MANY, dominant_constraint([c]))
+            assert label_sort_key(label)[2] == constraint_rank(c)
 
 
 @pytest.mark.parametrize("case", case_studies(), ids=lambda c: c.id)
@@ -171,6 +179,39 @@ def test_datetime_tiebreak_modes():
     assert furthest.license_id == "lic-1"
     with pytest.raises(ValueError):
         oma_allocate(state, request, datetime_tiebreak="sideways")
+
+
+def test_tiebreak_is_validated_before_any_decision(deadline_state, play_a, all_lossy_state):
+    # one candidate left, every candidate lossy, and no candidate at all: none
+    # of these decisions reaches the ranking, yet each must reject the mode
+    single = consume(deadline_state, "license-1", "sl-1", "cp-1", play_a)
+    no_match = Request(Action.PLAY, "song-z", at=REQUEST_AT)
+    for state, request in ((single, play_a), (all_lossy_state, play_a), (deadline_state, no_match)):
+        for allocator in (oma_allocate, proposed_allocate):
+            with pytest.raises(ValueError):
+                allocator(state, request, datetime_tiebreak="sideways")
+
+
+@pytest.mark.parametrize(
+    "allocator",
+    [oma_allocate, proposed_allocate, functools.partial(proposed_allocate, chooser=min_loss_chooser)],
+    ids=["oma", "proposed", "proposed-chooser"],
+)
+def test_one_target_resolution_per_candidate(allocator, monkeypatch):
+    resolved = []
+    resolve = allocate_module.select_target
+
+    def counting_select_target(state, license_id, request):
+        resolved.append(license_id)
+        return resolve(state, license_id, request)
+
+    monkeypatch.setattr(allocate_module, "select_target", counting_select_target)
+    instances = [(initial_state(case.licenses), case.request) for case in case_studies()]
+    instances.append((initial_state(all_lossy_licenses()), Request(Action.PLAY, "song-a", at=REQUEST_AT)))
+    for state, request in instances:
+        resolved.clear()
+        allocator(state, request)
+        assert resolved == candidates(state, request)
 
 
 def test_open_ended_window_never_wins_earliest_mode():

@@ -162,9 +162,22 @@ class TestVerify:
     def test_baseline_campaign_exits_5(self, capsys):
         assert main(["verify", "--trials", "400", "--seed", "3", "--algorithm", "oma"]) == 5
 
-    def test_zero_trials_empty_report(self, capsys):
-        assert main(["verify", "--trials", "0"]) == 0
-        assert "0 passed" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--trials", "0"],
+            ["--trials", "-3"],
+            ["--max-count", "0"],
+            ["--max-licenses", "0"],
+            ["--checks", "neutrality", "--max-count", "1"],
+        ],
+        ids=["trials-0", "trials-negative", "max-count-0", "max-licenses-0", "neutrality-max-count-1"],
+    )
+    def test_bad_campaign_input_exits_1(self, flags, capsys):
+        assert main(["verify", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_json_report_round_trips(self, capsys):
         assert main(["verify", "--trials", "30", "--format", "json"]) == 0

@@ -19,8 +19,6 @@ from licalloc.model import (
 )
 from licalloc.rights import (
     candidates,
-    find_matching_cp,
-    find_matching_sublicense,
     is_lossy,
     loss,
     remnants,
@@ -112,8 +110,8 @@ def test_find_matching_cp_in_two_cp_sublicense():
 
     licenses = case_studies()[1].licenses
     state = initial_state(licenses)
-    cp = find_matching_cp(state, "license-1", "sl-1", request)
-    assert cp.id == "cp-play"
+    assert select_target(state, "license-1", request) == ("sl-1", "cp-play")
+    cp = state.cp("license-1", "sl-1", "cp-play")
     assert any(p == perm("play", "content-2") for p in cp.permissions)
 
 
@@ -142,18 +140,29 @@ def test_find_matching_prefers_surviving_cp():
         for cp in state.sublicense("l", "sl").cps
         if cp_label(state, "l", "sl", cp.id).times is Times.MANY
     ]
-    chosen = find_matching_cp(state, "l", "sl", request)
-    assert [chosen.id] == surviving == ["cp-many"]
+    sl_id, cp_id = select_target(state, "l", request)
+    assert sl_id == "sl"
+    assert [cp_id] == surviving == ["cp-many"]
+
+
+def test_select_target_prefers_surviving_sublicense_then_declaration_order():
+    def sublicense(sl_id, count):
+        return SubLicense(sl_id, constraints=[Count(count)], cps=[CP("cp", permissions=[perm("play", "a")])])
+
+    request = Request(Action.PLAY, "a", at=0)
+    ranked = initial_state(LicenseSet([License("l", [sublicense("sl-once", 1), sublicense("sl-many", 5)])]))
+    assert select_target(ranked, "l", request) == ("sl-many", "cp")
+    tied = initial_state(LicenseSet([License("l", [sublicense("sl-1", 5), sublicense("sl-2", 5)])]))
+    assert select_target(tied, "l", request) == ("sl-1", "cp")
 
 
 def test_find_matching_single_cp(deadline_state, play_a):
-    assert find_matching_cp(deadline_state, "license-1", "sl-1", play_a).id == "cp-1"
-    assert find_matching_sublicense(deadline_state, "license-1", play_a).id == "sl-1"
+    assert select_target(deadline_state, "license-1", play_a) == ("sl-1", "cp-1")
 
 
 def test_find_matching_requires_a_match(deadline_state):
     with pytest.raises(NotFoundError):
-        find_matching_sublicense(deadline_state, "license-1", Request(Action.PLAY, "song-z", at=0))
+        select_target(deadline_state, "license-1", Request(Action.PLAY, "song-z", at=0))
     with pytest.raises(NotFoundError):
         select_target(deadline_state, "license-2", Request(Action.PLAY, "song-b", at=0))
 
@@ -209,6 +218,5 @@ def test_selected_target_always_satisfies_the_request(licenses, content):
     state = initial_state(licenses)
     request = Request(Action.PLAY, content, at=0)
     for lid in candidates(state, request):
-        sl = find_matching_sublicense(state, lid, request)
-        cp = find_matching_cp(state, lid, sl.id, request)
-        assert sat_cp(cp, request)
+        sl_id, cp_id = select_target(state, lid, request)
+        assert sat_cp(state.cp(lid, sl_id, cp_id), request)
