@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,19 +22,14 @@ from typing import Optional
 
 from . import cases as case_fixtures
 from .allocate import Chosen, NoMatch, PromptRequired, allocate, min_loss_chooser
-from .corpus import (
-    CorpusDocument,
-    CorpusError,
-    LabelMismatchError,
-    load_corpus,
-    serialize_corpus,
-)
+from .corpus import CorpusDocument, LabelMismatchError, load_corpus, serialize_corpus
 from .engine import consume, initial_state, is_depleting
 from .errors import LicallocError
 from .labels import state_labels
 from .model import Action, Request
 from .rights import candidates, candidate_losses, rights, select_target
 from .verify import (
+    LIVENESS_CAPS,
     Color,
     Coloring,
     GeneratorCaps,
@@ -122,12 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list from: soundness, minimal_loss, pair_discipline, neutrality, liveness",
     )
     p_verify.add_argument("--trials", type=int, default=1000)
-    p_verify.add_argument("--max-licenses", type=int, default=4)
-    p_verify.add_argument("--max-sublicenses", type=int, default=3)
-    p_verify.add_argument("--max-cps", type=int, default=3)
-    p_verify.add_argument("--max-permissions", type=int, default=4)
-    p_verify.add_argument("--max-count", type=int, default=3)
-    p_verify.add_argument("--max-requests", type=int, default=5)
+    # Unset caps keep each campaign's own defaults (GeneratorCaps, LIVENESS_CAPS).
+    p_verify.add_argument("--max-licenses", type=int)
+    p_verify.add_argument("--max-sublicenses", type=int)
+    p_verify.add_argument("--max-cps", type=int)
+    p_verify.add_argument("--max-permissions", type=int)
+    p_verify.add_argument("--max-count", type=int)
+    p_verify.add_argument("--max-requests", type=int)
     p_verify.add_argument("--dump-failures", metavar="DIR", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -168,13 +165,7 @@ def _rights_text(multiset: Counter) -> str:
 
 
 def cmd_label(args) -> int:
-    try:
-        doc = _load(args)
-    except LabelMismatchError as exc:
-        return _fail(str(exc), EXIT_LABEL_MISMATCH)
-    except (CorpusError, OSError) as exc:
-        return _fail(str(exc), EXIT_LOAD)
-    sys.stdout.write(serialize_corpus(doc).decode("utf-8"))
+    sys.stdout.write(serialize_corpus(_load(args)).decode("utf-8"))
     return EXIT_OK
 
 
@@ -200,12 +191,7 @@ def _prompt_user(request: Request, decision: PromptRequired) -> Optional[str]:
 
 
 def cmd_allocate(args) -> int:
-    try:
-        doc = _load(args)
-    except LabelMismatchError as exc:
-        return _fail(str(exc), EXIT_LABEL_MISMATCH)
-    except (CorpusError, OSError) as exc:
-        return _fail(str(exc), EXIT_LOAD)
+    doc = _load(args)
     at = args.time if args.time is not None else 0
     request = Request(Action(args.action), args.content, at=at, usage_duration=args.duration)
     state = initial_state(doc.licenses)
@@ -278,12 +264,7 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        doc = _load(args)
-    except LabelMismatchError as exc:
-        return _fail(str(exc), EXIT_LABEL_MISMATCH)
-    except (CorpusError, OSError) as exc:
-        return _fail(str(exc), EXIT_LOAD)
+    doc = _load(args)
     requests = list(doc.requests)
     if args.time is not None:
         requests = [
@@ -307,12 +288,13 @@ def cmd_simulate(args) -> int:
             },
         }
         decision = allocate(
-            state, request, algorithm=args.algorithm, datetime_tiebreak=args.datetime_tiebreak
+            state,
+            request,
+            algorithm=args.algorithm,
+            chooser=min_loss_chooser,
+            datetime_tiebreak=args.datetime_tiebreak,
         )
-        if isinstance(decision, PromptRequired):
-            picked = min_loss_chooser(request, decision.candidates, decision.losses)
-            sl_id, cp_id = select_target(state, picked, request)
-            decision = Chosen(picked, sl_id, cp_id, via_prompt=True)
+        if isinstance(decision, Chosen) and decision.via_prompt:
             entry["resolved_by_default_chooser"] = True
         if isinstance(decision, NoMatch):
             entry["decision"] = "no_match"
@@ -392,15 +374,10 @@ def cmd_verify(args) -> int:
         return _fail(f"unknown checks: {sorted(unknown)}", EXIT_LOAD)
     if args.trials < 1:
         return _fail(f"--trials must be >= 1, got {args.trials}", EXIT_LOAD)
+    given = {k: v for k, v in vars(args).items() if k.startswith("max_") and v is not None}
     try:
-        caps = GeneratorCaps(
-            max_licenses=args.max_licenses,
-            max_sublicenses=args.max_sublicenses,
-            max_cps=args.max_cps,
-            max_permissions=args.max_permissions,
-            max_count=args.max_count,
-            max_requests=args.max_requests,
-        )
+        caps = dataclasses.replace(GeneratorCaps(), **given)
+        liveness_caps = dataclasses.replace(LIVENESS_CAPS, **given)
     except ValueError as exc:
         return _fail(str(exc), EXIT_LOAD)
     if "neutrality" in checks and caps.max_count < 2:
@@ -416,7 +393,9 @@ def cmd_verify(args) -> int:
         reports.append(run_neutrality_campaign(caps, args.trials, args.seed))
     if "liveness" in checks:
         reports.append(
-            run_liveness_campaign(n=args.trials, seed=args.seed, algorithm=args.algorithm)
+            run_liveness_campaign(
+                liveness_caps, n=args.trials, seed=args.seed, algorithm=args.algorithm
+            )
         )
 
     if args.dump_failures:
@@ -511,7 +490,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LicallocError as exc:
+    except LabelMismatchError as exc:
+        return _fail(str(exc), EXIT_LABEL_MISMATCH)
+    except (LicallocError, OSError) as exc:
         return _fail(str(exc), EXIT_LOAD)
 
 

@@ -313,9 +313,9 @@ def _label_to_json(label: Label) -> dict:
     }
 
 
-def document_to_json(doc: CorpusDocument, *, include_labels: bool = True) -> dict:
-    """Plain-dict form of a document in canonical key order."""
-    state = initial_state(doc.licenses) if include_labels else None
+def document_to_json(doc: CorpusDocument) -> dict:
+    """Plain-dict form of a document in canonical key order, with current labels."""
+    state = initial_state(doc.licenses)
     licenses = []
     for lic in doc.licenses:
         subs = []
@@ -328,17 +328,15 @@ def document_to_json(doc: CorpusDocument, *, include_labels: bool = True) -> dic
                     "permissions": [
                         {"action": p.action.value, "content": p.content} for p in cp.permissions
                     ],
+                    "label": _label_to_json(cp_label(state, lic.id, sl.id, cp.id)),
                 }
-                if state is not None:
-                    entry["label"] = _label_to_json(cp_label(state, lic.id, sl.id, cp.id))
                 cps.append(entry)
             sub = {
                 "id": sl.id,
                 "constraints": [_constraint_to_json(c) for c in sl.constraints],
                 "cps": cps,
+                "label": _label_to_json(sublicense_label(state, lic.id, sl.id)),
             }
-            if state is not None:
-                sub["label"] = _label_to_json(sublicense_label(state, lic.id, sl.id))
             subs.append(sub)
         licenses.append({"id": lic.id, "sublicenses": subs})
     out: dict = {"schema_version": doc.schema_version, "licenses": licenses}
@@ -353,9 +351,9 @@ def document_to_json(doc: CorpusDocument, *, include_labels: bool = True) -> dic
     return out
 
 
-def serialize_corpus(doc: CorpusDocument, *, include_labels: bool = True) -> bytes:
+def serialize_corpus(doc: CorpusDocument) -> bytes:
     """Canonical bytes: fixed key order, 2-space indent, trailing newline."""
-    payload = document_to_json(doc, include_labels=include_labels)
+    payload = document_to_json(doc)
     return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 

@@ -1,9 +1,10 @@
 """Constraint evaluation and consumption.
 
 The static license tree never changes; everything that can change lives in an
-``AgentState``: one ``ConstraintState`` per constraint occurrence, keyed by
-(license id, sublicense id, cp id or None, constraint index).  A ``None`` cp
-slot marks a sublicense-level constraint.
+``AgentState``: for every node of the tree, keyed by ``NodeKey`` (license id,
+sublicense id, cp id or None), the tuple of its constraints' states in
+declaration order.  A ``None`` cp slot keys the sublicense itself, so reading
+a node's states is one dict lookup, with no walk of the tree.
 
 ``consume`` is the only state transition.  It returns a fresh state; a failed
 precondition raises and leaves the input untouched, so replaying a request
@@ -33,7 +34,7 @@ from .model import (
     sat_cp,
 )
 
-StateKey = tuple[str, str, Optional[str], int]
+NodeKey = tuple[str, str, Optional[str]]
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class AgentState:
     """
 
     licenses: LicenseSet
-    cstate: dict[StateKey, ConstraintState]
+    cstate: dict[NodeKey, tuple[ConstraintState, ...]]
 
     def license(self, license_id: str) -> License:
         return self.licenses.license(license_id)
@@ -107,28 +108,20 @@ class AgentState:
         return self.sublicense(license_id, sublicense_id).cp(cp_id)
 
     def sublicense_states(self, license_id: str, sublicense_id: str) -> tuple[ConstraintState, ...]:
-        sl = self.sublicense(license_id, sublicense_id)
-        return tuple(
-            self.cstate[(license_id, sublicense_id, None, i)] for i in range(len(sl.constraints))
-        )
+        return self.cstate[(license_id, sublicense_id, None)]
 
     def cp_states(self, license_id: str, sublicense_id: str, cp_id: str) -> tuple[ConstraintState, ...]:
-        cp = self.cp(license_id, sublicense_id, cp_id)
-        return tuple(
-            self.cstate[(license_id, sublicense_id, cp_id, i)] for i in range(len(cp.constraints))
-        )
+        return self.cstate[(license_id, sublicense_id, cp_id)]
 
 
 def initial_state(licenses: LicenseSet) -> AgentState:
     """Fresh agent state: full counters, unstarted intervals, nothing depleted."""
-    cstate: dict[StateKey, ConstraintState] = {}
+    cstate: dict[NodeKey, tuple[ConstraintState, ...]] = {}
     for lic in licenses:
         for sl in lic.sublicenses:
-            for i, c in enumerate(sl.constraints):
-                cstate[(lic.id, sl.id, None, i)] = fresh_state(c)
+            cstate[(lic.id, sl.id, None)] = tuple(map(fresh_state, sl.constraints))
             for cp in sl.cps:
-                for i, c in enumerate(cp.constraints):
-                    cstate[(lic.id, sl.id, cp.id, i)] = fresh_state(c)
+                cstate[(lic.id, sl.id, cp.id)] = tuple(map(fresh_state, cp.constraints))
     return AgentState(licenses=licenses, cstate=cstate)
 
 
@@ -201,12 +194,11 @@ def consume(
     sl = state.sublicense(license_id, sublicense_id)
     cp = sl.cp(cp_id)
     cstate = dict(state.cstate)
-    for i, c in enumerate(sl.constraints):
-        key = (license_id, sublicense_id, None, i)
-        cstate[key] = _advance(c, cstate[key], request)
-    for i, c in enumerate(cp.constraints):
-        key = (license_id, sublicense_id, cp_id, i)
-        cstate[key] = _advance(c, cstate[key], request)
+    for key, constraints in (
+        ((license_id, sublicense_id, None), sl.constraints),
+        ((license_id, sublicense_id, cp_id), cp.constraints),
+    ):
+        cstate[key] = tuple(_advance(c, s, request) for c, s in zip(constraints, cstate[key]))
     return AgentState(licenses=state.licenses, cstate=cstate)
 
 

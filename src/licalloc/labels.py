@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .engine import AgentState, ConstraintState
+from .engine import AgentState, ConstraintState, NodeKey
 from .model import (
     Constraint,
     ConstraintPermissionSet,
@@ -140,12 +140,9 @@ def sublicense_label(state: AgentState, license_id: str, sublicense_id: str) -> 
     )
 
 
-LabelKey = tuple[str, str, Optional[str]]
-
-
-def state_labels(state: AgentState) -> dict[LabelKey, Label]:
+def state_labels(state: AgentState) -> dict[NodeKey, Label]:
     """Current labels of every sublicense and cp, keyed by (lid, slid, cpid|None)."""
-    out: dict[LabelKey, Label] = {}
+    out: dict[NodeKey, Label] = {}
     for lic in state.licenses:
         for sl in lic.sublicenses:
             out[(lic.id, sl.id, None)] = sublicense_label(state, lic.id, sl.id)

@@ -11,34 +11,45 @@ than the one requested occurrence with it.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional
+from typing import Iterator, Sequence
 
-from .engine import AgentState, consume, cp_valid, sublicense_valid, constraints_hold
+from .engine import AgentState, consume, constraints_hold
 from .errors import NotFoundError
 from .labels import cp_label, label_sort_key, sublicense_label
-from .model import ConstraintPermissionSet, Request, SubLicense, Timestamp, sat_cp
+from .model import ConstraintPermissionSet, License, Request, SubLicense, Timestamp, sat_cp
 
 RightsMultiset = Counter  # Permission -> multiplicity
+
+
+def _valid_pairs(
+    state: AgentState, lic: License, at: Timestamp
+) -> Iterator[tuple[SubLicense, ConstraintPermissionSet]]:
+    """(sublicense, cp) pairs of the license whose constraints all hold at ``at``."""
+    for sl in lic.sublicenses:
+        if not constraints_hold(sl.constraints, state.sublicense_states(lic.id, sl.id), at):
+            continue
+        for cp in sl.cps:
+            if constraints_hold(cp.constraints, state.cp_states(lic.id, sl.id, cp.id), at):
+                yield sl, cp
 
 
 def valid_matches(
     state: AgentState, license_id: str, request: Request
 ) -> list[tuple[SubLicense, ConstraintPermissionSet]]:
     """All (sublicense, cp) pairs of the license that match and are valid now."""
-    out = []
-    for sl in state.license(license_id).sublicenses:
-        if not sublicense_valid(state, license_id, sl.id, request.at):
-            continue
-        for cp in sl.cps:
-            if sat_cp(cp, request) and cp_valid(state, license_id, sl.id, cp.id, request.at):
-                out.append((sl, cp))
-    return out
+    return [
+        (sl, cp)
+        for sl, cp in _valid_pairs(state, state.license(license_id), request.at)
+        if sat_cp(cp, request)
+    ]
 
 
 def candidates(state: AgentState, request: Request) -> list[str]:
     """Ids of licenses that can satisfy the request at its timestamp."""
     return [
-        lic.id for lic in state.licenses if valid_matches(state, lic.id, request)
+        lic.id
+        for lic in state.licenses
+        if any(sat_cp(cp, request) for _, cp in _valid_pairs(state, lic, request.at))
     ]
 
 
@@ -71,13 +82,8 @@ def rights(state: AgentState, at: Timestamp) -> RightsMultiset:
     """Multiset of exercisable permissions, one occurrence per valid cp."""
     out: RightsMultiset = Counter()
     for lic in state.licenses:
-        for sl in lic.sublicenses:
-            sl_states = state.sublicense_states(lic.id, sl.id)
-            if not constraints_hold(sl.constraints, sl_states, at):
-                continue
-            for cp in sl.cps:
-                if constraints_hold(cp.constraints, state.cp_states(lic.id, sl.id, cp.id), at):
-                    out.update(cp.permissions)
+        for _, cp in _valid_pairs(state, lic, at):
+            out.update(cp.permissions)
     return out
 
 
@@ -99,10 +105,8 @@ def is_lossy(state: AgentState, license_id: str, request: Request) -> bool:
 
 
 def candidate_losses(
-    state: AgentState, request: Request, candidate_ids: Optional[list[str]] = None
+    state: AgentState, request: Request, candidate_ids: Sequence[str]
 ) -> dict[str, RightsMultiset]:
-    """Loss multiset of every candidate license for the request."""
-    if candidate_ids is None:
-        candidate_ids = candidates(state, request)
+    """Loss multiset of each listed candidate license for the request."""
     base = rights(state, request.at)
     return {lid: base - remnants(state, lid, request) for lid in candidate_ids}

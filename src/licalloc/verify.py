@@ -64,6 +64,9 @@ from .rights import candidates, is_lossy, loss, remnants, rights, select_target
 T0 = 1000
 TIMER_MAX = 60
 USAGE_DURATION = TIMER_MAX + 10
+MAX_COUNTEREXAMPLES = 5
+# Liveness schedules are enumerated exhaustively up to this many.
+EXHAUSTIVE_SCHEDULES = 256
 
 
 # --- coloring model ---------------------------------------------------------
@@ -570,8 +573,6 @@ def fuzz_campaign(
     checks: Sequence[str] = ("soundness", "minimal_loss"),
     *,
     algorithm: str = "proposed",
-    max_counterexamples: int = 5,
-    shrink: bool = True,
     stop_after: Optional[int] = None,
 ) -> CampaignReport:
     """Generate ``n`` instances, replay their request scripts and check every decision.
@@ -606,12 +607,10 @@ def fuzz_campaign(
             if name in failed_checks:
                 continue
             failed_checks.add(name)
-            if len(report.counterexamples) < max_counterexamples:
-                shrunk = doc
-                if shrink:
-                    shrunk = shrink_document(
-                        doc, lambda d, nm=name: bool(_trial_failures(d, algorithm, [nm]))
-                    )
+            if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
+                shrunk = shrink_document(
+                    doc, lambda d, nm=name: bool(_trial_failures(d, algorithm, [nm]))
+                )
                 failures = _trial_failures(shrunk, algorithm, [name])
                 fstep, _, fres = failures[0]
                 report.counterexamples.append(
@@ -636,8 +635,6 @@ def run_neutrality_campaign(
     caps: GeneratorCaps = GeneratorCaps(),
     n: int = 1000,
     seed: int = 0,
-    *,
-    max_counterexamples: int = 5,
 ) -> CampaignReport:
     """Both allocators must agree when no label anywhere is once+complex."""
     generator = InstanceGenerator(caps, seed=seed, profile="many_only")
@@ -663,7 +660,7 @@ def run_neutrality_campaign(
             report.passes["neutrality"] = report.passes.get("neutrality", 0) + 1
             continue
         report.failures["neutrality"] = report.failures.get("neutrality", 0) + 1
-        if len(report.counterexamples) < max_counterexamples:
+        if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
             report.counterexamples.append(
                 Counterexample(
                     trial=index,
@@ -717,11 +714,11 @@ class LivenessResult:
 
 
 def _schedules(
-    support: Sequence[Permission], rounds: int, seed: int, max_schedules: int, exhaustive_limit: int
+    support: Sequence[Permission], rounds: int, seed: int, max_schedules: int
 ) -> Iterable[tuple[Permission, ...]]:
     perms = list(support)
     total = math.factorial(len(perms)) ** rounds
-    if total <= exhaustive_limit:
+    if total <= EXHAUSTIVE_SCHEDULES:
         for combo in itertools.product(itertools.permutations(perms), repeat=rounds):
             yield tuple(p for chunk in combo for p in chunk)
         return
@@ -742,10 +739,7 @@ def run_bounded_liveness(
     algorithm: str = "proposed",
     seed: int = 0,
     at: int = T0,
-    usage_duration: int = USAGE_DURATION,
-    rounds: Optional[int] = None,
     max_schedules: int = 16,
-    exhaustive_limit: int = 256,
 ) -> LivenessResult:
     """Drive fair schedules and require black-by-quiescence.
 
@@ -763,20 +757,19 @@ def run_bounded_liveness(
     support = sorted(rights(state0, at))
     if not support:
         return LivenessResult(passed=True, schedules_run=0, support=0)
-    if rounds is None:
-        hosts = Counter()
-        for lic in licenses:
-            for sl in lic.sublicenses:
-                for cp in sl.cps:
-                    for p in set(cp.permissions):
-                        hosts[p] += 1
-        rounds = max(hosts[p] for p in support) + 1
+    hosts = Counter()
+    for lic in licenses:
+        for sl in lic.sublicenses:
+            for cp in sl.cps:
+                for p in set(cp.permissions):
+                    hosts[p] += 1
+    rounds = max(hosts[p] for p in support) + 1
 
     def request_for(p: Permission) -> Request:
-        return Request(p.action, p.content, at=at, usage_duration=usage_duration)
+        return Request(p.action, p.content, at=at, usage_duration=USAGE_DURATION)
 
     schedules_run = 0
-    for flat in _schedules(support, rounds, seed, max_schedules, exhaustive_limit):
+    for flat in _schedules(support, rounds, seed, max_schedules):
         schedule = Schedule(tuple(request_for(p) for p in flat), window=len(support))
         schedules_run += 1
         state = state0
@@ -806,13 +799,17 @@ def run_bounded_liveness(
     return LivenessResult(passed=True, schedules_run=schedules_run, support=len(support))
 
 
+LIVENESS_CAPS = GeneratorCaps(
+    max_licenses=2, max_sublicenses=2, max_cps=2, max_permissions=2, contents=3
+)
+
+
 def run_liveness_campaign(
-    caps: GeneratorCaps = GeneratorCaps(max_licenses=2, max_sublicenses=2, max_cps=2, max_permissions=2, contents=3),
+    caps: GeneratorCaps = LIVENESS_CAPS,
     n: int = 1000,
     seed: int = 0,
     *,
     algorithm: str = "proposed",
-    max_counterexamples: int = 5,
     max_schedules: int = 8,
 ) -> CampaignReport:
     """Bounded liveness over generated depleting instances; gated ones are skipped."""
@@ -843,7 +840,7 @@ def run_liveness_campaign(
             report.passes["liveness"] = report.passes.get("liveness", 0) + 1
         else:
             report.failures["liveness"] = report.failures.get("liveness", 0) + 1
-            if len(report.counterexamples) < max_counterexamples:
+            if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
                 report.counterexamples.append(
                     Counterexample(
                         trial=index - 1,

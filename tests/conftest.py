@@ -48,16 +48,10 @@ def brute_force_rights(state, at) -> Counter:
     found = Counter()
     for lic in state.licenses:
         for sl in lic.sublicenses:
-            sl_states = [
-                state.cstate[(lic.id, sl.id, None, i)] for i in range(len(sl.constraints))
-            ]
-            if not constraints_hold(sl.constraints, sl_states, at):
+            if not constraints_hold(sl.constraints, state.cstate[(lic.id, sl.id, None)], at):
                 continue
             for cp in sl.cps:
-                cp_states = [
-                    state.cstate[(lic.id, sl.id, cp.id, i)] for i in range(len(cp.constraints))
-                ]
-                if constraints_hold(cp.constraints, cp_states, at):
+                if constraints_hold(cp.constraints, state.cstate[(lic.id, sl.id, cp.id)], at):
                     for p in cp.permissions:
                         found[p] += 1
     return found

@@ -7,6 +7,7 @@ from licalloc.cases import REQUEST_AT, all_lossy_licenses, case_studies
 from licalloc.cli import main, parse_time
 from licalloc.corpus import CorpusDocument, serialize_corpus
 from licalloc.model import Action, Request
+from licalloc.verify import LIVENESS_CAPS, GeneratorCaps
 
 
 @pytest.fixture
@@ -220,6 +221,18 @@ class TestVerify:
     def test_unknown_check_exits_1(self, capsys):
         assert main(["verify", "--checks", "vibes"]) == 1
 
+    def test_given_caps_override_every_campaign_default(self, capsys):
+        argv = ["verify", "--checks", "soundness,liveness", "--trials", "2", "--format", "json"]
+        assert main(argv) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert [r["caps"] for r in reports] == [GeneratorCaps().to_json(), LIVENESS_CAPS.to_json()]
+        assert main([*argv, "--max-licenses", "1"]) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert [r["caps"] for r in reports] == [
+            {**GeneratorCaps().to_json(), "max_licenses": 1},
+            {**LIVENESS_CAPS.to_json(), "max_licenses": 1},
+        ]
+
 
 class TestCases:
     def test_fresh_build_matches_all_cells(self, capsys):
@@ -263,6 +276,20 @@ class TestCases:
 
         for f in out.glob("*.json"):
             parse_corpus(f.read_bytes())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--trials", "1", "--dump-failures"], ["cases", "--dump-corpora"]],
+    ids=["dump-failures", "dump-corpora"],
+)
+def test_dump_directory_under_a_file_exits_1(argv, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([*argv, str(blocker / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_parse_time_accepts_iso_and_int():

@@ -67,7 +67,7 @@ class TestConstraintHolds:
     def test_count_exhausted_after_single_consume(self):
         licenses = single_license(cp_constraints=[Count(1)])
         state = consume(initial_state(licenses), "l-1", "sl-1", "cp-1", Request(Action.PLAY, "a", at=0))
-        st_ = state.cstate[("l-1", "sl-1", "cp-1", 0)]
+        st_ = state.cstate[("l-1", "sl-1", "cp-1")][0]
         assert not constraint_holds(Count(1), st_, at=0)
         assert st_.depleted
 
@@ -109,7 +109,7 @@ class TestConsume:
 
     def test_count_decrements_without_depleting(self, deadline_state, play_a):
         after = consume(deadline_state, "license-2", "sl-1", "cp-1", play_a)
-        assert after.cstate[("license-2", "sl-1", None, 0)].remaining == 9
+        assert after.cstate[("license-2", "sl-1", None)][0].remaining == 9
         assert cp_valid(after, "license-2", "sl-1", "cp-1", play_a.at)
 
     def test_timed_count_ignores_short_use(self):
@@ -117,28 +117,28 @@ class TestConsume:
         state = initial_state(licenses)
         short = Request(Action.PLAY, "a", at=0, usage_duration=10)
         after = consume(state, "l-1", "sl-1", "cp-1", short)
-        assert after.cstate[("l-1", "sl-1", "cp-1", 0)].remaining == 3
+        assert after.cstate[("l-1", "sl-1", "cp-1")][0].remaining == 3
 
     def test_timed_count_charges_long_use(self):
         licenses = single_license(cp_constraints=[TimedCount(3, timer=30)])
         state = initial_state(licenses)
         long_use = Request(Action.PLAY, "a", at=0, usage_duration=30)
         after = consume(state, "l-1", "sl-1", "cp-1", long_use)
-        assert after.cstate[("l-1", "sl-1", "cp-1", 0)].remaining == 2
+        assert after.cstate[("l-1", "sl-1", "cp-1")][0].remaining == 2
 
     def test_interval_starts_once(self):
         licenses = single_license(sl_constraints=[Interval(1000)], cp_constraints=[], perms=(("play", "a"),))
         state = initial_state(licenses)
         after = consume(state, "l-1", "sl-1", "cp-1", Request(Action.PLAY, "a", at=50))
-        assert after.cstate[("l-1", "sl-1", None, 0)].interval_started_at == 50
+        assert after.cstate[("l-1", "sl-1", None)][0].interval_started_at == 50
         again = consume(after, "l-1", "sl-1", "cp-1", Request(Action.PLAY, "a", at=200))
-        assert again.cstate[("l-1", "sl-1", None, 0)].interval_started_at == 50
+        assert again.cstate[("l-1", "sl-1", None)][0].interval_started_at == 50
 
     def test_datetime_state_untouched(self):
         licenses = single_license(cp_constraints=[DateTime(end=10_000)])
         state = initial_state(licenses)
         after = consume(state, "l-1", "sl-1", "cp-1", Request(Action.PLAY, "a", at=5))
-        assert after.cstate[("l-1", "sl-1", "cp-1", 0)] == ConstraintState()
+        assert after.cstate[("l-1", "sl-1", "cp-1")][0] == ConstraintState()
 
     def test_invalid_target_raises_and_leaves_state_alone(self, deadline_state):
         play_z = Request(Action.PLAY, "song-z", at=0)

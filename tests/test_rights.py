@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from licalloc.cases import REQUEST_AT
-from licalloc.engine import consume, initial_state
+from licalloc.cases import REQUEST_AT, all_lossy_licenses, case_studies
+from licalloc.engine import AgentState, consume, initial_state
 from licalloc.errors import NotFoundError
 from licalloc.labels import Times, cp_label
 from licalloc.model import (
@@ -102,6 +102,19 @@ def test_candidates_respect_validity(deadline_state, play_a):
     after = consume(deadline_state, "license-1", "sl-1", "cp-1", play_a)
     assert candidates(after, play_a) == ["license-2"]
     assert candidates(after, Request(Action.PLAY, "song-b", at=play_a.at)) == []
+
+
+def test_rights_and_candidates_read_states_without_tree_lookups(monkeypatch):
+    instances = [(initial_state(case.licenses), case.request) for case in case_studies()]
+    instances.append((initial_state(all_lossy_licenses()), Request(Action.PLAY, "song-a", at=REQUEST_AT)))
+    expected = [(rights(state, request.at), candidates(state, request)) for state, request in instances]
+
+    def tree_lookup(*args):
+        raise AssertionError(f"tree lookup by id {args[1:]}")
+
+    for name in ("license", "sublicense", "cp"):
+        monkeypatch.setattr(AgentState, name, tree_lookup)
+    assert [(rights(state, request.at), candidates(state, request)) for state, request in instances] == expected
 
 
 def test_find_matching_cp_in_two_cp_sublicense():
