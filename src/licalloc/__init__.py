@@ -63,7 +63,6 @@ from .model import (
 )
 from .rights import (
     candidates,
-    is_lossy,
     loss,
     remnants,
     rights,

@@ -4,9 +4,9 @@ Commands: ``label`` (validate and relabel a corpus), ``allocate`` (run one
 request), ``simulate`` (replay a corpus's request script), ``verify`` (run
 property campaigns) and ``cases`` (reproduce the bundled case studies).
 
-Exit codes: 0 success, 1 I/O or parse/schema error, 2 label mismatch in
-strict mode, 3 unresolved prompt, 4 no matching license, 5 property or case
-failure.
+Each command accepts only the options it reads.  Exit codes: 0 success, 1
+usage, I/O or parse/schema error, 2 label mismatch in strict mode, 3
+unresolved prompt, 4 no matching license, 5 property or case failure.
 """
 
 from __future__ import annotations
@@ -64,60 +64,40 @@ def parse_time(value: str) -> int:
     return int(parsed.timestamp())
 
 
-def _common_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--algorithm", choices=("oma", "proposed"), default="proposed")
-    common.add_argument(
-        "--datetime-tiebreak", choices=("earliest", "furthest"), default="earliest"
-    )
-    strict = common.add_mutually_exclusive_group()
-    strict.add_argument("--strict-labels", dest="strict_labels", action="store_true", default=True)
-    strict.add_argument("--no-strict-labels", dest="strict_labels", action="store_false")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    interactive = common.add_mutually_exclusive_group()
-    interactive.add_argument(
-        "--interactive", dest="interactive", action="store_true", default=False
-    )
-    interactive.add_argument("--no-interactive", dest="interactive", action="store_false")
-    common.add_argument(
-        "--time",
-        type=parse_time,
-        default=None,
-        help="request timestamp override (integer seconds or ISO-8601)",
-    )
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="licalloc", description="License allocation engine and property checker"
     )
-    common = _common_options()
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_label = sub.add_parser("label", parents=[common], help="validate a corpus and print it with labels")
+    p_label = sub.add_parser("label", help="validate a corpus and print it with labels")
     p_label.add_argument("corpus")
     p_label.set_defaults(func=cmd_label)
 
-    p_alloc = sub.add_parser("allocate", parents=[common], help="allocate one request against a corpus")
+    p_alloc = sub.add_parser("allocate", help="allocate one request against a corpus")
     p_alloc.add_argument("corpus")
     p_alloc.add_argument("action", choices=[a.value for a in Action])
     p_alloc.add_argument("content")
     p_alloc.add_argument("--duration", type=int, default=0, help="usage duration in seconds")
+    interactive = p_alloc.add_mutually_exclusive_group()
+    interactive.add_argument(
+        "--interactive", dest="interactive", action="store_true", default=False
+    )
+    interactive.add_argument("--no-interactive", dest="interactive", action="store_false")
     p_alloc.set_defaults(func=cmd_allocate)
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="replay the corpus's request script")
+    p_sim = sub.add_parser("simulate", help="replay the corpus's request script")
     p_sim.add_argument("corpus")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run property campaigns on generated instances")
+    p_verify = sub.add_parser("verify", help="run property campaigns on generated instances")
     p_verify.add_argument(
         "--checks",
         default="soundness,minimal_loss",
         help="comma list from: soundness, minimal_loss, pair_discipline, neutrality, liveness",
     )
     p_verify.add_argument("--trials", type=int, default=1000)
+    p_verify.add_argument("--seed", type=int, default=0)
     # Unset caps keep each campaign's own defaults (GeneratorCaps, LIVENESS_CAPS).
     p_verify.add_argument("--max-licenses", type=int)
     p_verify.add_argument("--max-sublicenses", type=int)
@@ -128,9 +108,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--dump-failures", metavar="DIR", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_cases = sub.add_parser("cases", parents=[common], help="reproduce the bundled case studies")
+    p_cases = sub.add_parser("cases", help="reproduce the bundled case studies")
     p_cases.add_argument("--dump-corpora", metavar="DIR", default=None)
     p_cases.set_defaults(func=cmd_cases)
+
+    # Options several commands read; each command takes only those it reads.
+    for p in (p_label, p_alloc, p_sim):
+        strict = p.add_mutually_exclusive_group()
+        strict.add_argument(
+            "--strict-labels", dest="strict_labels", action="store_true", default=True
+        )
+        strict.add_argument("--no-strict-labels", dest="strict_labels", action="store_false")
+    for p in (p_alloc, p_sim, p_verify):
+        p.add_argument("--algorithm", choices=("oma", "proposed"), default="proposed")
+    for p in (p_alloc, p_sim):
+        p.add_argument("--datetime-tiebreak", choices=("earliest", "furthest"), default="earliest")
+        p.add_argument(
+            "--time",
+            type=parse_time,
+            default=None,
+            help="request timestamp override (integer seconds or ISO-8601)",
+        )
+    for p in (p_alloc, p_sim, p_verify, p_cases):
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
 
@@ -195,21 +195,9 @@ def cmd_allocate(args) -> int:
     at = args.time if args.time is not None else 0
     request = Request(Action(args.action), args.content, at=at, usage_duration=args.duration)
     state = initial_state(doc.licenses)
-    pool = candidates(state, request)
-    losses = candidate_losses(state, request, pool)
     decision = allocate(
         state, request, algorithm=args.algorithm, datetime_tiebreak=args.datetime_tiebreak
     )
-
-    prompted = False
-    if isinstance(decision, PromptRequired):
-        prompted = True
-        if args.interactive:
-            picked = _prompt_user(request, decision)
-            if picked is None:
-                return EXIT_PROMPT
-            sl_id, cp_id = select_target(state, picked, request)
-            decision = Chosen(picked, sl_id, cp_id, via_prompt=True)
 
     if isinstance(decision, NoMatch):
         if args.format == "json":
@@ -218,7 +206,7 @@ def cmd_allocate(args) -> int:
             print("no installed license satisfies the request")
         return EXIT_NO_MATCH
 
-    if isinstance(decision, PromptRequired):
+    if isinstance(decision, PromptRequired) and not args.interactive:
         if args.format == "json":
             _emit_json(
                 {
@@ -235,6 +223,16 @@ def cmd_allocate(args) -> int:
                 print(f"  {lid}  would lose: {_rights_text(decision.losses[lid])}")
         return EXIT_PROMPT
 
+    if isinstance(decision, PromptRequired):
+        picked = _prompt_user(request, decision)
+        if picked is None:
+            return EXIT_PROMPT
+        pool, losses = list(decision.candidates), decision.losses
+        decision = Chosen(picked, *select_target(state, picked, request), via_prompt=True)
+    else:
+        pool = candidates(state, request)
+        losses = candidate_losses(state, request, pool)
+
     after = consume(state, decision.license_id, decision.sublicense_id, decision.cp_id, request)
     remaining = rights(after, request.at)
     if args.format == "json":
@@ -245,7 +243,7 @@ def cmd_allocate(args) -> int:
                 "license": decision.license_id,
                 "sublicense": decision.sublicense_id,
                 "cp": decision.cp_id,
-                "via_prompt": decision.via_prompt or prompted,
+                "via_prompt": decision.via_prompt,
                 "candidates": pool,
                 "losses": {lid: _rights_entries(losses[lid]) for lid in pool},
                 "rights_after": _rights_entries(remaining),
@@ -419,8 +417,8 @@ def cmd_verify(args) -> int:
             )
             for name in r.checks:
                 line = (
-                    f"  {name}: {r.passes.get(name, 0)} passed"
-                    f" ({r.vacuous.get(name, 0)} vacuous), {r.failures.get(name, 0)} failed"
+                    f"  {name}: {r.passes[name]} passed"
+                    f" ({r.vacuous[name]} vacuous), {r.failures[name]} failed"
                 )
                 print(line)
             for ce in r.counterexamples:
@@ -486,8 +484,10 @@ def cmd_cases(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_LOAD
     try:
         return args.func(args)
     except LabelMismatchError as exc:

@@ -4,8 +4,10 @@
 measures availability, not remaining charges (a cp with ten charges left
 contributes each of its permissions once).  ``remnants`` recomputes that
 multiset after consuming a request through a given license, and ``loss`` is
-the multiset difference.  A selection is lossy when it takes strictly more
-than the one requested occurrence with it.
+the multiset difference for one license.  ``candidate_losses`` prices a whole
+pool: one ``rights`` walk for the base and one ``remnants`` per candidate.  A
+selection is lossy when its loss exceeds ``Counter({request.permission: 1})``,
+that is, when it takes more than the one requested occurrence with it.
 """
 
 from __future__ import annotations
@@ -97,11 +99,6 @@ def remnants(state: AgentState, license_id: str, request: Request) -> RightsMult
 def loss(state: AgentState, license_id: str, request: Request) -> RightsMultiset:
     """Rights that satisfying the request via this license makes unavailable."""
     return rights(state, request.at) - remnants(state, license_id, request)
-
-
-def is_lossy(state: AgentState, license_id: str, request: Request) -> bool:
-    """True iff the selection loses strictly more than the requested permission."""
-    return loss(state, license_id, request) > Counter({request.permission: 1})
 
 
 def candidate_losses(

@@ -23,6 +23,7 @@ regime the guarantees are stated for.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -59,14 +60,18 @@ from .model import (
     SubLicense,
     TimedCount,
 )
-from .rights import candidates, is_lossy, loss, remnants, rights, select_target
+from .rights import candidate_losses, candidates, loss, remnants, rights, select_target
 
 T0 = 1000
 TIMER_MAX = 60
 USAGE_DURATION = TIMER_MAX + 10
 MAX_COUNTEREXAMPLES = 5
+# Candidate documents the shrinker tries before it keeps what it has.
+SHRINK_ATTEMPTS = 400
 # Liveness schedules are enumerated exhaustively up to this many.
 EXHAUSTIVE_SCHEDULES = 256
+# Schedules sampled per instance by the liveness campaign when there are more.
+LIVENESS_SCHEDULES = 8
 
 
 # --- coloring model ---------------------------------------------------------
@@ -95,9 +100,6 @@ class Coloring:
     def color(self, permission: Permission) -> Optional[Color]:
         return self.colors.get(permission)
 
-    def whites(self) -> list[Permission]:
-        return [p for p, c in self.colors.items() if c is Color.WHITE]
-
 
 def color_step(
     coloring: Coloring, state: AgentState, decision: Chosen, request: Request
@@ -106,11 +108,12 @@ def color_step(
 
     ``state`` is the state the decision was made in (before the consume).
     """
-    lost = loss(state, decision.license_id, request)
+    losses = candidate_losses(state, request, candidates(state, request))
+    lost = losses[decision.license_id]
     if not lost:
         return coloring
-    pool = candidates(state, request)
-    blanket = len(pool) == 1 or all(is_lossy(state, lid, request) for lid in pool)
+    bound = Counter({request.permission: 1})
+    blanket = len(losses) == 1 or all(other > bound for other in losses.values())
     colors = dict(coloring.colors)
     for permission in lost:
         if permission not in colors:
@@ -131,10 +134,10 @@ class CheckResult:
     detail: Optional[dict] = None
 
 
-def _describe_losses(state: AgentState, request: Request, pool: Sequence[str]) -> dict:
+def _describe_losses(losses: dict[str, Counter]) -> dict:
     return {
-        lid: sorted((p.action.value, p.content, n) for p, n in loss(state, lid, request).items())
-        for lid in pool
+        lid: sorted((p.action.value, p.content, n) for p, n in lost.items())
+        for lid, lost in losses.items()
     }
 
 
@@ -160,23 +163,20 @@ def check_selection_soundness(
     prompted = isinstance(decision, PromptRequired) or (
         isinstance(decision, Chosen) and decision.via_prompt
     )
+    bound = Counter({request.permission: 1})
     if prompted:
-        if all(is_lossy(state, lid, request) for lid in pool):
+        losses = candidate_losses(state, request, pool)
+        if all(lost > bound for lost in losses.values()):
             return CheckResult(True, "prompted_all_lossy")
-        return CheckResult(
-            False, "prompted_all_lossy", detail={"losses": _describe_losses(state, request, pool)}
-        )
+        return CheckResult(False, "prompted_all_lossy", detail={"losses": _describe_losses(losses)})
     assert isinstance(decision, Chosen)
-    chosen_loss = loss(state, decision.license_id, request)
-    if chosen_loss <= Counter({request.permission: 1}):
+    if loss(state, decision.license_id, request) <= bound:
         return CheckResult(True, "loss_bounded")
+    losses = candidate_losses(state, request, pool)
     return CheckResult(
         False,
         "loss_bounded",
-        detail={
-            "chosen": decision.license_id,
-            "losses": _describe_losses(state, request, pool),
-        },
+        detail={"chosen": decision.license_id, "losses": _describe_losses(losses)},
     )
 
 
@@ -191,8 +191,9 @@ def check_weak_minimal_loss(
         return CheckResult(True, "prompt_unresolved", vacuous=True)
     rem = {lid: remnants(state, lid, request) for lid in pool}
     base = rights(state, request.at)
+    losses = {lid: base - rem[lid] for lid in pool}
     bound = Counter({request.permission: 1})
-    if all(base - rem[lid] > bound for lid in pool):
+    if all(lost > bound for lost in losses.values()):
         return CheckResult(True, "loss_inevitable", vacuous=True)
     if not isinstance(decision, Chosen):
         return CheckResult(False, "dominance", detail={"decision": repr(decision)})
@@ -206,7 +207,7 @@ def check_weak_minimal_loss(
         detail={
             "chosen": decision.license_id,
             "not_dominated": dominated,
-            "losses": _describe_losses(state, request, pool),
+            "losses": _describe_losses(losses),
         },
     )
 
@@ -442,7 +443,7 @@ def _trial_failures(doc: CorpusDocument, algorithm: str, checks: Sequence[str]):
 
 
 def shrink_document(
-    doc: CorpusDocument, still_fails: Callable[[CorpusDocument], bool], max_attempts: int = 400
+    doc: CorpusDocument, still_fails: Callable[[CorpusDocument], bool]
 ) -> CorpusDocument:
     """Greedily drop licenses, sublicenses and cps while the failure persists."""
     attempts = 0
@@ -485,23 +486,23 @@ def shrink_document(
         return CorpusDocument(LicenseSet(kept), doc.requests)
 
     progress = True
-    while progress and attempts < max_attempts:
+    while progress and attempts < SHRINK_ATTEMPTS:
         progress = False
         for i in range(len(doc.licenses) - 1, -1, -1):
-            if attempts >= max_attempts:
+            if attempts >= SHRINK_ATTEMPTS:
                 break
             if try_variant(without_license(i)):
                 progress = True
         for li in range(len(doc.licenses)):
             for si in range(len(doc.licenses.licenses[li].sublicenses) - 1, -1, -1):
-                if attempts >= max_attempts:
+                if attempts >= SHRINK_ATTEMPTS:
                     break
                 if try_variant(without_sublicense(li, si)):
                     progress = True
         for li in range(len(doc.licenses)):
             for si, sl in enumerate(doc.licenses.licenses[li].sublicenses):
                 for ci in range(len(sl.cps) - 1, -1, -1):
-                    if attempts >= max_attempts:
+                    if attempts >= SHRINK_ATTEMPTS:
                         break
                     if try_variant(without_cp(li, si, ci)):
                         progress = True
@@ -527,6 +528,12 @@ class Counterexample:
             "detail": self.detail,
         }
 
+    @classmethod
+    def of(
+        cls, trial: int, step: int, check: str, result: CheckResult, doc: CorpusDocument
+    ) -> Counterexample:
+        return cls(trial, step, check, result.case, document_to_json(doc), result.detail)
+
 
 @dataclass
 class CampaignReport:
@@ -538,14 +545,33 @@ class CampaignReport:
     trials: int
     checks: tuple[str, ...]
     decisions_checked: int = 0
-    passes: dict = field(default_factory=dict)
-    vacuous: dict = field(default_factory=dict)
-    failures: dict = field(default_factory=dict)
+    passes: Counter = field(default_factory=Counter)
+    vacuous: Counter = field(default_factory=Counter)
+    failures: Counter = field(default_factory=Counter)
     counterexamples: list[Counterexample] = field(default_factory=list)
+
+    def record(
+        self, name: str, result: CheckResult, counterexample: Optional[Callable[[], Counterexample]]
+    ) -> None:
+        """Count one verdict of check ``name``.
+
+        ``counterexample`` (None: keep none for this failure) is called only
+        while fewer than ``MAX_COUNTEREXAMPLES`` are kept, so a failure is
+        shrunk only when its counterexample will be kept.
+        """
+        self.decisions_checked += 1
+        if result.passed:
+            self.passes[name] += 1
+            if result.vacuous:
+                self.vacuous[name] += 1
+            return
+        self.failures[name] += 1
+        if counterexample is not None and len(self.counterexamples) < MAX_COUNTEREXAMPLES:
+            self.counterexamples.append(counterexample())
 
     @property
     def failed(self) -> bool:
-        return any(self.failures.get(name, 0) for name in self.checks)
+        return any(self.failures[name] for name in self.checks)
 
     def to_json(self) -> dict:
         return {
@@ -557,14 +583,22 @@ class CampaignReport:
             "trials": self.trials,
             "checks": list(self.checks),
             "decisions_checked": self.decisions_checked,
-            "passes": {k: self.passes.get(k, 0) for k in self.checks},
-            "vacuous_passes": {k: self.vacuous.get(k, 0) for k in self.checks},
-            "failures": {k: self.failures.get(k, 0) for k in self.checks},
+            "passes": {k: self.passes[k] for k in self.checks},
+            "vacuous_passes": {k: self.vacuous[k] for k in self.checks},
+            "failures": {k: self.failures[k] for k in self.checks},
             "counterexamples": [c.to_json() for c in self.counterexamples],
         }
 
     def to_bytes(self) -> bytes:
         return (json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _shrunk_counterexample(
+    doc: CorpusDocument, trial: int, algorithm: str, check: str
+) -> Counterexample:
+    shrunk = shrink_document(doc, lambda d: bool(_trial_failures(d, algorithm, [check])))
+    step, _, result = _trial_failures(shrunk, algorithm, [check])[0]
+    return Counterexample.of(trial, step, check, result, shrunk)
 
 
 def fuzz_campaign(
@@ -596,33 +630,12 @@ def fuzz_campaign(
     for index in range(n):
         doc = generator.document(index)
         failed_checks: set[str] = set()
-        for step, name, result in run_trial(doc, algorithm, checks):
-            report.decisions_checked += 1
-            if result.passed:
-                report.passes[name] = report.passes.get(name, 0) + 1
-                if result.vacuous:
-                    report.vacuous[name] = report.vacuous.get(name, 0) + 1
-                continue
-            report.failures[name] = report.failures.get(name, 0) + 1
-            if name in failed_checks:
-                continue
-            failed_checks.add(name)
-            if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
-                shrunk = shrink_document(
-                    doc, lambda d, nm=name: bool(_trial_failures(d, algorithm, [nm]))
-                )
-                failures = _trial_failures(shrunk, algorithm, [name])
-                fstep, _, fres = failures[0]
-                report.counterexamples.append(
-                    Counterexample(
-                        trial=index,
-                        step=fstep,
-                        check=name,
-                        case=fres.case,
-                        document=document_to_json(shrunk),
-                        detail=fres.detail,
-                    )
-                )
+        for _, name, result in run_trial(doc, algorithm, checks):
+            keep = None
+            if not result.passed and name not in failed_checks:
+                failed_checks.add(name)
+                keep = functools.partial(_shrunk_counterexample, doc, index, algorithm, name)
+            report.record(name, result, keep)
         if failed_checks:
             failing_trials += 1
             if stop_after is not None and failing_trials >= stop_after:
@@ -653,24 +666,14 @@ def run_neutrality_campaign(
         if any(lbl.depleting_and_complex for lbl in state_labels(state).values()):
             raise AssertionError("many_only generator emitted a once+complex label")
         request = doc.requests[0]
-        report.decisions_checked += 1
         base = oma_allocate(state, request)
         filtered = proposed_allocate(state, request)
-        if base == filtered:
-            report.passes["neutrality"] = report.passes.get("neutrality", 0) + 1
-            continue
-        report.failures["neutrality"] = report.failures.get("neutrality", 0) + 1
-        if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
-            report.counterexamples.append(
-                Counterexample(
-                    trial=index,
-                    step=0,
-                    check="neutrality",
-                    case="decision_mismatch",
-                    document=document_to_json(doc),
-                    detail={"oma": repr(base), "proposed": repr(filtered)},
-                )
-            )
+        same = base == filtered
+        detail = None if same else {"oma": repr(base), "proposed": repr(filtered)}
+        result = CheckResult(same, "decision_mismatch", detail=detail)
+        report.record(
+            "neutrality", result, lambda: Counterexample.of(index, 0, "neutrality", result, doc)
+        )
     return report
 
 
@@ -810,7 +813,6 @@ def run_liveness_campaign(
     seed: int = 0,
     *,
     algorithm: str = "proposed",
-    max_schedules: int = 8,
 ) -> CampaignReport:
     """Bounded liveness over generated depleting instances; gated ones are skipped."""
     generator = InstanceGenerator(caps, seed=seed, profile="depleting")
@@ -829,27 +831,20 @@ def run_liveness_campaign(
         doc = generator.document(index)
         index += 1
         try:
-            result = run_bounded_liveness(
-                doc.licenses, algorithm=algorithm, seed=seed + index, max_schedules=max_schedules
+            outcome = run_bounded_liveness(
+                doc.licenses,
+                algorithm=algorithm,
+                seed=seed + index,
+                max_schedules=LIVENESS_SCHEDULES,
             )
         except AssumptionViolation:
             continue
         produced += 1
-        report.decisions_checked += 1
-        if result.passed:
-            report.passes["liveness"] = report.passes.get("liveness", 0) + 1
-        else:
-            report.failures["liveness"] = report.failures.get("liveness", 0) + 1
-            if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
-                report.counterexamples.append(
-                    Counterexample(
-                        trial=index - 1,
-                        step=result.failure.get("step", 0) if result.failure else 0,
-                        check="liveness",
-                        case="white_after_quiescence",
-                        document=document_to_json(doc),
-                        detail=result.failure,
-                    )
-                )
+        result = CheckResult(outcome.passed, "white_after_quiescence", detail=outcome.failure)
+        report.record(
+            "liveness",
+            result,
+            lambda: Counterexample.of(index - 1, outcome.failure["step"], "liveness", result, doc),
+        )
     report.trials = produced
     return report

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from licalloc.cases import REQUEST_AT, all_lossy_licenses, case_studies
-from licalloc.cli import main, parse_time
+from licalloc.cli import build_parser, main, parse_time
 from licalloc.corpus import CorpusDocument, serialize_corpus
 from licalloc.model import Action, Request
 from licalloc.verify import LIVENESS_CAPS, GeneratorCaps
@@ -298,3 +298,66 @@ def test_parse_time_accepts_iso_and_int():
     assert parse_time("1970-01-01T00:02:03+00:00") == 123
     with pytest.raises(Exception):
         parse_time("not-a-time")
+
+
+ACCEPTED_OPTIONS = {
+    "label": {"--strict-labels"},
+    "allocate": {"--algorithm", "--datetime-tiebreak", "--strict-labels", "--format", "--interactive", "--time"},
+    "simulate": {"--algorithm", "--datetime-tiebreak", "--strict-labels", "--format", "--time"},
+    "verify": {"--algorithm", "--seed", "--format"},
+    "cases": {"--format"},
+}
+SHARED_OPTIONS = {
+    "--algorithm": ["oma"],
+    "--datetime-tiebreak": ["furthest"],
+    "--strict-labels": [],
+    "--seed": ["4"],
+    "--format": ["json"],
+    "--interactive": [],
+    "--time": ["7"],
+}
+
+
+def _argv(command, option, corpus):
+    positional = {"label": [corpus], "simulate": [corpus], "allocate": [corpus, "play", "song-a"]}
+    return [command, *positional.get(command, []), option, *SHARED_OPTIONS[option]]
+
+
+def test_each_command_takes_its_own_options():
+    parser = build_parser()
+    for command, accepted in ACCEPTED_OPTIONS.items():
+        for option in accepted:
+            parser.parse_args(_argv(command, option, "corpus.json"))
+    assert sum(len(accepted) for accepted in ACCEPTED_OPTIONS.values()) == 16
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (command, option)
+        for command, accepted in ACCEPTED_OPTIONS.items()
+        for option in SHARED_OPTIONS
+        if option not in accepted
+    ],
+)
+def test_an_option_the_command_ignores_is_a_usage_error(command, option, deadline_path, capsys):
+    assert main(_argv(command, option, deadline_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["allocate", "x", "play"], ["cases", "--algorithm", "oma", "--seed", "4", "--time", "7"], ["frobnicate"], []],
+    ids=["missing-content", "ignored-options", "unknown-command", "no-command"],
+)
+def test_usage_error_exits_1_not_the_label_mismatch_code(argv, capsys):
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert "usage:" in capsys.readouterr().out

@@ -5,13 +5,16 @@ compares it with a sha256 literal, so a change to the state layout, the
 validity walk or the selection code that alters a decision, a check verdict,
 a counterexample or a remnant multiset fails here.  The benchmark's
 reference digests cover only ``proposed`` on the ``general`` profile; these
-add ``oma``, the ``depleting`` profile, ``pair_discipline``, neutrality and
-the ``furthest`` tiebreak.
+add ``oma``, the ``depleting`` profile, ``pair_discipline``, neutrality,
+liveness under both algorithms, the ``furthest`` tiebreak and the CLI's
+``simulate``/``allocate`` output on the bundled fixtures.
 """
 
 import hashlib
 
 from licalloc.allocate import Chosen, NoMatch, min_loss_chooser, proposed_allocate
+from licalloc.cli import main
+from licalloc.corpus import parse_corpus
 from licalloc.engine import consume, initial_state
 from licalloc.model import License, LicenseSet, Request
 from licalloc.rights import candidates, remnants, rights
@@ -21,6 +24,7 @@ from licalloc.verify import (
     GeneratorCaps,
     InstanceGenerator,
     fuzz_campaign,
+    run_liveness_campaign,
     run_neutrality_campaign,
 )
 
@@ -98,3 +102,43 @@ def test_remnants_and_proposed_decisions_are_pinned():
         for chunk in _transcript(_six_licenses(seed, profile), tiebreak)
     )
     assert _sha256(transcripts) == "c1da88f672969e9eeb1a288687d6c33ff047fae85adf37a48df1c91b2b08727f"
+
+
+LIVENESS_SEEDS = range(6)
+
+
+def test_liveness_reports_are_pinned():
+    reports = (
+        run_liveness_campaign(n=40, seed=seed, algorithm=algorithm).to_bytes()
+        for algorithm in ("proposed", "oma")
+        for seed in LIVENESS_SEEDS
+    )
+    assert _sha256(reports) == "c1e6eca7c57d18246573e6277ecccb4512852e96a5e0eaa769c2d37d22a33cc1"
+
+
+def _cli_transcript(corpus_dir, capsys):
+    """Exit code and stdout of ``simulate`` and ``allocate`` on every fixture.
+
+    Each chunk is labelled with the fixture's file name and the arguments
+    after the corpus path, so the digest does not depend on where the
+    fixtures were written.
+    """
+    for path in sorted(corpus_dir.glob("*.json")):
+        request = parse_corpus(path.read_bytes()).requests[0]
+        runs = [["simulate", "--algorithm", algorithm, "--format", "json"] for algorithm in ("proposed", "oma")]
+        runs += [
+            ["allocate", "--algorithm", algorithm, "--format", fmt, "--time", str(request.at)]
+            for algorithm in ("proposed", "oma")
+            for fmt in ("text", "json")
+        ]
+        for command, *options in runs:
+            positional = [request.action.value, request.content] if command == "allocate" else []
+            code = main([command, str(path), *positional, *options])
+            label = " ".join([path.name, command, *positional, *options])
+            yield f"{label} -> {code}\n{capsys.readouterr().out}".encode()
+
+
+def test_cli_output_on_dumped_fixtures_is_pinned(tmp_path, capsys):
+    assert main(["cases", "--dump-corpora", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _sha256(_cli_transcript(tmp_path, capsys)) == "e3ad5cb2e47fb14b09648fc5dc450725dcfa7551d54234361f5476d0ce8c13cb"

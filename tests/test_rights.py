@@ -19,7 +19,6 @@ from licalloc.model import (
 )
 from licalloc.rights import (
     candidates,
-    is_lossy,
     loss,
     remnants,
     rights,
@@ -76,9 +75,9 @@ def test_loss_and_lossiness(deadline_state, play_a):
     assert loss(deadline_state, "license-1", play_a) == Counter(
         {perm("play", "song-a"): 1, perm("play", "song-b"): 1}
     )
-    assert is_lossy(deadline_state, "license-1", play_a)
+    assert loss(deadline_state, "license-1", play_a) > Counter({play_a.permission: 1})
     assert loss(deadline_state, "license-2", play_a) == Counter()
-    assert not is_lossy(deadline_state, "license-2", play_a)
+    assert not loss(deadline_state, "license-2", play_a) > Counter({play_a.permission: 1})
 
 
 def test_exactly_the_request_is_not_lossy():
@@ -88,13 +87,13 @@ def test_exactly_the_request_is_not_lossy():
     state = initial_state(licenses)
     request = Request(Action.PLAY, "a", at=0)
     assert loss(state, "l", request) == Counter({perm("play", "a"): 1})
-    assert not is_lossy(state, "l", request)
+    assert not loss(state, "l", request) > Counter({request.permission: 1})
 
 
 def test_all_lossy_fixture_is_lossy_everywhere(all_lossy_state):
     request = Request(Action.PLAY, "song-a", at=REQUEST_AT)
-    assert is_lossy(all_lossy_state, "license-1", request)
-    assert is_lossy(all_lossy_state, "license-2", request)
+    assert loss(all_lossy_state, "license-1", request) > Counter({request.permission: 1})
+    assert loss(all_lossy_state, "license-2", request) > Counter({request.permission: 1})
 
 
 def test_candidates_respect_validity(deadline_state, play_a):

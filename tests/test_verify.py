@@ -1,7 +1,11 @@
+import sys
+from collections import Counter
+
 import pytest
 
 from licalloc.allocate import Chosen, PromptRequired, min_loss_chooser, oma_allocate, proposed_allocate
 from licalloc.cases import REQUEST_AT, all_lossy_licenses
+from licalloc.cli import main
 from licalloc.corpus import CorpusDocument, parse_corpus, serialize_corpus
 from licalloc.engine import initial_state
 from licalloc.errors import AssumptionViolation
@@ -18,8 +22,12 @@ from licalloc.model import (
 from licalloc.rights import select_target
 from licalloc.verify import (
     CHECKS,
+    MAX_COUNTEREXAMPLES,
+    CampaignReport,
+    CheckResult,
     Color,
     Coloring,
+    Counterexample,
     GeneratorCaps,
     InstanceGenerator,
     check_selection_soundness,
@@ -247,6 +255,26 @@ class TestCampaigns:
         assert not report.failed
         assert report.trials == 60
 
+    def test_record_keeps_counterexamples_up_to_the_cap(self):
+        report = CampaignReport("fuzz", "proposed", 0, GeneratorCaps(), "general", 1, ("soundness",))
+        built = []
+
+        def counterexample():
+            built.append(len(built))
+            return Counterexample(0, 0, "soundness", "loss_bounded", {})
+
+        report.record("soundness", CheckResult(True, "loss_bounded"), counterexample)
+        report.record("soundness", CheckResult(True, "no_candidates", vacuous=True), counterexample)
+        report.record("soundness", CheckResult(False, "loss_bounded"), None)
+        for _ in range(MAX_COUNTEREXAMPLES + 2):
+            report.record("soundness", CheckResult(False, "loss_bounded"), counterexample)
+        assert (report.passes["soundness"], report.vacuous["soundness"]) == (2, 1)
+        assert report.failures["soundness"] == MAX_COUNTEREXAMPLES + 3
+        assert report.decisions_checked == MAX_COUNTEREXAMPLES + 5
+        # a full report builds (and so shrinks) no further counterexample
+        assert len(report.counterexamples) == len(built) == MAX_COUNTEREXAMPLES
+        assert report.failed and report.passes["minimal_loss"] == 0
+
     def test_unknown_check_rejected(self):
         gen = InstanceGenerator(GeneratorCaps(), seed=0)
         with pytest.raises(ValueError):
@@ -291,3 +319,48 @@ def test_schedule_fairness():
         tuple(Request(p.action, p.content, at=0) for p in (a, a, b, a)), window=2
     )
     assert not starved.is_fair([a, b])
+
+
+class TestEachPoolIsPricedOnce:
+    """A question about a candidate pool walks ``rights`` once per candidate plus one base."""
+
+    request = Request(Action.PLAY, "song-a", at=REQUEST_AT)
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        # ``licalloc.rights`` resolves to the re-exported function, so the
+        # module is reached through ``sys.modules``; every licalloc namespace
+        # that bound a name by import gets the counting wrapper too.
+        rights_module = sys.modules["licalloc.rights"]
+        counts = Counter()
+        for name in ("rights", "remnants"):
+            original = getattr(rights_module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("licalloc") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_color_step(self, all_lossy_state, counts):
+        decision = proposed_allocate(all_lossy_state, self.request, chooser=min_loss_chooser)
+        coloring = Coloring.initial(all_lossy_state, REQUEST_AT)
+        counts.clear()
+        color_step(coloring, all_lossy_state, decision, self.request)
+        assert counts["rights"] <= 3 and counts["remnants"] <= 2
+
+    def test_prompted_soundness(self, all_lossy_state, counts):
+        decision = proposed_allocate(all_lossy_state, self.request)
+        assert isinstance(decision, PromptRequired)
+        counts.clear()
+        assert check_selection_soundness(all_lossy_state, self.request, decision).passed
+        assert counts["rights"] <= 3
+
+    def test_cli_allocate_on_a_prompt(self, tmp_path, counts, capsys):
+        path = tmp_path / "all-lossy.json"
+        path.write_bytes(serialize_corpus(CorpusDocument(all_lossy_licenses())))
+        assert main(["allocate", str(path), "play", "song-a", "--time", str(REQUEST_AT)]) == 3
+        assert counts["remnants"] <= 2
