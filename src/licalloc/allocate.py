@@ -163,7 +163,7 @@ def proposed_allocate(
         return _best_ranked(state, non_depleting or survivors, datetime_tiebreak)
 
     pool = tuple(targets)
-    losses = candidate_losses(state, request, pool)
+    losses = candidate_losses(state, request, targets)
     if chooser is not None:
         picked = chooser(request, pool, losses)
         if picked not in pool:

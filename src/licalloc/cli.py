@@ -270,8 +270,8 @@ def cmd_simulate(args) -> int:
             for r in requests
         ]
     state = initial_state(doc.licenses)
-    at0 = requests[0].at if requests else 0
-    coloring = Coloring.initial(state, at0)
+    initial = rights(state, requests[0].at if requests else 0)
+    coloring = Coloring.initial(initial)
     steps: list[dict] = []
     exit_code = EXIT_OK
 
@@ -329,7 +329,7 @@ def cmd_simulate(args) -> int:
     final = rights(state, requests[-1].at if requests else 0)
     payload = {
         "algorithm": args.algorithm,
-        "initial_rights": _rights_entries(rights(initial_state(doc.licenses), at0)),
+        "initial_rights": _rights_entries(initial),
         "steps": steps,
         "final_rights": _rights_entries(final),
     }
@@ -337,7 +337,7 @@ def cmd_simulate(args) -> int:
         _emit_json(payload)
     else:
         print(f"algorithm: {args.algorithm}")
-        print(f"initial rights: {_rights_text(rights(initial_state(doc.licenses), at0))}")
+        print(f"initial rights: {_rights_text(initial)}")
         for entry in steps:
             req = entry["request"]
             print(f"step {entry['step']}: {req['action']} {req['content']} @{req['at']}")

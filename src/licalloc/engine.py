@@ -162,18 +162,24 @@ def _advance(constraint: Constraint, state: ConstraintState, request: Request) -
     return state
 
 
-def _check_target(
+def _checked_target(
     state: AgentState, license_id: str, sublicense_id: str, cp_id: str, request: Request
-) -> None:
-    cp = state.cp(license_id, sublicense_id, cp_id)
+) -> tuple[SubLicense, ConstraintPermissionSet]:
+    """The target's sublicense and cp, once they are shown to match and hold now."""
+    sl = state.sublicense(license_id, sublicense_id)
+    cp = sl.cp(cp_id)
     if not sat_cp(cp, request):
         raise InvalidTargetError(
             f"cp {cp_id!r} of {license_id}/{sublicense_id} grants no permission matching the request"
         )
-    if not cp_valid(state, license_id, sublicense_id, cp_id, request.at):
+    if not (
+        constraints_hold(sl.constraints, state.sublicense_states(license_id, sublicense_id), request.at)
+        and constraints_hold(cp.constraints, state.cp_states(license_id, sublicense_id, cp_id), request.at)
+    ):
         raise InvalidTargetError(
             f"constraints of {license_id}/{sublicense_id}/{cp_id} do not hold at t={request.at}"
         )
+    return sl, cp
 
 
 def consume(
@@ -190,9 +196,7 @@ def consume(
     Raises InvalidTargetError (leaving ``state`` untouched) when the cp does
     not match the request or its governing constraints do not hold.
     """
-    _check_target(state, license_id, sublicense_id, cp_id, request)
-    sl = state.sublicense(license_id, sublicense_id)
-    cp = sl.cp(cp_id)
+    sl, cp = _checked_target(state, license_id, sublicense_id, cp_id, request)
     cstate = dict(state.cstate)
     for key, constraints in (
         ((license_id, sublicense_id, None), sl.constraints),
@@ -205,10 +209,13 @@ def consume(
 def is_depleting(
     state: AgentState, license_id: str, sublicense_id: str, cp_id: str, request: Request
 ) -> Depletion:
-    """Pure lookahead: classify what a consume of this target would deplete."""
-    _check_target(state, license_id, sublicense_id, cp_id, request)
-    sl = state.sublicense(license_id, sublicense_id)
-    cp = sl.cp(cp_id)
+    """Pure lookahead: classify what a consume of this target would deplete.
+
+    Depletion is the only change a consume makes to what holds at
+    ``request.at``: other charges leave a counter at one or more, and an
+    interval it starts holds at its own start.
+    """
+    sl, cp = _checked_target(state, license_id, sublicense_id, cp_id, request)
 
     def would_deplete(constraints, states):
         return any(

@@ -2,10 +2,15 @@
 
 ``rights`` counts one occurrence per permission per currently valid cp, so it
 measures availability, not remaining charges (a cp with ten charges left
-contributes each of its permissions once).  ``remnants`` recomputes that
-multiset after consuming a request through a given license, and ``loss`` is
-the multiset difference for one license.  ``candidate_losses`` prices a whole
-pool: one ``rights`` walk for the base and one ``remnants`` per candidate.  A
+contributes each of its permissions once).
+
+Loss is measured at the instant of the request.  There a consume changes what
+holds only by depletion (see ``engine.is_depleting``), and only on the
+target's path, so ``loss`` reads it off that path without building the
+successor state: the permissions of the sublicense's currently valid cps when
+the sublicense depletes, the target cp's permissions when only the cp
+depletes, and nothing otherwise.  ``remnants`` is ``rights`` minus that loss,
+and ``candidate_losses`` prices a whole pool, one target at a time.  A
 selection is lossy when its loss exceeds ``Counter({request.permission: 1})``,
 that is, when it takes more than the one requested occurrence with it.
 """
@@ -13,14 +18,15 @@ that is, when it takes more than the one requested occurrence with it.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence, Union
 
-from .engine import AgentState, consume, constraints_hold
+from .engine import AgentState, Depletion, constraints_hold, is_depleting
 from .errors import NotFoundError
 from .labels import cp_label, label_sort_key, sublicense_label
 from .model import ConstraintPermissionSet, License, Request, SubLicense, Timestamp, sat_cp
 
 RightsMultiset = Counter  # Permission -> multiplicity
+Target = tuple[str, str]  # (sublicense id, cp id) a selection would consume
 
 
 def _valid_pairs(
@@ -55,7 +61,7 @@ def candidates(state: AgentState, request: Request) -> list[str]:
     ]
 
 
-def select_target(state: AgentState, license_id: str, request: Request) -> tuple[str, str]:
+def select_target(state: AgentState, license_id: str, request: Request) -> Target:
     """(sublicense id, cp id) a selection of this license would consume.
 
     Among the sublicenses holding a valid matching cp, the one whose current
@@ -89,21 +95,43 @@ def rights(state: AgentState, at: Timestamp) -> RightsMultiset:
     return out
 
 
-def remnants(state: AgentState, license_id: str, request: Request) -> RightsMultiset:
-    """Rights still exercisable after satisfying the request via this license."""
-    sl_id, cp_id = select_target(state, license_id, request)
-    after = consume(state, license_id, sl_id, cp_id, request)
-    return rights(after, request.at)
+def _target_loss(
+    state: AgentState, license_id: str, target: Target, request: Request
+) -> RightsMultiset:
+    """Rights lost at ``request.at`` by consuming the license's resolved target."""
+    sl_id, cp_id = target
+    depletion = is_depleting(state, license_id, sl_id, cp_id, request)
+    if depletion is Depletion.NONE:
+        return Counter()
+    sl = state.sublicense(license_id, sl_id)
+    if depletion is Depletion.CP_DEPLETES:
+        return Counter(sl.cp(cp_id).permissions)
+    lost: RightsMultiset = Counter()
+    for cp in sl.cps:
+        if constraints_hold(cp.constraints, state.cp_states(license_id, sl_id, cp.id), request.at):
+            lost.update(cp.permissions)
+    return lost
 
 
 def loss(state: AgentState, license_id: str, request: Request) -> RightsMultiset:
     """Rights that satisfying the request via this license makes unavailable."""
-    return rights(state, request.at) - remnants(state, license_id, request)
+    return _target_loss(state, license_id, select_target(state, license_id, request), request)
+
+
+def remnants(state: AgentState, license_id: str, request: Request) -> RightsMultiset:
+    """Rights still exercisable after satisfying the request via this license."""
+    return rights(state, request.at) - loss(state, license_id, request)
 
 
 def candidate_losses(
-    state: AgentState, request: Request, candidate_ids: Sequence[str]
+    state: AgentState, request: Request, pool: Union[Sequence[str], Mapping[str, Target]]
 ) -> dict[str, RightsMultiset]:
-    """Loss multiset of each listed candidate license for the request."""
-    base = rights(state, request.at)
-    return {lid: base - remnants(state, lid, request) for lid in candidate_ids}
+    """Loss multiset of each candidate license for the request.
+
+    ``pool`` lists candidate ids, whose targets are resolved here, or maps
+    each id to the target ``select_target`` already resolved for it.
+    """
+    targets = pool if isinstance(pool, Mapping) else {
+        lid: select_target(state, lid, request) for lid in pool
+    }
+    return {lid: _target_loss(state, lid, target, request) for lid, target in targets.items()}

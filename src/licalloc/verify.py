@@ -60,7 +60,7 @@ from .model import (
     SubLicense,
     TimedCount,
 )
-from .rights import candidate_losses, candidates, loss, remnants, rights, select_target
+from .rights import candidate_losses, candidates, loss, rights, select_target
 
 T0 = 1000
 TIMER_MAX = 60
@@ -94,8 +94,9 @@ class Coloring:
     colors: dict[Permission, Color]
 
     @classmethod
-    def initial(cls, state: AgentState, at: int) -> "Coloring":
-        return cls({p: Color.WHITE for p in sorted(rights(state, at))})
+    def initial(cls, available: Iterable[Permission]) -> "Coloring":
+        """Every permission of ``available`` (say, a ``rights`` multiset) white."""
+        return cls({p: Color.WHITE for p in sorted(available)})
 
     def color(self, permission: Permission) -> Optional[Color]:
         return self.colors.get(permission)
@@ -189,16 +190,16 @@ def check_weak_minimal_loss(
         return CheckResult(True, "no_candidates", vacuous=True)
     if isinstance(decision, PromptRequired):
         return CheckResult(True, "prompt_unresolved", vacuous=True)
-    rem = {lid: remnants(state, lid, request) for lid in pool}
-    base = rights(state, request.at)
-    losses = {lid: base - rem[lid] for lid in pool}
+    losses = candidate_losses(state, request, pool)
     bound = Counter({request.permission: 1})
     if all(lost > bound for lost in losses.values()):
         return CheckResult(True, "loss_inevitable", vacuous=True)
     if not isinstance(decision, Chosen):
         return CheckResult(False, "dominance", detail={"decision": repr(decision)})
-    chosen = rem[decision.license_id]
-    dominated = [lid for lid in pool if not rem[lid] <= chosen]
+    # Every loss is part of the same base, so the chosen remnants contain a
+    # candidate's exactly when the chosen loss is contained in that one's.
+    chosen = losses[decision.license_id]
+    dominated = [lid for lid in pool if not chosen <= losses[lid]]
     if not dominated:
         return CheckResult(True, "dominance")
     return CheckResult(
@@ -776,7 +777,7 @@ def run_bounded_liveness(
         schedule = Schedule(tuple(request_for(p) for p in flat), window=len(support))
         schedules_run += 1
         state = state0
-        coloring = Coloring.initial(state0, at)
+        coloring = Coloring.initial(support)
         for step, request in enumerate(schedule.requests):
             decision = allocate(state, request, algorithm=algorithm, chooser=min_loss_chooser)
             if isinstance(decision, Chosen):

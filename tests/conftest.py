@@ -8,8 +8,9 @@ from licalloc.cases import (
     case_studies,
     mixed_branch_license,
 )
-from licalloc.engine import constraints_hold, initial_state
+from licalloc.engine import constraints_hold, consume, initial_state
 from licalloc.model import Action, LicenseSet, Permission, Request
+from licalloc.rights import select_target
 
 
 @pytest.fixture
@@ -55,6 +56,19 @@ def brute_force_rights(state, at) -> Counter:
                     for p in cp.permissions:
                         found[p] += 1
     return found
+
+
+def brute_force_loss(state, license_id, request) -> Counter:
+    """Loss by copy, consume and recount: the oracle ``rights.loss`` is checked against.
+
+    Builds the successor state of consuming the license's selected target and
+    subtracts its ``brute_force_rights`` from the current ones.  Precondition:
+    rights are measured at the instant of the request, so both counts are
+    taken at ``request.at``.
+    """
+    sl_id, cp_id = select_target(state, license_id, request)
+    after = consume(state, license_id, sl_id, cp_id, request)
+    return brute_force_rights(state, request.at) - brute_force_rights(after, request.at)
 
 
 def perm(action, content) -> Permission:

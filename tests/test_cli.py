@@ -1,12 +1,15 @@
 import io
 import json
+import sys
 
 import pytest
 
 from licalloc.cases import REQUEST_AT, all_lossy_licenses, case_studies
 from licalloc.cli import build_parser, main, parse_time
-from licalloc.corpus import CorpusDocument, serialize_corpus
+from licalloc.corpus import CorpusDocument, load_corpus, serialize_corpus
+from licalloc.engine import initial_state
 from licalloc.model import Action, Request
+from licalloc.rights import rights
 from licalloc.verify import LIVENESS_CAPS, GeneratorCaps
 
 
@@ -154,6 +157,25 @@ class TestSimulate:
     def test_time_override_applies_to_all_requests(self, script_path, capsys):
         assert main(["simulate", script_path, "--time", "1735600123"]) == 0
         assert "@1735600123" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_initial_rights_are_walked_once(self, fmt, tmp_path, capsys, monkeypatch):
+        assert main(["cases", "--dump-corpora", str(tmp_path)]) == 0
+        path = tmp_path / "deadline-vs-counter.json"
+        initial = initial_state(load_corpus(path).licenses).cstate
+        walked = []
+
+        def counted(state, at):
+            walked.append(state.cstate == initial)
+            return rights(state, at)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("licalloc") and getattr(module, "rights", None) is rights:
+                monkeypatch.setattr(module, "rights", counted)
+        capsys.readouterr()
+        assert main(["simulate", str(path), "--format", fmt]) == 0
+        assert "initial" in capsys.readouterr().out
+        assert walked.count(True) == 1
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from licalloc.cases import REQUEST_AT, all_lossy_licenses, case_studies
-from licalloc.engine import AgentState, consume, initial_state
+from licalloc.engine import AgentState, Depletion, consume, initial_state, is_depleting
 from licalloc.errors import NotFoundError
 from licalloc.labels import Times, cp_label
 from licalloc.model import (
@@ -16,16 +17,19 @@ from licalloc.model import (
     LicenseSet,
     Request,
     SubLicense,
+    TimedCount,
 )
 from licalloc.rights import (
+    candidate_losses,
     candidates,
     loss,
     remnants,
     rights,
     select_target,
 )
+from licalloc.verify import T0, GeneratorCaps, InstanceGenerator
 
-from conftest import brute_force_rights, perm
+from conftest import brute_force_loss, brute_force_rights, perm
 
 
 def test_initial_rights_of_deadline_fixture(deadline_state):
@@ -232,3 +236,61 @@ def test_selected_target_always_satisfies_the_request(licenses, content):
     for lid in candidates(state, request):
         sl_id, cp_id = select_target(state, lid, request)
         assert sat_cp(state.cp(lid, sl_id, cp_id), request)
+
+
+def _path(state, lid, target):
+    """(constraint, state) pairs on the path from a license to its target cp."""
+    sl_id, cp_id = target
+    sl = state.sublicense(lid, sl_id)
+    return list(
+        zip(
+            sl.constraints + sl.cp(cp_id).constraints,
+            state.sublicense_states(lid, sl_id) + state.cp_states(lid, sl_id, cp_id),
+        )
+    )
+
+
+def test_local_loss_matches_copy_consume_recount():
+    """``loss``, ``remnants`` and ``candidate_losses`` agree with ``brute_force_loss``.
+
+    Precondition: rights are measured at the instant of the request.  Each
+    trajectory advances the clock, so date windows close and intervals started
+    by earlier uses are running or over; uses vary from none to longer than
+    every timer, so timed counts are both charged and spared.  Every step
+    prices every candidate, then consumes a randomly picked one.
+    """
+    caps = GeneratorCaps(max_licenses=5, contents=3)
+    seen = Counter()
+    for profile in ("general", "depleting", "many_only"):
+        gen = InstanceGenerator(caps, seed=7, profile=profile)
+        for index in range(100):
+            state = initial_state(gen.licenses(index))
+            installed = sorted(rights(state, T0))
+            rng = random.Random(f"{profile}/{index}")
+            at = T0
+            for _ in range(10):
+                at += rng.choice([0, 0, 1, 50, 900, 3000])
+                p = rng.choice(installed)
+                request = Request(
+                    p.action, p.content, at=at, usage_duration=rng.choice([0, 1, 10, 30, 59, 60, 70])
+                )
+                pool = candidates(state, request)
+                if not pool:
+                    continue
+                base = brute_force_rights(state, at)
+                targets = {lid: select_target(state, lid, request) for lid in pool}
+                expected = {lid: brute_force_loss(state, lid, request) for lid in pool}
+                assert candidate_losses(state, request, pool) == expected
+                assert candidate_losses(state, request, targets) == expected
+                for lid, target in targets.items():
+                    assert loss(state, lid, request) == expected[lid]
+                    assert remnants(state, lid, request) == base - expected[lid]
+                    seen[is_depleting(state, lid, *target, request)] += 1
+                    for c, s in _path(state, lid, target):
+                        seen["short use"] += isinstance(c, TimedCount) and request.usage_duration < c.timer
+                        seen["started interval"] += s.interval_started_at is not None
+                    seen["pairs"] += 1
+                picked = rng.choice(pool)
+                state = consume(state, picked, *targets[picked], request)
+    assert all(seen[kind] for kind in Depletion), seen
+    assert seen["short use"] and seen["started interval"] and seen["pairs"] >= 4000, seen

@@ -19,7 +19,7 @@ from licalloc.model import (
     Request,
     SubLicense,
 )
-from licalloc.rights import select_target
+from licalloc.rights import rights, select_target
 from licalloc.verify import (
     CHECKS,
     MAX_COUNTEREXAMPLES,
@@ -47,7 +47,7 @@ from conftest import perm
 
 class TestColoring:
     def test_baseline_choice_leaves_collateral_white(self, deadline_state, play_a):
-        coloring = Coloring.initial(deadline_state, play_a.at)
+        coloring = Coloring.initial(rights(deadline_state, play_a.at))
         decision = oma_allocate(deadline_state, play_a)
         assert decision.license_id == "license-1"
         after = color_step(coloring, deadline_state, decision, play_a)
@@ -57,14 +57,14 @@ class TestColoring:
         assert after.color(perm("play", "song-a")) is Color.BLACK
 
     def test_lossless_choice_changes_nothing(self, deadline_state, play_a):
-        coloring = Coloring.initial(deadline_state, play_a.at)
+        coloring = Coloring.initial(rights(deadline_state, play_a.at))
         decision = proposed_allocate(deadline_state, play_a)
         after = color_step(coloring, deadline_state, decision, play_a)
         assert after == coloring
 
     def test_prompted_all_lossy_blackens_whole_loss(self, all_lossy_state):
         request = Request(Action.PLAY, "song-a", at=REQUEST_AT)
-        coloring = Coloring.initial(all_lossy_state, request.at)
+        coloring = Coloring.initial(rights(all_lossy_state, request.at))
         decision = proposed_allocate(all_lossy_state, request, chooser=min_loss_chooser)
         after = color_step(coloring, all_lossy_state, decision, request)
         assert after.color(perm("play", "song-b")) is Color.BLACK
@@ -73,7 +73,7 @@ class TestColoring:
 
     def test_monotone_no_black_back_to_white(self, all_lossy_state):
         request = Request(Action.PLAY, "song-a", at=REQUEST_AT)
-        coloring = Coloring.initial(all_lossy_state, request.at)
+        coloring = Coloring.initial(rights(all_lossy_state, request.at))
         decision = proposed_allocate(all_lossy_state, request, chooser=min_loss_chooser)
         once = color_step(coloring, all_lossy_state, decision, request)
         twice = color_step(once, all_lossy_state, decision, request)
@@ -322,7 +322,7 @@ def test_schedule_fairness():
 
 
 class TestEachPoolIsPricedOnce:
-    """A question about a candidate pool walks ``rights`` once per candidate plus one base."""
+    """Pricing a candidate pool builds no successor state and walks ``rights`` at most once."""
 
     request = Request(Action.PLAY, "song-a", at=REQUEST_AT)
 
@@ -331,36 +331,39 @@ class TestEachPoolIsPricedOnce:
         # ``licalloc.rights`` resolves to the re-exported function, so the
         # module is reached through ``sys.modules``; every licalloc namespace
         # that bound a name by import gets the counting wrapper too.
-        rights_module = sys.modules["licalloc.rights"]
         counts = Counter()
-        for name in ("rights", "remnants"):
-            original = getattr(rights_module, name)
+        for module_name, name in (
+            ("licalloc.rights", "rights"),
+            ("licalloc.rights", "remnants"),
+            ("licalloc.engine", "consume"),
+        ):
+            original = getattr(sys.modules[module_name], name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
                 return _original(*args, **kwargs)
 
-            for module_name, module in list(sys.modules.items()):
-                if module_name.startswith("licalloc") and getattr(module, name, None) is original:
+            for loaded_name, module in list(sys.modules.items()):
+                if loaded_name.startswith("licalloc") and getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         return counts
 
     def test_color_step(self, all_lossy_state, counts):
         decision = proposed_allocate(all_lossy_state, self.request, chooser=min_loss_chooser)
-        coloring = Coloring.initial(all_lossy_state, REQUEST_AT)
+        coloring = Coloring.initial(rights(all_lossy_state, REQUEST_AT))
         counts.clear()
         color_step(coloring, all_lossy_state, decision, self.request)
-        assert counts["rights"] <= 3 and counts["remnants"] <= 2
+        assert counts["consume"] == 0 and counts["rights"] <= 1
 
     def test_prompted_soundness(self, all_lossy_state, counts):
         decision = proposed_allocate(all_lossy_state, self.request)
         assert isinstance(decision, PromptRequired)
         counts.clear()
         assert check_selection_soundness(all_lossy_state, self.request, decision).passed
-        assert counts["rights"] <= 3
+        assert counts["consume"] == 0 and counts["rights"] <= 1
 
     def test_cli_allocate_on_a_prompt(self, tmp_path, counts, capsys):
         path = tmp_path / "all-lossy.json"
         path.write_bytes(serialize_corpus(CorpusDocument(all_lossy_licenses())))
         assert main(["allocate", str(path), "play", "song-a", "--time", str(REQUEST_AT)]) == 3
-        assert counts["remnants"] <= 2
+        assert counts["consume"] == 0 and counts["rights"] <= 1
