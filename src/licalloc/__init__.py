@@ -6,7 +6,6 @@ from .allocate import (
     Chosen,
     NoMatch,
     PromptRequired,
-    allocate,
     allocate_and_execute,
     min_loss_chooser,
     oma_allocate,
@@ -23,7 +22,6 @@ from .engine import (
     cp_valid,
     initial_state,
     is_depleting,
-    sublicense_valid,
 )
 from .errors import (
     AssumptionViolation,
@@ -65,7 +63,6 @@ from .rights import (
     candidates,
     loss,
     remnants,
-    rights,
     select_target,
 )
 

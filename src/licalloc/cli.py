@@ -272,6 +272,7 @@ def cmd_simulate(args) -> int:
     state = initial_state(doc.licenses)
     initial = rights(state, requests[0].at if requests else 0)
     coloring = Coloring.initial(initial)
+    final = initial
     steps: list[dict] = []
     exit_code = EXIT_OK
 
@@ -298,6 +299,7 @@ def cmd_simulate(args) -> int:
             entry["decision"] = "no_match"
             steps.append(entry)
             exit_code = EXIT_NO_MATCH
+            final = rights(state, requests[-1].at)
             break
         entry["decision"] = {
             "license": decision.license_id,
@@ -323,10 +325,10 @@ def cmd_simulate(args) -> int:
             for p, c in sorted(coloring.colors.items())
             if c is Color.BLACK
         ]
-        entry["rights"] = _rights_entries(rights(state, request.at))
+        final = rights(state, request.at)
+        entry["rights"] = _rights_entries(final)
         steps.append(entry)
 
-    final = rights(state, requests[-1].at if requests else 0)
     payload = {
         "algorithm": args.algorithm,
         "initial_rights": _rights_entries(initial),

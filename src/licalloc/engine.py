@@ -125,17 +125,12 @@ def initial_state(licenses: LicenseSet) -> AgentState:
     return AgentState(licenses=licenses, cstate=cstate)
 
 
-def sublicense_valid(state: AgentState, license_id: str, sublicense_id: str, at: Timestamp) -> bool:
-    """True iff the sublicense-level constraint list holds at ``at``."""
-    sl = state.sublicense(license_id, sublicense_id)
-    return constraints_hold(sl.constraints, state.sublicense_states(license_id, sublicense_id), at)
-
-
 def cp_valid(state: AgentState, license_id: str, sublicense_id: str, cp_id: str, at: Timestamp) -> bool:
     """True iff the full governing conjunction (sublicense and cp level) holds."""
-    if not sublicense_valid(state, license_id, sublicense_id, at):
+    sl = state.sublicense(license_id, sublicense_id)
+    if not constraints_hold(sl.constraints, state.sublicense_states(license_id, sublicense_id), at):
         return False
-    cp = state.cp(license_id, sublicense_id, cp_id)
+    cp = sl.cp(cp_id)
     return constraints_hold(cp.constraints, state.cp_states(license_id, sublicense_id, cp_id), at)
 
 

@@ -11,8 +11,12 @@ instances instead of being trusted:
   remnants;
 * filter neutrality: on instances where no label is once+complex the
   filtered allocator collapses to the baseline;
-* bounded liveness: under fair request schedules every permission that runs
-  out of valid hosts has been marked black by the coloring model.
+* bounded liveness: under every bounded 1-fair request schedule, every
+  permission that runs out of valid hosts has been marked black by the
+  coloring model.  One depth-first search over the reachable states (state,
+  coloring, permissions due this round) tries the due permissions in sorted
+  order, skips a state already searched with at least as many rounds left,
+  and stops after ``MAX_LIVENESS_STATES`` states.
 
 All generation is seed-deterministic; identical seeds and caps produce
 byte-identical reports.  Campaign instances keep every date window open
@@ -24,9 +28,7 @@ regime the guarantees are stated for.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -68,10 +70,8 @@ USAGE_DURATION = TIMER_MAX + 10
 MAX_COUNTEREXAMPLES = 5
 # Candidate documents the shrinker tries before it keeps what it has.
 SHRINK_ATTEMPTS = 400
-# Liveness schedules are enumerated exhaustively up to this many.
-EXHAUSTIVE_SCHEDULES = 256
-# Schedules sampled per instance by the liveness campaign when there are more.
-LIVENESS_SCHEDULES = 8
+# Nodes the liveness search expands per instance before it stops.
+MAX_LIVENESS_STATES = 4096
 
 
 # --- coloring model ---------------------------------------------------------
@@ -538,6 +538,13 @@ class Counterexample:
 
 @dataclass
 class CampaignReport:
+    """Verdict counts of one campaign, with up to ``MAX_COUNTEREXAMPLES`` kept.
+
+    ``decisions_checked`` counts every recorded verdict: one per check and
+    decision for fuzz, one per instance for neutrality (its first request)
+    and for liveness (the whole search over its schedules).
+    """
+
     campaign: str
     algorithm: str
     seed: int
@@ -681,23 +688,6 @@ def run_neutrality_campaign(
 # --- bounded liveness -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """A finite request list promising each installed permission once per window."""
-
-    requests: tuple[Request, ...]
-    window: int
-
-    def is_fair(self, support: Sequence[Permission]) -> bool:
-        """Every support permission is requested in every full window."""
-        perms = [r.permission for r in self.requests]
-        for start in range(0, len(perms) - self.window + 1, self.window):
-            block = set(perms[start : start + self.window])
-            if not set(support) <= block:
-                return False
-        return True
-
-
 def conforms_to_depletion_assumption(state: AgentState) -> bool:
     """Every node burns on use: a many-labeled sublicense only holds once-labeled cps."""
     for lic in state.licenses:
@@ -712,55 +702,43 @@ def conforms_to_depletion_assumption(state: AgentState) -> bool:
 @dataclass
 class LivenessResult:
     passed: bool
-    schedules_run: int
+    states: int
     support: int
     failure: Optional[dict] = None
 
 
-def _schedules(
-    support: Sequence[Permission], rounds: int, seed: int, max_schedules: int
-) -> Iterable[tuple[Permission, ...]]:
-    perms = list(support)
-    total = math.factorial(len(perms)) ** rounds
-    if total <= EXHAUSTIVE_SCHEDULES:
-        for combo in itertools.product(itertools.permutations(perms), repeat=rounds):
-            yield tuple(p for chunk in combo for p in chunk)
-        return
-    rng = random.Random(seed)
-    yield tuple(p for _ in range(rounds) for p in perms)
-    for _ in range(max_schedules - 1):
-        flat: list[Permission] = []
-        for _ in range(rounds):
-            chunk = perms[:]
-            rng.shuffle(chunk)
-            flat.extend(chunk)
-        yield tuple(flat)
-
-
 def run_bounded_liveness(
-    licenses: LicenseSet,
-    *,
-    algorithm: str = "proposed",
-    seed: int = 0,
-    at: int = T0,
-    max_schedules: int = 16,
+    licenses: LicenseSet, *, algorithm: str = "proposed", at: int = T0
 ) -> LivenessResult:
-    """Drive fair schedules and require black-by-quiescence.
+    """Search every bounded fair schedule and require black-by-quiescence.
 
-    Every round requests each initially available permission once (window =
-    support size, so the schedules are 1-fair).  After every step, any
-    permission with no valid candidate left must already be black.  Raises
-    AssumptionViolation when some node would survive its own selection,
-    which is outside the regime this check covers.
+    The schedules are 1-fair: every round requests each initially available
+    permission once, in any order, and there is one round more than the most
+    hosts any permission has.  After every step, any permission with no valid
+    host left must already be black.  The search is depth-first over the
+    permissions still due this round, tried in sorted order, so a failure is
+    the lexicographically first failing schedule, cut at its failing step.
+
+    A node is the state, the coloring and the permissions still due this
+    round.  One already searched from the same or an earlier round is
+    skipped: with at least as many rounds left, it covered every
+    continuation from here.  (When it is an ancestor, every step between
+    them changed nothing, since counters, intervals and colors only move
+    one way, so no continuation changes anything either.)  ``states``
+    counts the nodes searched; the search stops at ``MAX_LIVENESS_STATES``
+    and passes on what it searched.
+
+    Raises AssumptionViolation when some node would survive its own
+    selection, which is outside the regime this check covers.
     """
     state0 = initial_state(licenses)
     if not conforms_to_depletion_assumption(state0):
         raise AssumptionViolation(
             "instance has a many-labeled sublicense with a non-once cp"
         )
-    support = sorted(rights(state0, at))
+    support = tuple(sorted(rights(state0, at)))
     if not support:
-        return LivenessResult(passed=True, schedules_run=0, support=0)
+        return LivenessResult(passed=True, states=0, support=0)
     hosts = Counter()
     for lic in licenses:
         for sl in lic.sublicenses:
@@ -768,39 +746,51 @@ def run_bounded_liveness(
                 for p in set(cp.permissions):
                     hosts[p] += 1
     rounds = max(hosts[p] for p in support) + 1
+    requests = {
+        p: Request(p.action, p.content, at=at, usage_duration=USAGE_DURATION) for p in support
+    }
 
-    def request_for(p: Permission) -> Request:
-        return Request(p.action, p.content, at=at, usage_duration=USAGE_DURATION)
-
-    schedules_run = 0
-    for flat in _schedules(support, rounds, seed, max_schedules):
-        schedule = Schedule(tuple(request_for(p) for p in flat), window=len(support))
-        schedules_run += 1
-        state = state0
-        coloring = Coloring.initial(support)
-        for step, request in enumerate(schedule.requests):
+    # (state, coloring, permissions due this round, round, schedule so far)
+    stack = [(state0, Coloring.initial(support), support, 0, ())]
+    searched: dict = {}  # node key -> earliest round it was searched from
+    states = 0
+    while stack and states < MAX_LIVENESS_STATES:
+        state, coloring, due, round_, schedule = stack.pop()
+        key = (tuple(state.cstate.values()), tuple(coloring.colors.values()), due)
+        if key in searched and searched[key] <= round_:
+            continue
+        searched[key] = round_
+        states += 1
+        live = rights(state, at)
+        for p in support:
+            if p not in live and coloring.color(p) is Color.WHITE:
+                return LivenessResult(
+                    passed=False,
+                    states=states,
+                    support=len(support),
+                    failure={
+                        "schedule": [
+                            {"action": q.action.value, "content": q.content} for q in schedule
+                        ],
+                        "step": len(schedule) - 1,
+                        "permission": {"action": p.action.value, "content": p.content},
+                    },
+                )
+        if round_ == rounds:
+            continue
+        for p in reversed(due):
+            request = requests[p]
             decision = allocate(state, request, algorithm=algorithm, chooser=min_loss_chooser)
+            after, colored = state, coloring
             if isinstance(decision, Chosen):
-                coloring = color_step(coloring, state, decision, request)
-                state = consume(
+                colored = color_step(coloring, state, decision, request)
+                after = consume(
                     state, decision.license_id, decision.sublicense_id, decision.cp_id, request
                 )
-            for p in support:
-                if coloring.color(p) is Color.WHITE and not candidates(state, request_for(p)):
-                    return LivenessResult(
-                        passed=False,
-                        schedules_run=schedules_run,
-                        support=len(support),
-                        failure={
-                            "schedule": [
-                                {"action": q.action.value, "content": q.content}
-                                for q in schedule.requests[: step + 1]
-                            ],
-                            "step": step,
-                            "permission": {"action": p.action.value, "content": p.content},
-                        },
-                    )
-    return LivenessResult(passed=True, schedules_run=schedules_run, support=len(support))
+            rest = tuple(q for q in due if q != p)
+            child = (rest, round_) if rest else (support, round_ + 1)
+            stack.append((after, colored, *child, schedule + (p,)))
+    return LivenessResult(passed=True, states=states, support=len(support))
 
 
 LIVENESS_CAPS = GeneratorCaps(
@@ -832,12 +822,7 @@ def run_liveness_campaign(
         doc = generator.document(index)
         index += 1
         try:
-            outcome = run_bounded_liveness(
-                doc.licenses,
-                algorithm=algorithm,
-                seed=seed + index,
-                max_schedules=LIVENESS_SCHEDULES,
-            )
+            outcome = run_bounded_liveness(doc.licenses, algorithm=algorithm)
         except AssumptionViolation:
             continue
         produced += 1

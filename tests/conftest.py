@@ -1,7 +1,9 @@
+import itertools
 from collections import Counter
 
 import pytest
 
+from licalloc.allocate import Chosen, allocate, min_loss_chooser
 from licalloc.cases import (
     REQUEST_AT,
     all_lossy_licenses,
@@ -10,7 +12,8 @@ from licalloc.cases import (
 )
 from licalloc.engine import constraints_hold, consume, initial_state
 from licalloc.model import Action, LicenseSet, Permission, Request
-from licalloc.rights import select_target
+from licalloc.rights import candidates, select_target
+from licalloc.verify import T0, USAGE_DURATION, Color, Coloring, color_step
 
 
 @pytest.fixture
@@ -69,6 +72,65 @@ def brute_force_loss(state, license_id, request) -> Counter:
     sl_id, cp_id = select_target(state, license_id, request)
     after = consume(state, license_id, sl_id, cp_id, request)
     return brute_force_rights(state, request.at) - brute_force_rights(after, request.at)
+
+
+def fair_family(licenses, at=T0) -> tuple[list, int]:
+    """Support and round count of the bounded 1-fair schedules of ``licenses``.
+
+    Every round requests each initially available permission once; there is
+    one round more than the most hosts any permission has.
+    """
+    support = sorted(brute_force_rights(initial_state(licenses), at))
+    hosts = Counter(
+        p for lic in licenses for sl in lic.sublicenses for cp in sl.cps for p in set(cp.permissions)
+    )
+    return support, max((hosts[p] for p in support), default=0) + 1
+
+
+def replay_fair_schedule(licenses, algorithm, schedule, at=T0):
+    """Per step of ``schedule``: the first white permission left without a candidate, or None.
+
+    Each permission of ``schedule`` is requested once, decided with
+    ``min_loss_chooser`` on a prompt, colored and executed; after the step
+    every white permission of the support is asked for ``candidates``.
+    """
+    support, _ = fair_family(licenses, at)
+    requests = {p: Request(p.action, p.content, at=at, usage_duration=USAGE_DURATION) for p in support}
+    state, coloring = initial_state(licenses), Coloring.initial(support)
+    for p in schedule:
+        decision = allocate(state, requests[p], algorithm=algorithm, chooser=min_loss_chooser)
+        if isinstance(decision, Chosen):
+            coloring = color_step(coloring, state, decision, requests[p])
+            state = consume(
+                state, decision.license_id, decision.sublicense_id, decision.cp_id, requests[p]
+            )
+        yield next(
+            (q for q in support if coloring.color(q) is Color.WHITE and not candidates(state, requests[q])),
+            None,
+        )
+
+
+def brute_force_liveness(licenses, algorithm, at=T0) -> tuple[bool, dict | None]:
+    """Replay every fair schedule from the start: the oracle for ``run_bounded_liveness``.
+
+    Schedules come in ``itertools.product`` order over each round's
+    permutations of the sorted support.  The first failure is returned as
+    ``(False, failure)`` with the schedule cut at its failing step, and
+    ``(True, None)`` when every schedule passes.
+    """
+    support, rounds = fair_family(licenses, at)
+    for combo in itertools.product(itertools.permutations(support), repeat=rounds):
+        schedule = [p for chunk in combo for p in chunk]
+        for step, starved in enumerate(replay_fair_schedule(licenses, algorithm, schedule, at)):
+            if starved is not None:
+                return False, {
+                    "schedule": [
+                        {"action": p.action.value, "content": p.content} for p in schedule[: step + 1]
+                    ],
+                    "step": step,
+                    "permission": {"action": starved.action.value, "content": starved.content},
+                }
+    return True, None
 
 
 def perm(action, content) -> Permission:

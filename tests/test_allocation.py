@@ -35,7 +35,7 @@ from licalloc.rights import candidates, rights
 
 from conftest import perm
 
-# ``licalloc.allocate`` the attribute is the dispatch function; this is the module.
+# The allocate module, as opposed to its ``allocate`` dispatch function.
 allocate_module = importlib.import_module("licalloc.allocate")
 
 

@@ -178,6 +178,24 @@ class TestSimulate:
         assert walked.count(True) == 1
 
 
+    def test_final_rights_reuse_the_last_step(self, tmp_path, capsys, monkeypatch):
+        import licalloc.cli as cli_module
+
+        assert main(["cases", "--dump-corpora", str(tmp_path)]) == 0
+        walks = []
+
+        def counted(state, at):
+            walks.append(at)
+            return rights(state, at)
+
+        monkeypatch.setattr(cli_module, "rights", counted)
+        capsys.readouterr()
+        assert main(["simulate", str(tmp_path / "deadline-vs-counter.json"), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["final_rights"] == payload["steps"][-1]["rights"]
+        assert len(walks) == len(payload["steps"]) + 1
+
+
 class TestVerify:
     def test_filtered_campaign_exits_0(self, capsys):
         assert main(["verify", "--trials", "50", "--seed", "3"]) == 0

@@ -294,3 +294,11 @@ def test_local_loss_matches_copy_consume_recount():
                 state = consume(state, picked, *targets[picked], request)
     assert all(seen[kind] for kind in Depletion), seen
     assert seen["short use"] and seen["started interval"] and seen["pairs"] >= 4000, seen
+
+
+def test_submodules_are_not_shadowed_by_package_names():
+    import licalloc.allocate as allocate_module
+    import licalloc.rights as rights_module
+
+    assert rights_module.remnants is remnants
+    assert allocate_module.proposed_allocate.__module__ == "licalloc.allocate"

@@ -1,3 +1,4 @@
+import math
 import sys
 from collections import Counter
 
@@ -29,6 +30,8 @@ from licalloc.verify import (
     Coloring,
     Counterexample,
     GeneratorCaps,
+    LIVENESS_CAPS,
+    MAX_LIVENESS_STATES,
     InstanceGenerator,
     check_selection_soundness,
     check_weak_minimal_loss,
@@ -42,7 +45,7 @@ from licalloc.verify import (
     shrink_document,
 )
 
-from conftest import perm
+from conftest import brute_force_liveness, fair_family, perm, replay_fair_schedule
 
 
 class TestColoring:
@@ -163,7 +166,7 @@ class TestBoundedLiveness:
     def test_all_lossy_instance_passes(self):
         result = run_bounded_liveness(all_lossy_licenses(), at=REQUEST_AT)
         assert result.passed
-        assert result.schedules_run > 0
+        assert result.states > 0
 
     def test_gate_rejects_surviving_nodes(self, deadline_case):
         # the ten-use license survives its own selections, which the bounded
@@ -198,6 +201,59 @@ class TestBoundedLiveness:
         assert result.failure["permission"] == {"action": "play", "content": "b"}
         filtered = run_bounded_liveness(licenses, algorithm="proposed", at=100)
         assert filtered.passed
+
+
+def _conforming_instances(seed, n):
+    """The first ``n`` instances the liveness campaign checks at ``seed``."""
+    generator = InstanceGenerator(LIVENESS_CAPS, seed=seed, profile="depleting")
+    found, index = [], 0
+    while len(found) < n:
+        licenses = generator.document(index).licenses
+        if conforms_to_depletion_assumption(initial_state(licenses)):
+            found.append(licenses)
+        index += 1
+    return found
+
+
+def _assert_replays(licenses, algorithm, failure):
+    """Replaying the reported schedule starves the reported permission at its step, not before."""
+    schedule = [perm(e["action"], e["content"]) for e in failure["schedule"]]
+    starved = list(replay_fair_schedule(licenses, algorithm, schedule))
+    assert failure["step"] == len(schedule) - 1
+    assert starved[:-1] == [None] * failure["step"]
+    assert starved[-1] == perm(failure["permission"]["action"], failure["permission"]["content"])
+
+
+class TestLivenessSearch:
+    def test_search_matches_full_enumeration(self):
+        verdicts = Counter()
+        for licenses in _conforming_instances(seed=0, n=140):
+            support, rounds = fair_family(licenses)
+            if math.factorial(len(support)) ** rounds > 256:
+                continue
+            for algorithm in ("proposed", "oma"):
+                result = run_bounded_liveness(licenses, algorithm=algorithm)
+                assert (result.passed, result.failure) == brute_force_liveness(licenses, algorithm)
+                verdicts[result.passed] += 1
+                if not result.passed:
+                    _assert_replays(licenses, algorithm, result.failure)
+        assert verdicts[True] and verdicts[False]
+
+    @pytest.mark.parametrize("index", [157, 251])
+    def test_finds_failures_beyond_full_enumeration(self, index):
+        licenses = InstanceGenerator(LIVENESS_CAPS, seed=0, profile="depleting").document(index).licenses
+        support, rounds = fair_family(licenses)
+        assert math.factorial(len(support)) ** rounds > 256
+        baseline = run_bounded_liveness(licenses, algorithm="oma")
+        assert not baseline.passed
+        _assert_replays(licenses, "oma", baseline.failure)
+        assert run_bounded_liveness(licenses, algorithm="proposed").passed
+
+    def test_pinned_seeds_stay_under_the_state_budget(self):
+        for seed in range(6):
+            for licenses in _conforming_instances(seed, n=40):
+                for algorithm in ("proposed", "oma"):
+                    assert run_bounded_liveness(licenses, algorithm=algorithm).states < MAX_LIVENESS_STATES
 
 
 class TestCampaigns:
@@ -307,20 +363,6 @@ def test_checks_registry_contains_documented_names():
     assert {"soundness", "minimal_loss", "pair_discipline"} <= set(CHECKS)
 
 
-def test_schedule_fairness():
-    from licalloc.verify import Schedule
-
-    a, b = perm("play", "a"), perm("play", "b")
-    round_robin = Schedule(
-        tuple(Request(p.action, p.content, at=0) for p in (a, b, b, a)), window=2
-    )
-    assert round_robin.is_fair([a, b])
-    starved = Schedule(
-        tuple(Request(p.action, p.content, at=0) for p in (a, a, b, a)), window=2
-    )
-    assert not starved.is_fair([a, b])
-
-
 class TestEachPoolIsPricedOnce:
     """Pricing a candidate pool builds no successor state and walks ``rights`` at most once."""
 
@@ -328,9 +370,8 @@ class TestEachPoolIsPricedOnce:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        # ``licalloc.rights`` resolves to the re-exported function, so the
-        # module is reached through ``sys.modules``; every licalloc namespace
-        # that bound a name by import gets the counting wrapper too.
+        # Every licalloc namespace that bound a name by import gets the
+        # counting wrapper, the defining module included.
         counts = Counter()
         for module_name, name in (
             ("licalloc.rights", "rights"),
