@@ -21,9 +21,9 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .engine import AgentState, consume
 from .errors import ChooserContractError
-from .labels import Times, cp_label, sublicense_label
+from .labels import Times
 from .model import Constraint, DateTime, Request, constraint_rank
-from .rights import RightsMultiset, candidate_losses, candidates, select_target
+from .rights import Resolved, RightsMultiset, _target_loss, resolve_candidates
 
 DATETIME_TIEBREAKS = ("earliest", "furthest")
 
@@ -81,10 +81,8 @@ def _list_key(constraints: Sequence[Constraint], tiebreak: str) -> tuple[int, fl
     return min(_constraint_key(c, tiebreak) for c in constraints)
 
 
-def _best_ranked(
-    state: AgentState, targets: Mapping[str, tuple[str, str]], tiebreak: str
-) -> Chosen:
-    """The best-ranked candidate of a non-empty {license id: (sublicense id, cp id)} map.
+def _best_ranked(pool: Mapping[str, Resolved], tiebreak: str) -> Chosen:
+    """The best-ranked candidate of a non-empty {license id: resolved target} map.
 
     The written rules rank a right by the best constraint in its full
     governing conjunction.  Ties are broken structurally: the constraint
@@ -94,17 +92,15 @@ def _best_ranked(
     """
 
     def key(license_id: str) -> tuple:
-        sl_id, cp_id = targets[license_id]
-        sl = state.sublicense(license_id, sl_id)
-        cp = sl.cp(cp_id)
+        sl, cp = pool[license_id].sublicense, pool[license_id].cp
         return (
             _list_key(sl.constraints + cp.constraints, tiebreak),
             _list_key(sl.constraints, tiebreak),
             _list_key(cp.constraints, tiebreak),
         )
 
-    best = min(targets, key=key)
-    return Chosen(best, *targets[best])
+    best = min(pool, key=key)
+    return Chosen(best, *pool[best].target)
 
 
 def oma_allocate(
@@ -112,10 +108,10 @@ def oma_allocate(
 ) -> AllocationDecision:
     """Baseline allocation: best-ranked valid candidate, no loss awareness."""
     _check_tiebreak(datetime_tiebreak)
-    targets = {lid: select_target(state, lid, request) for lid in candidates(state, request)}
-    if not targets:
+    pool = resolve_candidates(state, request)
+    if not pool:
         return NoMatch()
-    return _best_ranked(state, targets, datetime_tiebreak)
+    return _best_ranked(pool, datetime_tiebreak)
 
 
 def proposed_allocate(
@@ -138,38 +134,34 @@ def proposed_allocate(
        through the supplied chooser.
     """
     _check_tiebreak(datetime_tiebreak)
-    targets = {lid: select_target(state, lid, request) for lid in candidates(state, request)}
-    if not targets:
+    pool = resolve_candidates(state, request)
+    if not pool:
         return NoMatch()
-    if len(targets) == 1:
-        ((lid, target),) = targets.items()
-        return Chosen(lid, *target)
+    if len(pool) == 1:
+        ((lid, resolved),) = pool.items()
+        return Chosen(lid, *resolved.target)
 
-    labels = {
-        lid: (sublicense_label(state, lid, sl_id), cp_label(state, lid, sl_id, cp_id))
-        for lid, (sl_id, cp_id) in targets.items()
-    }
     survivors = {
-        lid: target
-        for lid, target in targets.items()
-        if not any(label.depleting_and_complex for label in labels[lid])
+        lid: r
+        for lid, r in pool.items()
+        if not (r.sublicense_label.depleting_and_complex or r.cp_label.depleting_and_complex)
     }
     if survivors:
         non_depleting = {
-            lid: target
-            for lid, target in survivors.items()
-            if all(label.times is Times.MANY for label in labels[lid])
+            lid: r
+            for lid, r in survivors.items()
+            if r.sublicense_label.times is Times.MANY and r.cp_label.times is Times.MANY
         }
-        return _best_ranked(state, non_depleting or survivors, datetime_tiebreak)
+        return _best_ranked(non_depleting or survivors, datetime_tiebreak)
 
-    pool = tuple(targets)
-    losses = candidate_losses(state, request, targets)
+    ids = tuple(pool)
+    losses = {lid: _target_loss(state, lid, r.target, request) for lid, r in pool.items()}
     if chooser is not None:
-        picked = chooser(request, pool, losses)
-        if picked not in pool:
+        picked = chooser(request, ids, losses)
+        if picked not in ids:
             raise ChooserContractError(f"chooser returned {picked!r}, not a candidate")
-        return Chosen(picked, *targets[picked], via_prompt=True)
-    return PromptRequired(pool, losses)
+        return Chosen(picked, *pool[picked].target, via_prompt=True)
+    return PromptRequired(ids, losses)
 
 
 def allocate(

@@ -32,7 +32,7 @@ from typing import Any, Optional, Union
 
 from .engine import initial_state
 from .errors import LicallocError
-from .labels import Label, cp_label, sublicense_label
+from .labels import Label, state_labels
 from .model import (
     CP,
     Action,
@@ -268,18 +268,12 @@ def parse_corpus(data: Union[bytes, str], *, strict_labels: bool = True) -> Corp
     for _, stored in parsed:
         stored_labels.update(stored)
     if strict_labels and stored_labels:
-        state = initial_state(licenses)
+        computed = state_labels(initial_state(licenses))
         for (lid, slid, cpid), label in stored_labels.items():
-            fresh = (
-                sublicense_label(state, lid, slid)
-                if cpid is None
-                else cp_label(state, lid, slid, cpid)
-            )
+            fresh = computed[(lid, slid, cpid)]
             if fresh != label:
                 node = f"{lid}/{slid}" + (f"/{cpid}" if cpid else "")
-                raise LabelMismatchError(
-                    f"stored label {label} does not match computed {fresh}", node
-                )
+                raise LabelMismatchError(f"stored label {label} does not match computed {fresh}", node)
     return CorpusDocument(licenses=licenses, requests=requests)
 
 
@@ -315,7 +309,7 @@ def _label_to_json(label: Label) -> dict:
 
 def document_to_json(doc: CorpusDocument) -> dict:
     """Plain-dict form of a document in canonical key order, with current labels."""
-    state = initial_state(doc.licenses)
+    labels = state_labels(initial_state(doc.licenses))
     licenses = []
     for lic in doc.licenses:
         subs = []
@@ -328,14 +322,14 @@ def document_to_json(doc: CorpusDocument) -> dict:
                     "permissions": [
                         {"action": p.action.value, "content": p.content} for p in cp.permissions
                     ],
-                    "label": _label_to_json(cp_label(state, lic.id, sl.id, cp.id)),
+                    "label": _label_to_json(labels[(lic.id, sl.id, cp.id)]),
                 }
                 cps.append(entry)
             sub = {
                 "id": sl.id,
                 "constraints": [_constraint_to_json(c) for c in sl.constraints],
                 "cps": cps,
-                "label": _label_to_json(sublicense_label(state, lic.id, sl.id)),
+                "label": _label_to_json(labels[(lic.id, sl.id, None)]),
             }
             subs.append(sub)
         licenses.append({"id": lic.id, "sublicenses": subs})

@@ -4,6 +4,10 @@
 measures availability, not remaining charges (a cp with ten charges left
 contributes each of its permissions once).
 
+Target resolution is one walk of a license (``_resolve``), which also labels
+both target nodes; the ``verify`` checks find their pool with ``candidates``
+instead, so a check does not trust the allocator it checks.
+
 Loss is measured at the instant of the request.  There a consume changes what
 holds only by depletion (see ``engine.is_depleting``), and only on the
 target's path, so ``loss`` reads it off that path without building the
@@ -18,11 +22,11 @@ that is, when it takes more than the one requested occurrence with it.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .engine import AgentState, Depletion, constraints_hold, is_depleting
 from .errors import NotFoundError
-from .labels import cp_label, label_sort_key, sublicense_label
+from .labels import Label, label_cp, label_sort_key, label_sublicense
 from .model import ConstraintPermissionSet, License, Request, SubLicense, Timestamp, sat_cp
 
 RightsMultiset = Counter  # Permission -> multiplicity
@@ -41,15 +45,49 @@ def _valid_pairs(
                 yield sl, cp
 
 
-def valid_matches(
-    state: AgentState, license_id: str, request: Request
-) -> list[tuple[SubLicense, ConstraintPermissionSet]]:
-    """All (sublicense, cp) pairs of the license that match and are valid now."""
-    return [
-        (sl, cp)
-        for sl, cp in _valid_pairs(state, state.license(license_id), request.at)
-        if sat_cp(cp, request)
-    ]
+class Resolved(NamedTuple):
+    """A license's target for a request, with the current labels of both nodes."""
+
+    sublicense: SubLicense
+    cp: ConstraintPermissionSet
+    sublicense_label: Label
+    cp_label: Label
+
+    @property
+    def target(self) -> Target:
+        return self.sublicense.id, self.cp.id
+
+
+def _resolve(state: AgentState, lic: License, request: Request) -> Optional[Resolved]:
+    """The target a selection of this license would consume, or None if it has none.
+
+    Among the sublicenses holding a valid matching cp, the one whose current
+    label compares best wins; within it, the matching cp with the best label
+    wins.  Ties go to declaration order.
+    """
+    options = []  # (sublicense label, sublicense, [(matching cp, its states)])
+    for sl in lic.sublicenses:
+        sl_states = state.sublicense_states(lic.id, sl.id)
+        cp_states = [state.cp_states(lic.id, sl.id, cp.id) for cp in sl.cps]
+        matching = [
+            (cp, states)
+            for cp, states in zip(sl.cps, cp_states)
+            if sat_cp(cp, request) and constraints_hold(cp.constraints, states, request.at)
+        ]
+        if matching and constraints_hold(sl.constraints, sl_states, request.at):
+            options.append((label_sublicense(sl, sl_states, cp_states), sl, matching))
+    if not options:
+        return None
+    sl_label, sl, matching = min(options, key=lambda option: label_sort_key(option[0]))
+    labelled = ((cp, label_cp(cp, states)) for cp, states in matching)
+    cp, cp_lbl = min(labelled, key=lambda pair: label_sort_key(pair[1]))
+    return Resolved(sl, cp, sl_label, cp_lbl)
+
+
+def resolve_candidates(state: AgentState, request: Request) -> dict[str, Resolved]:
+    """Every candidate license's resolved target, in declaration order."""
+    pool = ((lic.id, _resolve(state, lic, request)) for lic in state.licenses)
+    return {lid: resolved for lid, resolved in pool if resolved is not None}
 
 
 def candidates(state: AgentState, request: Request) -> list[str]:
@@ -62,28 +100,11 @@ def candidates(state: AgentState, request: Request) -> list[str]:
 
 
 def select_target(state: AgentState, license_id: str, request: Request) -> Target:
-    """(sublicense id, cp id) a selection of this license would consume.
-
-    Among the sublicenses holding a valid matching cp, the one whose current
-    label compares best wins; within it, the matching cp with the best label
-    wins.  Ties go to declaration order.
-    """
-    cps_by_sublicense: dict[str, list[str]] = {}
-    for sl, cp in valid_matches(state, license_id, request):
-        cps_by_sublicense.setdefault(sl.id, []).append(cp.id)
-    if not cps_by_sublicense:
-        raise NotFoundError(
-            f"license {license_id!r} has no valid permission matching the request"
-        )
-    sl_id = min(
-        cps_by_sublicense,
-        key=lambda sl: label_sort_key(sublicense_label(state, license_id, sl)),
-    )
-    cp_id = min(
-        cps_by_sublicense[sl_id],
-        key=lambda cp: label_sort_key(cp_label(state, license_id, sl_id, cp)),
-    )
-    return sl_id, cp_id
+    """(sublicense id, cp id) a selection of this license would consume (see ``_resolve``)."""
+    resolved = _resolve(state, state.license(license_id), request)
+    if resolved is None:
+        raise NotFoundError(f"license {license_id!r} has no valid permission matching the request")
+    return resolved.target
 
 
 def rights(state: AgentState, at: Timestamp) -> RightsMultiset:
@@ -124,14 +145,7 @@ def remnants(state: AgentState, license_id: str, request: Request) -> RightsMult
 
 
 def candidate_losses(
-    state: AgentState, request: Request, pool: Union[Sequence[str], Mapping[str, Target]]
+    state: AgentState, request: Request, ids: Sequence[str]
 ) -> dict[str, RightsMultiset]:
-    """Loss multiset of each candidate license for the request.
-
-    ``pool`` lists candidate ids, whose targets are resolved here, or maps
-    each id to the target ``select_target`` already resolved for it.
-    """
-    targets = pool if isinstance(pool, Mapping) else {
-        lid: select_target(state, lid, request) for lid in pool
-    }
-    return {lid: _target_loss(state, lid, target, request) for lid, target in targets.items()}
+    """Loss multiset of each candidate license for the request."""
+    return {lid: _target_loss(state, lid, select_target(state, lid, request), request) for lid in ids}

@@ -432,8 +432,7 @@ def run_trial(
             results.append((step, name, CHECKS[name](state, request, decision)))
         if isinstance(decision, PromptRequired):
             picked = min_loss_chooser(request, decision.candidates, decision.losses)
-            sl_id, cp_id = select_target(state, picked, request)
-            decision = Chosen(picked, sl_id, cp_id, via_prompt=True)
+            decision = Chosen(picked, *select_target(state, picked, request), via_prompt=True)
         if isinstance(decision, Chosen):
             state = consume(state, decision.license_id, decision.sublicense_id, decision.cp_id, request)
     return results
@@ -703,8 +702,8 @@ def conforms_to_depletion_assumption(state: AgentState) -> bool:
 class LivenessResult:
     passed: bool
     states: int
-    support: int
     failure: Optional[dict] = None
+    finished: bool = True  # False when MAX_LIVENESS_STATES cut the search short
 
 
 def run_bounded_liveness(
@@ -726,7 +725,8 @@ def run_bounded_liveness(
     them changed nothing, since counters, intervals and colors only move
     one way, so no continuation changes anything either.)  ``states``
     counts the nodes searched; the search stops at ``MAX_LIVENESS_STATES``
-    and passes on what it searched.
+    and passes on what it searched, unfinished.  A due permission with no
+    valid host is not asked of ``allocate``, which could only say NoMatch.
 
     Raises AssumptionViolation when some node would survive its own
     selection, which is outside the regime this check covers.
@@ -738,13 +738,10 @@ def run_bounded_liveness(
         )
     support = tuple(sorted(rights(state0, at)))
     if not support:
-        return LivenessResult(passed=True, states=0, support=0)
-    hosts = Counter()
-    for lic in licenses:
-        for sl in lic.sublicenses:
-            for cp in sl.cps:
-                for p in set(cp.permissions):
-                    hosts[p] += 1
+        return LivenessResult(passed=True, states=0)
+    hosts = Counter(
+        p for lic in licenses for sl in lic.sublicenses for cp in sl.cps for p in set(cp.permissions)
+    )
     rounds = max(hosts[p] for p in support) + 1
     requests = {
         p: Request(p.action, p.content, at=at, usage_duration=USAGE_DURATION) for p in support
@@ -754,11 +751,13 @@ def run_bounded_liveness(
     stack = [(state0, Coloring.initial(support), support, 0, ())]
     searched: dict = {}  # node key -> earliest round it was searched from
     states = 0
-    while stack and states < MAX_LIVENESS_STATES:
+    while stack:
         state, coloring, due, round_, schedule = stack.pop()
         key = (tuple(state.cstate.values()), tuple(coloring.colors.values()), due)
         if key in searched and searched[key] <= round_:
             continue
+        if states == MAX_LIVENESS_STATES:
+            return LivenessResult(passed=True, states=states, finished=False)
         searched[key] = round_
         states += 1
         live = rights(state, at)
@@ -767,7 +766,6 @@ def run_bounded_liveness(
                 return LivenessResult(
                     passed=False,
                     states=states,
-                    support=len(support),
                     failure={
                         "schedule": [
                             {"action": q.action.value, "content": q.content} for q in schedule
@@ -779,18 +777,19 @@ def run_bounded_liveness(
         if round_ == rounds:
             continue
         for p in reversed(due):
-            request = requests[p]
-            decision = allocate(state, request, algorithm=algorithm, chooser=min_loss_chooser)
             after, colored = state, coloring
-            if isinstance(decision, Chosen):
-                colored = color_step(coloring, state, decision, request)
-                after = consume(
-                    state, decision.license_id, decision.sublicense_id, decision.cp_id, request
-                )
+            if p in live:
+                request = requests[p]
+                decision = allocate(state, request, algorithm=algorithm, chooser=min_loss_chooser)
+                if isinstance(decision, Chosen):
+                    colored = color_step(coloring, state, decision, request)
+                    after = consume(
+                        state, decision.license_id, decision.sublicense_id, decision.cp_id, request
+                    )
             rest = tuple(q for q in due if q != p)
             child = (rest, round_) if rest else (support, round_ + 1)
             stack.append((after, colored, *child, schedule + (p,)))
-    return LivenessResult(passed=True, states=states, support=len(support))
+    return LivenessResult(passed=True, states=states)
 
 
 LIVENESS_CAPS = GeneratorCaps(
@@ -826,7 +825,7 @@ def run_liveness_campaign(
         except AssumptionViolation:
             continue
         produced += 1
-        result = CheckResult(outcome.passed, "white_after_quiescence", detail=outcome.failure)
+        result = CheckResult(outcome.passed, "white_after_quiescence", vacuous=not outcome.finished, detail=outcome.failure)
         report.record(
             "liveness",
             result,

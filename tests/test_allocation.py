@@ -31,12 +31,12 @@ from licalloc.model import (
     Unconstrained,
     constraint_rank,
 )
-from licalloc.rights import candidates, rights
+from licalloc.rights import rights
 
 from conftest import perm
 
-# The allocate module, as opposed to its ``allocate`` dispatch function.
-allocate_module = importlib.import_module("licalloc.allocate")
+# The rights module, as opposed to the ``rights`` function the package re-exports.
+rights_module = importlib.import_module("licalloc.rights")
 
 
 class TestRank:
@@ -198,20 +198,26 @@ def test_tiebreak_is_validated_before_any_decision(deadline_state, play_a, all_l
     ids=["oma", "proposed", "proposed-chooser"],
 )
 def test_one_target_resolution_per_candidate(allocator, monkeypatch):
-    resolved = []
-    resolve = allocate_module.select_target
+    """A decision walks each installed license once, and only through ``_resolve``."""
+    walked = []
+    resolve = rights_module._resolve
 
-    def counting_select_target(state, license_id, request):
-        resolved.append(license_id)
-        return resolve(state, license_id, request)
+    def counting_resolve(state, lic, request):
+        walked.append(lic.id)
+        return resolve(state, lic, request)
 
-    monkeypatch.setattr(allocate_module, "select_target", counting_select_target)
+    def second_walk(*args):
+        raise AssertionError("the allocator walked a license outside its pool resolution")
+
+    monkeypatch.setattr(rights_module, "_resolve", counting_resolve)
+    for name in ("candidates", "select_target", "_valid_pairs"):
+        monkeypatch.setattr(rights_module, name, second_walk)
     instances = [(initial_state(case.licenses), case.request) for case in case_studies()]
     instances.append((initial_state(all_lossy_licenses()), Request(Action.PLAY, "song-a", at=REQUEST_AT)))
     for state, request in instances:
-        resolved.clear()
+        walked.clear()
         allocator(state, request)
-        assert resolved == candidates(state, request)
+        assert walked == [lic.id for lic in state.licenses]
 
 
 def test_open_ended_window_never_wins_earliest_mode():

@@ -12,7 +12,7 @@ liveness under both algorithms, the ``furthest`` tiebreak and the CLI's
 
 import hashlib
 
-from licalloc.allocate import Chosen, NoMatch, min_loss_chooser, proposed_allocate
+from licalloc.allocate import Chosen, NoMatch, min_loss_chooser, oma_allocate, proposed_allocate
 from licalloc.cli import main
 from licalloc.corpus import parse_corpus
 from licalloc.engine import consume, initial_state
@@ -102,6 +102,33 @@ def test_remnants_and_proposed_decisions_are_pinned():
         for chunk in _transcript(_six_licenses(seed, profile), tiebreak)
     )
     assert _sha256(transcripts) == "c1da88f672969e9eeb1a288687d6c33ff047fae85adf37a48df1c91b2b08727f"
+
+
+def _oma_transcript(licenses: LicenseSet, tiebreak: str):
+    """Per request, the executed ``oma`` decision, over the same request cycle."""
+    state = initial_state(licenses)
+    support = sorted(rights(state, T0))
+    for p in support * 2:
+        request = Request(p.action, p.content, at=T0, usage_duration=USAGE_DURATION)
+        decision = oma_allocate(state, request, datetime_tiebreak=tiebreak)
+        yield f"{p.content} -> {decision!r}\n".encode()
+        if isinstance(decision, Chosen):
+            state = consume(
+                state, decision.license_id, decision.sublicense_id, decision.cp_id, request
+            )
+        else:
+            assert isinstance(decision, NoMatch)
+
+
+def test_oma_decisions_are_pinned():
+    transcripts = (
+        chunk
+        for seed in SEEDS
+        for profile in PROFILES
+        for tiebreak in ("earliest", "furthest")
+        for chunk in _oma_transcript(_six_licenses(seed, profile), tiebreak)
+    )
+    assert _sha256(transcripts) == "783fa8ca3368ea06432897f1eb994d18997a841bdec66f422088fa3ef39b6ef6"
 
 
 LIVENESS_SEEDS = range(6)

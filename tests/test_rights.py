@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from licalloc.allocate import PromptRequired, oma_allocate, proposed_allocate
 from licalloc.cases import REQUEST_AT, all_lossy_licenses, case_studies
 from licalloc.engine import AgentState, Depletion, consume, initial_state, is_depleting
 from licalloc.errors import NotFoundError
@@ -20,10 +21,12 @@ from licalloc.model import (
     TimedCount,
 )
 from licalloc.rights import (
+    _target_loss,
     candidate_losses,
     candidates,
     loss,
     remnants,
+    resolve_candidates,
     rights,
     select_target,
 )
@@ -108,16 +111,32 @@ def test_candidates_respect_validity(deadline_state, play_a):
 
 
 def test_rights_and_candidates_read_states_without_tree_lookups(monkeypatch):
+    """So do both allocators on every decision that does not prompt."""
     instances = [(initial_state(case.licenses), case.request) for case in case_studies()]
     instances.append((initial_state(all_lossy_licenses()), Request(Action.PLAY, "song-a", at=REQUEST_AT)))
-    expected = [(rights(state, request.at), candidates(state, request)) for state, request in instances]
+
+    # every decision that does not prompt (the all-lossy fixture prompts)
+    decisions = [
+        (allocator, state, request)
+        for allocator in (oma_allocate, proposed_allocate)
+        for state, request in instances
+        if not isinstance(allocator(state, request), PromptRequired)
+    ]
+    assert len(decisions) == 2 * len(instances) - 1
+
+    def observe():
+        return [(rights(state, request.at), candidates(state, request)) for state, request in instances], [
+            allocator(state, request) for allocator, state, request in decisions
+        ]
+
+    expected = observe()
 
     def tree_lookup(*args):
         raise AssertionError(f"tree lookup by id {args[1:]}")
 
     for name in ("license", "sublicense", "cp"):
         monkeypatch.setattr(AgentState, name, tree_lookup)
-    assert [(rights(state, request.at), candidates(state, request)) for state, request in instances] == expected
+    assert observe() == expected
 
 
 def test_find_matching_cp_in_two_cp_sublicense():
@@ -281,7 +300,10 @@ def test_local_loss_matches_copy_consume_recount():
                 targets = {lid: select_target(state, lid, request) for lid in pool}
                 expected = {lid: brute_force_loss(state, lid, request) for lid in pool}
                 assert candidate_losses(state, request, pool) == expected
-                assert candidate_losses(state, request, targets) == expected
+                # the prompt path prices the targets its pool resolved
+                resolved = resolve_candidates(state, request)
+                assert {lid: r.target for lid, r in resolved.items()} == targets
+                assert {lid: _target_loss(state, lid, r.target, request) for lid, r in resolved.items()} == expected
                 for lid, target in targets.items():
                     assert loss(state, lid, request) == expected[lid]
                     assert remnants(state, lid, request) == base - expected[lid]

@@ -253,7 +253,34 @@ class TestLivenessSearch:
         for seed in range(6):
             for licenses in _conforming_instances(seed, n=40):
                 for algorithm in ("proposed", "oma"):
-                    assert run_bounded_liveness(licenses, algorithm=algorithm).states < MAX_LIVENESS_STATES
+                    result = run_bounded_liveness(licenses, algorithm=algorithm)
+                    assert result.states < MAX_LIVENESS_STATES and result.finished
+
+    def test_search_asks_allocate_only_where_a_host_is_left(self, monkeypatch):
+        outcomes = Counter()
+        verify_module = sys.modules["licalloc.verify"]
+        inner = verify_module.allocate
+
+        def counting_allocate(state, request, **kwargs):
+            decision = inner(state, request, **kwargs)
+            outcomes[type(decision).__name__] += 1
+            return decision
+
+        monkeypatch.setattr(verify_module, "allocate", counting_allocate)
+        for algorithm in ("proposed", "oma"):
+            run_liveness_campaign(n=40, seed=0, algorithm=algorithm)
+        assert outcomes["Chosen"] > 0
+        assert outcomes["NoMatch"] == 0
+
+    def test_a_search_cut_short_is_a_vacuous_pass(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys.modules["licalloc.verify"], "MAX_LIVENESS_STATES", 3)
+        licenses = _conforming_instances(seed=0, n=1)[0]
+        result = run_bounded_liveness(licenses)
+        assert (result.passed, result.states, result.finished) == (True, 3, False)
+        report = run_liveness_campaign(n=5, seed=0)
+        assert (report.passes["liveness"], report.vacuous["liveness"]) == (5, 5)
+        assert main(["verify", "--checks", "liveness", "--trials", "5"]) == 0
+        assert "liveness: 5 passed (5 vacuous), 0 failed" in capsys.readouterr().out
 
 
 class TestCampaigns:
