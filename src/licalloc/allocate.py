@@ -23,7 +23,7 @@ from .engine import AgentState, consume
 from .errors import ChooserContractError
 from .labels import Times
 from .model import Constraint, DateTime, Request, constraint_rank
-from .rights import Resolved, RightsMultiset, _target_loss, resolve_candidates
+from .rights import Resolved, RightsMultiset, pool_losses, resolve_candidates
 
 DATETIME_TIEBREAKS = ("earliest", "furthest")
 
@@ -104,11 +104,20 @@ def _best_ranked(pool: Mapping[str, Resolved], tiebreak: str) -> Chosen:
 
 
 def oma_allocate(
-    state: AgentState, request: Request, *, datetime_tiebreak: str = "earliest"
+    state: AgentState,
+    request: Request,
+    *,
+    datetime_tiebreak: str = "earliest",
+    pool: Optional[Mapping[str, Resolved]] = None,
 ) -> AllocationDecision:
-    """Baseline allocation: best-ranked valid candidate, no loss awareness."""
+    """Baseline allocation: best-ranked valid candidate, no loss awareness.
+
+    ``pool`` is the request's ``resolve_candidates`` map when the caller
+    already holds it; by default the allocator resolves it itself.
+    """
     _check_tiebreak(datetime_tiebreak)
-    pool = resolve_candidates(state, request)
+    if pool is None:
+        pool = resolve_candidates(state, request)
     if not pool:
         return NoMatch()
     return _best_ranked(pool, datetime_tiebreak)
@@ -120,8 +129,9 @@ def proposed_allocate(
     *,
     chooser: Optional[Chooser] = None,
     datetime_tiebreak: str = "earliest",
+    pool: Optional[Mapping[str, Resolved]] = None,
 ) -> AllocationDecision:
-    """Label-filtered allocation.
+    """Label-filtered allocation (``pool`` as in ``oma_allocate``).
 
     1. Collect the valid candidates; none means NoMatch, a single one is
        returned as is (its loss, if any, is unavoidable).
@@ -134,7 +144,8 @@ def proposed_allocate(
        through the supplied chooser.
     """
     _check_tiebreak(datetime_tiebreak)
-    pool = resolve_candidates(state, request)
+    if pool is None:
+        pool = resolve_candidates(state, request)
     if not pool:
         return NoMatch()
     if len(pool) == 1:
@@ -155,7 +166,7 @@ def proposed_allocate(
         return _best_ranked(non_depleting or survivors, datetime_tiebreak)
 
     ids = tuple(pool)
-    losses = {lid: _target_loss(state, lid, r.target, request) for lid, r in pool.items()}
+    losses = pool_losses(state, request, pool)
     if chooser is not None:
         picked = chooser(request, ids, losses)
         if picked not in ids:
@@ -171,13 +182,14 @@ def allocate(
     algorithm: str = "proposed",
     chooser: Optional[Chooser] = None,
     datetime_tiebreak: str = "earliest",
+    pool: Optional[Mapping[str, Resolved]] = None,
 ) -> AllocationDecision:
     """Dispatch on the algorithm name ("oma" or "proposed")."""
     if algorithm == "oma":
-        return oma_allocate(state, request, datetime_tiebreak=datetime_tiebreak)
+        return oma_allocate(state, request, datetime_tiebreak=datetime_tiebreak, pool=pool)
     if algorithm == "proposed":
         return proposed_allocate(
-            state, request, chooser=chooser, datetime_tiebreak=datetime_tiebreak
+            state, request, chooser=chooser, datetime_tiebreak=datetime_tiebreak, pool=pool
         )
     raise ValueError(f"unknown algorithm {algorithm!r}")
 

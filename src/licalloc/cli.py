@@ -27,7 +27,7 @@ from .engine import consume, initial_state, is_depleting
 from .errors import LicallocError
 from .labels import state_labels
 from .model import Action, Request
-from .rights import candidates, candidate_losses, rights, select_target
+from .rights import pool_losses, resolve_candidates, rights
 from .verify import (
     LIVENESS_CAPS,
     Color,
@@ -195,8 +195,9 @@ def cmd_allocate(args) -> int:
     at = args.time if args.time is not None else 0
     request = Request(Action(args.action), args.content, at=at, usage_duration=args.duration)
     state = initial_state(doc.licenses)
+    resolved = resolve_candidates(state, request)
     decision = allocate(
-        state, request, algorithm=args.algorithm, datetime_tiebreak=args.datetime_tiebreak
+        state, request, algorithm=args.algorithm, datetime_tiebreak=args.datetime_tiebreak, pool=resolved
     )
 
     if isinstance(decision, NoMatch):
@@ -227,11 +228,11 @@ def cmd_allocate(args) -> int:
         picked = _prompt_user(request, decision)
         if picked is None:
             return EXIT_PROMPT
-        pool, losses = list(decision.candidates), decision.losses
-        decision = Chosen(picked, *select_target(state, picked, request), via_prompt=True)
+        losses = decision.losses
+        decision = Chosen(picked, *resolved[picked].target, via_prompt=True)
     else:
-        pool = candidates(state, request)
-        losses = candidate_losses(state, request, pool)
+        losses = pool_losses(state, request, resolved)
+    pool = list(resolved)
 
     after = consume(state, decision.license_id, decision.sublicense_id, decision.cp_id, request)
     remaining = rights(after, request.at)

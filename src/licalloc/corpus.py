@@ -143,11 +143,13 @@ def _parse_action(value: Any, where: str) -> Action:
         ) from None
 
 
-def _parse_permission(obj: Any, where: str) -> Permission:
+def _parse_permission(obj: Any, where: str, interned: dict) -> Permission:
+    """The document's one ``Permission`` for this (action, content), made on first sight."""
     _expect_keys(obj, {"action", "content"}, {"action", "content"}, where)
     content = obj["content"]
     _expect(isinstance(content, str) and content != "", "content must be a non-empty string", where)
-    return Permission(_parse_action(obj["action"], where), content)
+    permission = Permission(_parse_action(obj["action"], where), content)
+    return interned.setdefault(permission, permission)
 
 
 def _parse_label(obj: Any, where: str) -> Label:
@@ -168,7 +170,7 @@ def _parse_id(obj: dict, where: str) -> str:
     return value
 
 
-def _parse_cp(obj: Any, where: str) -> tuple[CP, Optional[Label]]:
+def _parse_cp(obj: Any, where: str, interned: dict) -> tuple[CP, Optional[Label]]:
     _expect_keys(obj, {"id", "constraints", "permissions", "label"}, {"id", "permissions"}, where)
     cp_id = _parse_id(obj, where)
     constraints = [
@@ -178,7 +180,7 @@ def _parse_cp(obj: Any, where: str) -> tuple[CP, Optional[Label]]:
     perms_raw = obj["permissions"]
     _expect(isinstance(perms_raw, list) and perms_raw, "permissions must be a non-empty array", where)
     permissions = [
-        _parse_permission(p, f"{where}.permissions[{i}]") for i, p in enumerate(perms_raw)
+        _parse_permission(p, f"{where}.permissions[{i}]", interned) for i, p in enumerate(perms_raw)
     ]
     stored = _parse_label(obj["label"], f"{where}.label") if "label" in obj else None
     try:
@@ -187,7 +189,7 @@ def _parse_cp(obj: Any, where: str) -> tuple[CP, Optional[Label]]:
         raise CorpusSchemaError(str(exc), where) from exc
 
 
-def _parse_sublicense(obj: Any, where: str):
+def _parse_sublicense(obj: Any, where: str, interned: dict):
     _expect_keys(obj, {"id", "constraints", "cps", "label"}, {"id", "cps"}, where)
     sl_id = _parse_id(obj, where)
     constraints = [
@@ -196,7 +198,7 @@ def _parse_sublicense(obj: Any, where: str):
     ]
     cps_raw = obj["cps"]
     _expect(isinstance(cps_raw, list) and cps_raw, "cps must be a non-empty array", where)
-    parsed = [_parse_cp(c, f"{where}.cps[{i}]") for i, c in enumerate(cps_raw)]
+    parsed = [_parse_cp(c, f"{where}.cps[{i}]", interned) for i, c in enumerate(cps_raw)]
     stored = _parse_label(obj["label"], f"{where}.label") if "label" in obj else None
     try:
         sl = SubLicense(sl_id, constraints, [cp for cp, _ in parsed])
@@ -206,12 +208,12 @@ def _parse_sublicense(obj: Any, where: str):
     return sl, stored, stored_cp_labels
 
 
-def _parse_license(obj: Any, where: str):
+def _parse_license(obj: Any, where: str, interned: dict):
     _expect_keys(obj, {"id", "sublicenses"}, {"id", "sublicenses"}, where)
     lic_id = _parse_id(obj, where)
     subs_raw = obj["sublicenses"]
     _expect(isinstance(subs_raw, list) and subs_raw, "sublicenses must be a non-empty array", where)
-    parsed = [_parse_sublicense(s, f"{where}.sublicenses[{i}]") for i, s in enumerate(subs_raw)]
+    parsed = [_parse_sublicense(s, f"{where}.sublicenses[{i}]", interned) for i, s in enumerate(subs_raw)]
     try:
         lic = License(lic_id, [sl for sl, _, _ in parsed])
     except ValueError as exc:
@@ -238,7 +240,8 @@ def parse_corpus(data: Union[bytes, str], *, strict_labels: bool = True) -> Corp
     """Parse and validate a corpus document.
 
     Labels are recomputed from the parsed structure; in strict mode a stored
-    label that disagrees raises LabelMismatchError.
+    label that disagrees raises LabelMismatchError.  Equal permissions within
+    the document are one shared ``Permission`` object.
     """
     if isinstance(data, bytes):
         try:
@@ -255,7 +258,8 @@ def parse_corpus(data: Union[bytes, str], *, strict_labels: bool = True) -> Corp
     _expect(version == SCHEMA_VERSION, f"unsupported schema_version {version!r}", "$.schema_version")
     lic_raw = raw["licenses"]
     _expect(isinstance(lic_raw, list) and lic_raw, "licenses must be a non-empty array", "$.licenses")
-    parsed = [_parse_license(l, f"$.licenses[{i}]") for i, l in enumerate(lic_raw)]
+    interned: dict[Permission, Permission] = {}
+    parsed = [_parse_license(l, f"$.licenses[{i}]", interned) for i, l in enumerate(lic_raw)]
     try:
         licenses = LicenseSet([lic for lic, _ in parsed])
     except ValueError as exc:

@@ -37,7 +37,7 @@ from .model import (
 NodeKey = tuple[str, str, Optional[str]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintState:
     """Mutable side of one constraint occurrence.
 

@@ -145,9 +145,12 @@ def state_labels(state: AgentState) -> dict[NodeKey, Label]:
     out: dict[NodeKey, Label] = {}
     for lic in state.licenses:
         for sl in lic.sublicenses:
-            out[(lic.id, sl.id, None)] = sublicense_label(state, lic.id, sl.id)
-            for cp in sl.cps:
-                out[(lic.id, sl.id, cp.id)] = cp_label(state, lic.id, sl.id, cp.id)
+            cp_states = [state.cp_states(lic.id, sl.id, cp.id) for cp in sl.cps]
+            out[(lic.id, sl.id, None)] = label_sublicense(
+                sl, state.sublicense_states(lic.id, sl.id), cp_states
+            )
+            for cp, states in zip(sl.cps, cp_states):
+                out[(lic.id, sl.id, cp.id)] = label_cp(cp, states)
     return out
 
 

@@ -12,7 +12,7 @@ instances can be hashed, compared and shared freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
@@ -32,7 +32,7 @@ class Action(str, Enum):
     EXPORT = "export"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Permission:
     """An action on a content."""
 
@@ -40,7 +40,7 @@ class Permission:
     content: Content
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
     """A user request: exercise ``action`` on ``content`` at time ``at``.
 
@@ -69,7 +69,7 @@ class Request:
 # --- constraints -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Count:
     """At most ``initial`` uses, each use consuming one charge."""
 
@@ -80,7 +80,7 @@ class Count:
             raise ValueError("count must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimedCount:
     """Like Count, but a use consumes a charge only if it lasts >= timer seconds."""
 
@@ -94,7 +94,7 @@ class TimedCount:
             raise ValueError("timer must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DateTime:
     """Valid between ``start`` and ``end`` inclusive; either bound may be open."""
 
@@ -111,7 +111,7 @@ class DateTime:
             raise ValueError("datetime start must not be after end")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Valid for ``duration`` seconds starting from the first use."""
 
@@ -122,7 +122,7 @@ class Interval:
             raise ValueError("interval duration must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unconstrained:
     """The always-true constraint."""
 
@@ -148,7 +148,7 @@ def _require_id(value: str, what: str) -> None:
         raise ValueError(f"{what} id must be a non-empty string")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintPermissionSet:
     """Constraints that, when met, authorise a set of permissions."""
 
@@ -168,7 +168,7 @@ class ConstraintPermissionSet:
 CP = ConstraintPermissionSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubLicense:
     """Constraints governing a list of constraint-permission sets."""
 
@@ -196,7 +196,7 @@ class SubLicense:
         raise NotFoundError(f"no cp {cp_id!r} in sublicense {self.id!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class License:
     id: str
     sublicenses: tuple[SubLicense, ...]
@@ -220,14 +220,21 @@ class License:
         raise NotFoundError(f"no sublicense {sl_id!r} in license {self.id!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LicenseSet:
-    """An ordered collection of licenses; the order is the tie-break order."""
+    """An ordered collection of licenses; the order is the tie-break order.
+
+    ``hosts`` answers which licenses grant a permission from an index built
+    on first use: one pass over the tree fills a flat
+    ``{Permission: (host licenses in declaration order)}`` map.
+    """
 
     licenses: tuple[License, ...]
+    _hosts: Optional[dict[Permission, tuple[License, ...]]] = field(repr=False, compare=False)
 
     def __init__(self, licenses=()):
         object.__setattr__(self, "licenses", tuple(licenses))
+        object.__setattr__(self, "_hosts", None)
         seen = set()
         for lic in self.licenses:
             if lic.id in seen:
@@ -245,6 +252,16 @@ class LicenseSet:
             if lic.id == license_id:
                 return lic
         raise NotFoundError(f"no license {license_id!r} in set")
+
+    def hosts(self, permission: Permission) -> tuple[License, ...]:
+        """Licenses with some cp granting ``permission``, in declaration order."""
+        if self._hosts is None:
+            index: dict[Permission, list[License]] = {}
+            for lic in self.licenses:
+                for p in {p for sl in lic.sublicenses for cp in sl.cps for p in cp.permissions}:
+                    index.setdefault(p, []).append(lic)
+            object.__setattr__(self, "_hosts", {p: tuple(hosts) for p, hosts in index.items()})
+        return self._hosts.get(permission, ())
 
 
 # --- structural matching ---------------------------------------------------

@@ -6,7 +6,14 @@ contributes each of its permissions once).
 
 Target resolution is one walk of a license (``_resolve``), which also labels
 both target nodes; the ``verify`` checks find their pool with ``candidates``
-instead, so a check does not trust the allocator it checks.
+instead, so a check does not trust the allocator it checks.  Both walk only
+the hosts of the requested permission: ``LicenseSet.hosts`` reads them from
+a flat ``{Permission: (host licenses in declaration order)}`` index that the
+set builds on first use, in one pass over its tree.  Within a host,
+``_resolve`` skips a sublicense with no cp granting the permission before it
+reads any state, so only sublicenses that could serve the request are read
+and labelled.  Hosts keep declaration order, so every tie-break is the one a
+walk of every license would make.
 
 Loss is measured at the instant of the request.  There a consume changes what
 holds only by depletion (see ``engine.is_depleting``), and only on the
@@ -14,7 +21,8 @@ target's path, so ``loss`` reads it off that path without building the
 successor state: the permissions of the sublicense's currently valid cps when
 the sublicense depletes, the target cp's permissions when only the cp
 depletes, and nothing otherwise.  ``remnants`` is ``rights`` minus that loss,
-and ``candidate_losses`` prices a whole pool, one target at a time.  A
+and ``pool_losses`` prices a resolved pool, one target at a time
+(``candidate_losses`` does the same from bare ids, resolving each).  A
 selection is lossy when its loss exceeds ``Counter({request.permission: 1})``,
 that is, when it takes more than the one requested occurrence with it.
 """
@@ -22,12 +30,12 @@ that is, when it takes more than the one requested occurrence with it.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .engine import AgentState, Depletion, constraints_hold, is_depleting
 from .errors import NotFoundError
 from .labels import Label, label_cp, label_sort_key, label_sublicense
-from .model import ConstraintPermissionSet, License, Request, SubLicense, Timestamp, sat_cp
+from .model import ConstraintPermissionSet, License, Permission, Request, SubLicense, Timestamp
 
 RightsMultiset = Counter  # Permission -> multiplicity
 Target = tuple[str, str]  # (sublicense id, cp id) a selection would consume
@@ -58,23 +66,32 @@ class Resolved(NamedTuple):
         return self.sublicense.id, self.cp.id
 
 
-def _resolve(state: AgentState, lic: License, request: Request) -> Optional[Resolved]:
+def _resolve(
+    state: AgentState, lic: License, request: Request, permission: Permission
+) -> Optional[Resolved]:
     """The target a selection of this license would consume, or None if it has none.
 
+    ``permission`` is ``request.permission``, computed once by the caller.
     Among the sublicenses holding a valid matching cp, the one whose current
     label compares best wins; within it, the matching cp with the best label
-    wins.  Ties go to declaration order.
+    wins.  Ties go to declaration order.  A sublicense with no cp granting
+    the permission is skipped before any of its states are read.
     """
     options = []  # (sublicense label, sublicense, [(matching cp, its states)])
     for sl in lic.sublicenses:
+        granting = [i for i, cp in enumerate(sl.cps) if permission in cp.permissions]
+        if not granting:
+            continue
         sl_states = state.sublicense_states(lic.id, sl.id)
+        if not constraints_hold(sl.constraints, sl_states, request.at):
+            continue
         cp_states = [state.cp_states(lic.id, sl.id, cp.id) for cp in sl.cps]
         matching = [
-            (cp, states)
-            for cp, states in zip(sl.cps, cp_states)
-            if sat_cp(cp, request) and constraints_hold(cp.constraints, states, request.at)
+            (sl.cps[i], cp_states[i])
+            for i in granting
+            if constraints_hold(sl.cps[i].constraints, cp_states[i], request.at)
         ]
-        if matching and constraints_hold(sl.constraints, sl_states, request.at):
+        if matching:
             options.append((label_sublicense(sl, sl_states, cp_states), sl, matching))
     if not options:
         return None
@@ -85,23 +102,28 @@ def _resolve(state: AgentState, lic: License, request: Request) -> Optional[Reso
 
 
 def resolve_candidates(state: AgentState, request: Request) -> dict[str, Resolved]:
-    """Every candidate license's resolved target, in declaration order."""
-    pool = ((lic.id, _resolve(state, lic, request)) for lic in state.licenses)
+    """Every candidate license's resolved target, in declaration order.
+
+    Only the licenses that host the requested permission are walked.
+    """
+    permission = request.permission
+    pool = ((lic.id, _resolve(state, lic, request, permission)) for lic in state.licenses.hosts(permission))
     return {lid: resolved for lid, resolved in pool if resolved is not None}
 
 
 def candidates(state: AgentState, request: Request) -> list[str]:
     """Ids of licenses that can satisfy the request at its timestamp."""
+    permission = request.permission
     return [
         lic.id
-        for lic in state.licenses
-        if any(sat_cp(cp, request) for _, cp in _valid_pairs(state, lic, request.at))
+        for lic in state.licenses.hosts(permission)
+        if any(permission in cp.permissions for _, cp in _valid_pairs(state, lic, request.at))
     ]
 
 
 def select_target(state: AgentState, license_id: str, request: Request) -> Target:
     """(sublicense id, cp id) a selection of this license would consume (see ``_resolve``)."""
-    resolved = _resolve(state, state.license(license_id), request)
+    resolved = _resolve(state, state.license(license_id), request, request.permission)
     if resolved is None:
         raise NotFoundError(f"license {license_id!r} has no valid permission matching the request")
     return resolved.target
@@ -142,6 +164,13 @@ def loss(state: AgentState, license_id: str, request: Request) -> RightsMultiset
 def remnants(state: AgentState, license_id: str, request: Request) -> RightsMultiset:
     """Rights still exercisable after satisfying the request via this license."""
     return rights(state, request.at) - loss(state, license_id, request)
+
+
+def pool_losses(
+    state: AgentState, request: Request, pool: Mapping[str, Resolved]
+) -> dict[str, RightsMultiset]:
+    """Loss multiset of each resolved candidate of ``resolve_candidates``'s pool."""
+    return {lid: _target_loss(state, lid, resolved.target, request) for lid, resolved in pool.items()}
 
 
 def candidate_losses(

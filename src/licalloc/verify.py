@@ -48,7 +48,7 @@ from .allocate import (
 from .corpus import CorpusDocument, document_to_json
 from .engine import AgentState, consume, initial_state
 from .errors import AssumptionViolation
-from .labels import Times, cp_label, state_labels, sublicense_label
+from .labels import Times, cp_label, label_cp, label_sublicense, state_labels, sublicense_label
 from .model import (
     CP,
     Action,
@@ -62,7 +62,7 @@ from .model import (
     SubLicense,
     TimedCount,
 )
-from .rights import candidate_losses, candidates, loss, rights, select_target
+from .rights import candidate_losses, candidates, loss, pool_losses, resolve_candidates, rights, select_target
 
 T0 = 1000
 TIMER_MAX = 60
@@ -109,7 +109,7 @@ def color_step(
 
     ``state`` is the state the decision was made in (before the consume).
     """
-    losses = candidate_losses(state, request, candidates(state, request))
+    losses = pool_losses(state, request, resolve_candidates(state, request))
     lost = losses[decision.license_id]
     if not lost:
         return coloring
@@ -691,10 +691,12 @@ def conforms_to_depletion_assumption(state: AgentState) -> bool:
     """Every node burns on use: a many-labeled sublicense only holds once-labeled cps."""
     for lic in state.licenses:
         for sl in lic.sublicenses:
-            if sublicense_label(state, lic.id, sl.id).times is Times.MANY:
-                for cp in sl.cps:
-                    if cp_label(state, lic.id, sl.id, cp.id).times is not Times.ONCE:
-                        return False
+            cp_states = [state.cp_states(lic.id, sl.id, cp.id) for cp in sl.cps]
+            sl_label = label_sublicense(sl, state.sublicense_states(lic.id, sl.id), cp_states)
+            if sl_label.times is Times.MANY and any(
+                label_cp(cp, states).times is not Times.ONCE for cp, states in zip(sl.cps, cp_states)
+            ):
+                return False
     return True
 
 

@@ -11,9 +11,10 @@ from licalloc.cases import (
     mixed_branch_license,
 )
 from licalloc.engine import constraints_hold, consume, initial_state
-from licalloc.model import Action, LicenseSet, Permission, Request
+from licalloc.labels import label_cp, label_sort_key, label_sublicense
+from licalloc.model import Action, License, LicenseSet, Permission, Request, sat_cp
 from licalloc.rights import candidates, select_target
-from licalloc.verify import T0, USAGE_DURATION, Color, Coloring, color_step
+from licalloc.verify import T0, USAGE_DURATION, Color, Coloring, GeneratorCaps, InstanceGenerator, color_step
 
 
 @pytest.fixture
@@ -59,6 +60,66 @@ def brute_force_rights(state, at) -> Counter:
                     for p in cp.permissions:
                         found[p] += 1
     return found
+
+
+def wide_licenses(seed, n=24) -> LicenseSet:
+    """``n`` one-license draws over 16 contents, alternating the general and depleting profiles.
+
+    Each license hosts only a few of the corpus's permissions, so most
+    requests have hosts and non-hosts alike.
+    """
+    caps = GeneratorCaps(max_licenses=1, contents=16)
+    out = []
+    for i in range(n):
+        profile = "general" if i % 2 == 0 else "depleting"
+        drawn = InstanceGenerator(caps, seed=seed, profile=profile).licenses(i)
+        out.append(License(f"license-{i + 1}", drawn.licenses[0].sublicenses))
+    return LicenseSet(out)
+
+
+def full_walk_candidates(state, request) -> list[str]:
+    """Ids of the licenses with a valid matching cp, found by walking every license."""
+
+    def can_serve(lic):
+        for sl in lic.sublicenses:
+            if not constraints_hold(sl.constraints, state.cstate[(lic.id, sl.id, None)], request.at):
+                continue
+            for cp in sl.cps:
+                states = state.cstate[(lic.id, sl.id, cp.id)]
+                if sat_cp(cp, request) and constraints_hold(cp.constraints, states, request.at):
+                    return True
+        return False
+
+    return [lic.id for lic in state.licenses if can_serve(lic)]
+
+
+def full_walk_resolution(state, request) -> dict:
+    """{license id: (target, sublicense label, cp label)} from a walk of every license.
+
+    The oracle for ``resolve_candidates``: every sublicense of every license
+    has its states read and its label computed, whatever it grants.  The best
+    valid matching sublicense by label wins, then its best valid matching cp;
+    ties go to declaration order.
+    """
+    out = {}
+    for lic in state.licenses:
+        options = []  # (sublicense label, sublicense, [(cp, cp label)])
+        for sl in lic.sublicenses:
+            sl_states = state.cstate[(lic.id, sl.id, None)]
+            cp_states = [state.cstate[(lic.id, sl.id, cp.id)] for cp in sl.cps]
+            sl_label = label_sublicense(sl, sl_states, cp_states)
+            matching = [
+                (cp, label_cp(cp, states))
+                for cp, states in zip(sl.cps, cp_states)
+                if sat_cp(cp, request) and constraints_hold(cp.constraints, states, request.at)
+            ]
+            if matching and constraints_hold(sl.constraints, sl_states, request.at):
+                options.append((sl_label, sl, matching))
+        if options:
+            sl_label, sl, matching = min(options, key=lambda option: label_sort_key(option[0]))
+            cp, cp_lbl = min(matching, key=lambda pair: label_sort_key(pair[1]))
+            out[lic.id] = ((sl.id, cp.id), sl_label, cp_lbl)
+    return out
 
 
 def brute_force_loss(state, license_id, request) -> Counter:

@@ -32,8 +32,9 @@ from licalloc.model import (
     constraint_rank,
 )
 from licalloc.rights import rights
+from licalloc.verify import T0
 
-from conftest import perm
+from conftest import perm, wide_licenses
 
 # The rights module, as opposed to the ``rights`` function the package re-exports.
 rights_module = importlib.import_module("licalloc.rights")
@@ -198,13 +199,14 @@ def test_tiebreak_is_validated_before_any_decision(deadline_state, play_a, all_l
     ids=["oma", "proposed", "proposed-chooser"],
 )
 def test_one_target_resolution_per_candidate(allocator, monkeypatch):
-    """A decision walks each installed license once, and only through ``_resolve``."""
+    """A decision walks each host of the requested permission once, in declaration
+    order, only through ``_resolve``, and never walks a license that does not host it."""
     walked = []
     resolve = rights_module._resolve
 
-    def counting_resolve(state, lic, request):
+    def counting_resolve(state, lic, request, permission):
         walked.append(lic.id)
-        return resolve(state, lic, request)
+        return resolve(state, lic, request, permission)
 
     def second_walk(*args):
         raise AssertionError("the allocator walked a license outside its pool resolution")
@@ -212,12 +214,31 @@ def test_one_target_resolution_per_candidate(allocator, monkeypatch):
     monkeypatch.setattr(rights_module, "_resolve", counting_resolve)
     for name in ("candidates", "select_target", "_valid_pairs"):
         monkeypatch.setattr(rights_module, name, second_walk)
-    instances = [(initial_state(case.licenses), case.request) for case in case_studies()]
-    instances.append((initial_state(all_lossy_licenses()), Request(Action.PLAY, "song-a", at=REQUEST_AT)))
-    for state, request in instances:
+
+    def stranger(lid):
+        return License(lid, [SubLicense("sl", cps=[CP("cp", permissions=[perm("display", "poster")])])])
+
+    def with_strangers(licenses):
+        lics = list(licenses)
+        return LicenseSet([stranger("stranger-1"), *lics[:1], stranger("stranger-2"), *lics[1:]])
+
+    play_a = Request(Action.PLAY, "song-a", at=REQUEST_AT)
+    instances = [(with_strangers(case.licenses), case.request) for case in case_studies()]
+    instances.append((with_strangers(all_lossy_licenses()), play_a))
+    for seed in range(3):
+        licenses = wide_licenses(seed)
+        installed = sorted({p for lic in licenses for sl in lic.sublicenses for cp in sl.cps for p in cp.permissions})
+        instances.extend((licenses, Request(p.action, p.content, at=T0)) for p in installed[::5])
+    for licenses, request in instances:
+        hosts = [
+            lic.id
+            for lic in licenses
+            if any(request.permission in cp.permissions for sl in lic.sublicenses for cp in sl.cps)
+        ]
+        assert 0 < len(hosts) < len(licenses)
         walked.clear()
-        allocator(state, request)
-        assert walked == [lic.id for lic in state.licenses]
+        allocator(initial_state(licenses), request)
+        assert walked == hosts
 
 
 def test_open_ended_window_never_wins_earliest_mode():

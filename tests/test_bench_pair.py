@@ -1,0 +1,41 @@
+import importlib.util
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location(
+    "bench_pair", Path(__file__).resolve().parent.parent / "tools" / "bench_pair.py"
+)
+bench_pair = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pair)
+
+
+def test_seed_ranges():
+    assert bench_pair.parse_seeds("100-103") == [100, 101, 102, 103]
+    assert bench_pair.parse_seeds("9001") == [9001]
+    assert bench_pair.parse_seeds("1,5-6") == [1, 5, 6]
+
+
+def run(value):
+    return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"op_p50_us": value, "ops_per_s": 1e6 / value}}
+
+
+def test_summary_counts_wins_in_each_metric_direction():
+    pairs = [{"seed": s, "first": "base", "base": run(b), "change": run(c)} for s, (b, c) in enumerate(
+        [(100, 60), (110, 62), (105, 61), (98, 99), (102, 58)]
+    )]
+    summary = bench_pair.summarize(pairs, {"op_p50_us": "lower", "ops_per_s": "higher"})
+    p50 = summary["op_p50_us"]
+    assert p50["wins"] == summary["ops_per_s"]["wins"] == 4
+    assert p50["pairs"] == 5
+    assert p50["base"] == {"median": 102, "q1": 100, "q3": 105}
+    assert p50["change"]["median"] == 61
+    assert p50["median_gain_exceeds_base_iqr"]
+    assert summary["ops_per_s"]["median_gain_exceeds_base_iqr"]
+
+
+def test_a_gain_within_the_base_spread_is_not_claimed():
+    pairs = [{"seed": s, "first": "base", "base": run(b), "change": run(c)} for s, (b, c) in enumerate(
+        [(100, 99), (120, 119), (80, 79)]
+    )]
+    summary = bench_pair.summarize(pairs, {"op_p50_us": "lower"})
+    assert summary["op_p50_us"]["wins"] == 3
+    assert not summary["op_p50_us"]["median_gain_exceeds_base_iqr"]

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import sys
@@ -11,6 +12,8 @@ from licalloc.engine import initial_state
 from licalloc.model import Action, Request
 from licalloc.rights import rights
 from licalloc.verify import LIVENESS_CAPS, GeneratorCaps
+
+rights_module = importlib.import_module("licalloc.rights")
 
 
 @pytest.fixture
@@ -117,6 +120,36 @@ class TestAllocate:
         assert payload["decision"] == "chosen"
         assert payload["license"] == "license-2"
         assert {e["content"]: e["count"] for e in payload["rights_after"]}["song-b"] == 1
+
+    @pytest.mark.parametrize("interactive", [False, True], ids=["default", "interactive"])
+    def test_each_host_is_walked_once(self, interactive, tmp_path, capsys, monkeypatch):
+        """The decision and its printed pool share one walk of each host."""
+        out = tmp_path / "corpora"
+        assert main(["cases", "--dump-corpora", str(out)]) == 0
+        walked = []
+        resolve = rights_module._resolve
+
+        def counting_resolve(state, lic, request, permission):
+            walked.append(lic.id)
+            return resolve(state, lic, request, permission)
+
+        monkeypatch.setattr(rights_module, "_resolve", counting_resolve)
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\n"))
+        files = sorted(out.glob("*.json"))
+        assert len(files) == 5
+        for path in files:
+            doc = load_corpus(str(path))
+            (request,) = doc.requests
+            argv = ["allocate", str(path), request.action.value, request.content, "--time", str(request.at)]
+            walked.clear()
+            assert main(argv + (["--interactive"] if interactive else [])) in (0, 3)
+            hosts = [
+                lic.id
+                for lic in doc.licenses
+                if any(request.permission in cp.permissions for sl in lic.sublicenses for cp in sl.cps)
+            ]
+            assert walked == hosts, path.name
+        capsys.readouterr()
 
 
 class TestSimulate:

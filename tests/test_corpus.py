@@ -14,9 +14,11 @@ from licalloc.corpus import (
     parse_corpus,
     serialize_corpus,
 )
-from licalloc.engine import initial_state
+from licalloc.engine import AgentState, initial_state
 from licalloc.labels import cp_label, sublicense_label
 from licalloc.model import Action, Count, LicenseSet, Request
+
+from conftest import wide_licenses
 
 
 
@@ -79,6 +81,34 @@ def test_serialized_labels_match_label_module(deadline_doc):
             for cp in sl["cps"]:
                 got = cp_label(state, lic["id"], sl["id"], cp["id"])
                 assert cp["label"]["times"] == got.times.value
+
+
+def test_parse_shares_one_permission_per_document():
+    """Equal permissions are one object within a parsed document, never across two."""
+    data = serialize_corpus(CorpusDocument(wide_licenses(0)))
+    first, second = parse_corpus(data), parse_corpus(data)
+    assert first.licenses == second.licenses == parse_corpus(serialize_corpus(first)).licenses
+
+    def permissions(doc):
+        return [p for lic in doc.licenses for sl in lic.sublicenses for cp in sl.cps for p in cp.permissions]
+
+    occurrences = permissions(first)
+    assert len({id(p) for p in occurrences}) == len(set(occurrences)) < len(occurrences)
+    assert not {id(p) for p in occurrences} & {id(p) for p in permissions(second)}
+
+
+def test_strict_parse_labels_the_nodes_it_walks(monkeypatch):
+    """Checking stored labels and writing them look no node up by id."""
+    data = serialize_corpus(CorpusDocument(wide_licenses(0, n=64)))
+
+    def tree_lookup(*args):
+        raise AssertionError(f"tree lookup by id {args[1:]}")
+
+    for name in ("license", "sublicense", "cp"):
+        monkeypatch.setattr(AgentState, name, tree_lookup)
+    doc = parse_corpus(data, strict_labels=True)
+    assert len(doc.licenses) == 64
+    assert serialize_corpus(doc) == data
 
 
 def test_syntax_error_reports_position():

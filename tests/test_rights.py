@@ -1,3 +1,4 @@
+import importlib
 import random
 from collections import Counter
 
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from licalloc.allocate import PromptRequired, oma_allocate, proposed_allocate
+from licalloc.allocate import PromptRequired, allocate_and_execute, min_loss_chooser, oma_allocate, proposed_allocate
 from licalloc.cases import REQUEST_AT, all_lossy_licenses, case_studies
 from licalloc.engine import AgentState, Depletion, consume, initial_state, is_depleting
 from licalloc.errors import NotFoundError
-from licalloc.labels import Times, cp_label
+from licalloc.labels import Times, cp_label, label_sublicense
 from licalloc.model import (
     CP,
     Action,
@@ -30,9 +31,19 @@ from licalloc.rights import (
     rights,
     select_target,
 )
-from licalloc.verify import T0, GeneratorCaps, InstanceGenerator
+from licalloc.verify import T0, TIMER_MAX, GeneratorCaps, InstanceGenerator
 
-from conftest import brute_force_loss, brute_force_rights, perm
+from conftest import (
+    brute_force_loss,
+    brute_force_rights,
+    full_walk_candidates,
+    full_walk_resolution,
+    perm,
+    wide_licenses,
+)
+
+# The rights module; the name ``rights`` is bound to its function.
+rights_module = importlib.import_module("licalloc.rights")
 
 
 def test_initial_rights_of_deadline_fixture(deadline_state):
@@ -137,6 +148,62 @@ def test_rights_and_candidates_read_states_without_tree_lookups(monkeypatch):
     for name in ("license", "sublicense", "cp"):
         monkeypatch.setattr(AgentState, name, tree_lookup)
     assert observe() == expected
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pools_match_a_full_walk_on_wide_corpora(seed):
+    """Walking only the hosts finds the same pool, targets and labels as walking every license.
+
+    Requests ask for installed and uninstalled permissions on a clock that
+    moves across the generated date windows and intervals, and each decision
+    is executed, so counters deplete along the way.
+    """
+    licenses = wide_licenses(seed)
+    installed = sorted({p for lic in licenses for sl in lic.sublicenses for cp in sl.cps for p in cp.permissions})
+    absent = [perm("export", "c1"), perm("play", "absent")]
+    rng = random.Random(seed)
+    state = initial_state(licenses)
+    seen = Counter()
+    for step in range(150):
+        p = rng.choice(installed) if rng.random() < 0.85 else rng.choice(absent)
+        request = Request(p.action, p.content, at=step * 50, usage_duration=rng.randrange(TIMER_MAX + 10))
+        pool = resolve_candidates(state, request)
+        assert candidates(state, request) == full_walk_candidates(state, request) == list(pool)
+        resolved = {lid: (r.target, r.sublicense_label, r.cp_label) for lid, r in pool.items()}
+        assert resolved == full_walk_resolution(state, request)
+        hosts = licenses.hosts(request.permission)
+        seen["absent" if not hosts else "pool" if pool else "no_valid_host"] += 1
+        seen["host_left_out"] += len(pool) < len(hosts)
+        _, state = allocate_and_execute(state, request, chooser=min_loss_chooser)
+    assert all(seen[case] for case in ("absent", "pool", "no_valid_host", "host_left_out")), seen
+
+
+def test_resolution_reads_only_sublicenses_granting_the_request(monkeypatch):
+    """Within a host, a sublicense that grants no matching permission is neither read nor labelled."""
+    licenses = wide_licenses(0)
+    state = initial_state(licenses)
+    read, labelled = set(), set()
+    sublicense_states = AgentState.sublicense_states
+
+    def reading(self, license_id, sublicense_id):
+        read.add((license_id, sublicense_id))
+        return sublicense_states(self, license_id, sublicense_id)
+
+    def labelling(sl, sl_states, cp_states):
+        labelled.add(id(sl))
+        return label_sublicense(sl, sl_states, cp_states)
+
+    monkeypatch.setattr(AgentState, "sublicense_states", reading)
+    monkeypatch.setattr(rights_module, "label_sublicense", labelling)
+    installed = sorted({p for lic in licenses for sl in lic.sublicenses for cp in sl.cps for p in cp.permissions})
+    for p in installed:
+        request = Request(p.action, p.content, at=T0)
+        read.clear()
+        labelled.clear()
+        resolve_candidates(state, request)
+        granting = [(lic, sl) for lic in licenses for sl in lic.sublicenses if any(p in cp.permissions for cp in sl.cps)]
+        assert read and read <= {(lic.id, sl.id) for lic, sl in granting}
+        assert labelled and labelled <= {id(sl) for _, sl in granting}
 
 
 def test_find_matching_cp_in_two_cp_sublicense():

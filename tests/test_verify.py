@@ -1,3 +1,4 @@
+import importlib
 import math
 import sys
 from collections import Counter
@@ -8,8 +9,9 @@ from licalloc.allocate import Chosen, PromptRequired, min_loss_chooser, oma_allo
 from licalloc.cases import REQUEST_AT, all_lossy_licenses
 from licalloc.cli import main
 from licalloc.corpus import CorpusDocument, parse_corpus, serialize_corpus
-from licalloc.engine import initial_state
+from licalloc.engine import AgentState, initial_state
 from licalloc.errors import AssumptionViolation
+from licalloc.labels import Times, cp_label, sublicense_label
 from licalloc.model import (
     CP,
     Action,
@@ -46,6 +48,9 @@ from licalloc.verify import (
 )
 
 from conftest import brute_force_liveness, fair_family, perm, replay_fair_schedule
+
+# The rights module; the name ``rights`` is bound to its function.
+rights_module = importlib.import_module("licalloc.rights")
 
 
 class TestColoring:
@@ -201,6 +206,33 @@ class TestBoundedLiveness:
         assert result.failure["permission"] == {"action": "play", "content": "b"}
         filtered = run_bounded_liveness(licenses, algorithm="proposed", at=100)
         assert filtered.passed
+
+
+def test_depletion_assumption_labels_the_nodes_it_walks(monkeypatch):
+    """The check gives the verdict of id-based labelling without looking any node up."""
+
+    def by_lookup(state):
+        return all(
+            sublicense_label(state, lic.id, sl.id).times is not Times.MANY
+            or all(cp_label(state, lic.id, sl.id, cp.id).times is Times.ONCE for cp in sl.cps)
+            for lic in state.licenses
+            for sl in lic.sublicenses
+        )
+
+    states = [
+        initial_state(InstanceGenerator(LIVENESS_CAPS, seed=0, profile=profile).document(index).licenses)
+        for profile in ("depleting", "general")
+        for index in range(40)
+    ]
+    expected = [by_lookup(state) for state in states]
+    assert True in expected and False in expected
+
+    def tree_lookup(*args):
+        raise AssertionError(f"tree lookup by id {args[1:]}")
+
+    for name in ("license", "sublicense", "cp"):
+        monkeypatch.setattr(AgentState, name, tree_lookup)
+    assert [conforms_to_depletion_assumption(state) for state in states] == expected
 
 
 def _conforming_instances(seed, n):
@@ -422,6 +454,25 @@ class TestEachPoolIsPricedOnce:
         counts.clear()
         color_step(coloring, all_lossy_state, decision, self.request)
         assert counts["consume"] == 0 and counts["rights"] <= 1
+
+    def test_color_step_walks_each_host_once(self, all_lossy_state, monkeypatch):
+        decision = proposed_allocate(all_lossy_state, self.request, chooser=min_loss_chooser)
+        coloring = Coloring.initial(rights(all_lossy_state, REQUEST_AT))
+        walked = []
+        resolve = rights_module._resolve
+
+        def counting_resolve(state, lic, request, permission):
+            walked.append(lic.id)
+            return resolve(state, lic, request, permission)
+
+        def second_walk(*args):
+            raise AssertionError("color_step walked a license outside its pool resolution")
+
+        monkeypatch.setattr(rights_module, "_resolve", counting_resolve)
+        for name in ("candidates", "select_target", "_valid_pairs"):
+            monkeypatch.setattr(rights_module, name, second_walk)
+        color_step(coloring, all_lossy_state, decision, self.request)
+        assert walked == [lic.id for lic in all_lossy_state.licenses]
 
     def test_prompted_soundness(self, all_lossy_state, counts):
         decision = proposed_allocate(all_lossy_state, self.request)
