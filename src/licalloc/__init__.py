@@ -37,7 +37,6 @@ from .labels import (
     Times,
     cp_label,
     label_cp,
-    label_sublicense,
     state_labels,
     sublicense_label,
 )

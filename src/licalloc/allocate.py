@@ -11,12 +11,18 @@ requested permission are set aside, and among the survivors one that does
 not deplete at all is preferred.  If every candidate is in the destructive
 class the decision is handed to the user (a prompt), because only the user
 knows which rights they value.
+
+Each allocator resolves its candidates once, and its decision keeps that
+``resolve_candidates`` pool (``pool``: every candidate's resolved target),
+so whoever acts on the decision walks no license again; a prompt becomes a
+choice through ``PromptRequired.choose``.  The pool takes no part in
+equality, hashing or repr.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .engine import AgentState, consume
@@ -34,12 +40,20 @@ class Chosen:
     sublicense_id: str
     cp_id: str
     via_prompt: bool = False
+    pool: Mapping[str, Resolved] = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class PromptRequired:
     candidates: tuple[str, ...]
     losses: Mapping[str, RightsMultiset]
+    pool: Mapping[str, Resolved] = field(default_factory=dict, compare=False, repr=False)
+
+    def choose(self, license_id: str) -> Chosen:
+        """The decision the user (or a chooser) makes by picking ``license_id``."""
+        if license_id not in self.candidates:
+            raise ChooserContractError(f"chooser returned {license_id!r}, not a candidate")
+        return Chosen(license_id, *self.pool[license_id].target, via_prompt=True, pool=self.pool)
 
 
 @dataclass(frozen=True)
@@ -81,8 +95,8 @@ def _list_key(constraints: Sequence[Constraint], tiebreak: str) -> tuple[int, fl
     return min(_constraint_key(c, tiebreak) for c in constraints)
 
 
-def _best_ranked(pool: Mapping[str, Resolved], tiebreak: str) -> Chosen:
-    """The best-ranked candidate of a non-empty {license id: resolved target} map.
+def _best_ranked(pool: Mapping[str, Resolved], tiebreak: str) -> str:
+    """The id of the best-ranked candidate of a non-empty {license id: resolved target} map.
 
     The written rules rank a right by the best constraint in its full
     governing conjunction.  Ties are broken structurally: the constraint
@@ -99,8 +113,7 @@ def _best_ranked(pool: Mapping[str, Resolved], tiebreak: str) -> Chosen:
             _list_key(cp.constraints, tiebreak),
         )
 
-    best = min(pool, key=key)
-    return Chosen(best, *pool[best].target)
+    return min(pool, key=key)
 
 
 def oma_allocate(
@@ -108,19 +121,14 @@ def oma_allocate(
     request: Request,
     *,
     datetime_tiebreak: str = "earliest",
-    pool: Optional[Mapping[str, Resolved]] = None,
 ) -> AllocationDecision:
-    """Baseline allocation: best-ranked valid candidate, no loss awareness.
-
-    ``pool`` is the request's ``resolve_candidates`` map when the caller
-    already holds it; by default the allocator resolves it itself.
-    """
+    """Baseline allocation: best-ranked valid candidate, no loss awareness."""
     _check_tiebreak(datetime_tiebreak)
-    if pool is None:
-        pool = resolve_candidates(state, request)
+    pool = resolve_candidates(state, request)
     if not pool:
         return NoMatch()
-    return _best_ranked(pool, datetime_tiebreak)
+    best = _best_ranked(pool, datetime_tiebreak)
+    return Chosen(best, *pool[best].target, pool=pool)
 
 
 def proposed_allocate(
@@ -129,9 +137,8 @@ def proposed_allocate(
     *,
     chooser: Optional[Chooser] = None,
     datetime_tiebreak: str = "earliest",
-    pool: Optional[Mapping[str, Resolved]] = None,
 ) -> AllocationDecision:
-    """Label-filtered allocation (``pool`` as in ``oma_allocate``).
+    """Label-filtered allocation.
 
     1. Collect the valid candidates; none means NoMatch, a single one is
        returned as is (its loss, if any, is unavoidable).
@@ -144,13 +151,12 @@ def proposed_allocate(
        through the supplied chooser.
     """
     _check_tiebreak(datetime_tiebreak)
-    if pool is None:
-        pool = resolve_candidates(state, request)
+    pool = resolve_candidates(state, request)
     if not pool:
         return NoMatch()
     if len(pool) == 1:
         ((lid, resolved),) = pool.items()
-        return Chosen(lid, *resolved.target)
+        return Chosen(lid, *resolved.target, pool=pool)
 
     survivors = {
         lid: r
@@ -163,16 +169,13 @@ def proposed_allocate(
             for lid, r in survivors.items()
             if r.sublicense_label.times is Times.MANY and r.cp_label.times is Times.MANY
         }
-        return _best_ranked(non_depleting or survivors, datetime_tiebreak)
+        best = _best_ranked(non_depleting or survivors, datetime_tiebreak)
+        return Chosen(best, *pool[best].target, pool=pool)
 
-    ids = tuple(pool)
-    losses = pool_losses(state, request, pool)
+    prompt = PromptRequired(tuple(pool), pool_losses(state, request, pool), pool)
     if chooser is not None:
-        picked = chooser(request, ids, losses)
-        if picked not in ids:
-            raise ChooserContractError(f"chooser returned {picked!r}, not a candidate")
-        return Chosen(picked, *pool[picked].target, via_prompt=True)
-    return PromptRequired(ids, losses)
+        return prompt.choose(chooser(request, prompt.candidates, prompt.losses))
+    return prompt
 
 
 def allocate(
@@ -182,15 +185,12 @@ def allocate(
     algorithm: str = "proposed",
     chooser: Optional[Chooser] = None,
     datetime_tiebreak: str = "earliest",
-    pool: Optional[Mapping[str, Resolved]] = None,
 ) -> AllocationDecision:
     """Dispatch on the algorithm name ("oma" or "proposed")."""
     if algorithm == "oma":
-        return oma_allocate(state, request, datetime_tiebreak=datetime_tiebreak, pool=pool)
+        return oma_allocate(state, request, datetime_tiebreak=datetime_tiebreak)
     if algorithm == "proposed":
-        return proposed_allocate(
-            state, request, chooser=chooser, datetime_tiebreak=datetime_tiebreak, pool=pool
-        )
+        return proposed_allocate(state, request, chooser=chooser, datetime_tiebreak=datetime_tiebreak)
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 

@@ -27,7 +27,7 @@ from .engine import consume, initial_state, is_depleting
 from .errors import LicallocError
 from .labels import state_labels
 from .model import Action, Request
-from .rights import pool_losses, resolve_candidates, rights
+from .rights import pool_losses, rights
 from .verify import (
     LIVENESS_CAPS,
     Color,
@@ -49,19 +49,30 @@ EXIT_PROPERTY = 5
 
 
 def parse_time(value: str) -> int:
-    """Epoch seconds from an integer literal or an ISO-8601 timestamp."""
+    """Epoch seconds, not before 1970, from an integer literal or an ISO-8601 timestamp."""
     try:
-        return int(value)
+        seconds = int(value)
     except ValueError:
-        pass
-    text = value.replace("Z", "+00:00")
+        try:
+            parsed = datetime.fromisoformat(value.replace("Z", "+00:00"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer or ISO-8601 timestamp: {value!r}")
+        if parsed.tzinfo is None:
+            parsed = parsed.replace(tzinfo=timezone.utc)
+        seconds = int(parsed.timestamp())
+    if seconds < 0:
+        raise argparse.ArgumentTypeError(f"time before 1970-01-01: {value!r}")
+    return seconds
+
+
+def non_negative_int(value: str) -> int:
     try:
-        parsed = datetime.fromisoformat(text)
+        number = int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer or ISO-8601 timestamp: {value!r}")
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    return int(parsed.timestamp())
+        raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {number}")
+    return number
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_alloc.add_argument("corpus")
     p_alloc.add_argument("action", choices=[a.value for a in Action])
     p_alloc.add_argument("content")
-    p_alloc.add_argument("--duration", type=int, default=0, help="usage duration in seconds")
+    p_alloc.add_argument("--duration", type=non_negative_int, default=0, help="usage duration in seconds")
     interactive = p_alloc.add_mutually_exclusive_group()
     interactive.add_argument(
         "--interactive", dest="interactive", action="store_true", default=False
@@ -195,10 +206,7 @@ def cmd_allocate(args) -> int:
     at = args.time if args.time is not None else 0
     request = Request(Action(args.action), args.content, at=at, usage_duration=args.duration)
     state = initial_state(doc.licenses)
-    resolved = resolve_candidates(state, request)
-    decision = allocate(
-        state, request, algorithm=args.algorithm, datetime_tiebreak=args.datetime_tiebreak, pool=resolved
-    )
+    decision = allocate(state, request, algorithm=args.algorithm, datetime_tiebreak=args.datetime_tiebreak)
 
     if isinstance(decision, NoMatch):
         if args.format == "json":
@@ -229,10 +237,10 @@ def cmd_allocate(args) -> int:
         if picked is None:
             return EXIT_PROMPT
         losses = decision.losses
-        decision = Chosen(picked, *resolved[picked].target, via_prompt=True)
+        decision = decision.choose(picked)
     else:
-        losses = pool_losses(state, request, resolved)
-    pool = list(resolved)
+        losses = pool_losses(state, request, decision.pool)
+    pool = list(decision.pool)
 
     after = consume(state, decision.license_id, decision.sublicense_id, decision.cp_id, request)
     remaining = rights(after, request.at)

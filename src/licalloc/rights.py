@@ -21,8 +21,7 @@ target's path, so ``loss`` reads it off that path without building the
 successor state: the permissions of the sublicense's currently valid cps when
 the sublicense depletes, the target cp's permissions when only the cp
 depletes, and nothing otherwise.  ``remnants`` is ``rights`` minus that loss,
-and ``pool_losses`` prices a resolved pool, one target at a time
-(``candidate_losses`` does the same from bare ids, resolving each).  A
+and ``pool_losses`` prices a resolved pool, one target at a time.  A
 selection is lossy when its loss exceeds ``Counter({request.permission: 1})``,
 that is, when it takes more than the one requested occurrence with it.
 """
@@ -30,7 +29,7 @@ that is, when it takes more than the one requested occurrence with it.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .engine import AgentState, Depletion, constraints_hold, is_depleting
 from .errors import NotFoundError
@@ -171,10 +170,3 @@ def pool_losses(
 ) -> dict[str, RightsMultiset]:
     """Loss multiset of each resolved candidate of ``resolve_candidates``'s pool."""
     return {lid: _target_loss(state, lid, resolved.target, request) for lid, resolved in pool.items()}
-
-
-def candidate_losses(
-    state: AgentState, request: Request, ids: Sequence[str]
-) -> dict[str, RightsMultiset]:
-    """Loss multiset of each candidate license for the request."""
-    return {lid: _target_loss(state, lid, select_target(state, lid, request), request) for lid in ids}

@@ -62,7 +62,7 @@ from .model import (
     SubLicense,
     TimedCount,
 )
-from .rights import candidate_losses, candidates, loss, pool_losses, resolve_candidates, rights, select_target
+from .rights import candidates, loss, pool_losses, rights
 
 T0 = 1000
 TIMER_MAX = 60
@@ -107,9 +107,10 @@ def color_step(
 ) -> Coloring:
     """Apply one executed decision to the coloring.
 
-    ``state`` is the state the decision was made in (before the consume).
+    ``state`` is the state the decision was made in (before the consume),
+    and ``decision`` an allocator's, which carries the pool it was made from.
     """
-    losses = pool_losses(state, request, resolve_candidates(state, request))
+    losses = pool_losses(state, request, decision.pool)
     lost = losses[decision.license_id]
     if not lost:
         return coloring
@@ -166,14 +167,14 @@ def check_selection_soundness(
     )
     bound = Counter({request.permission: 1})
     if prompted:
-        losses = candidate_losses(state, request, pool)
+        losses = {lid: loss(state, lid, request) for lid in pool}
         if all(lost > bound for lost in losses.values()):
             return CheckResult(True, "prompted_all_lossy")
         return CheckResult(False, "prompted_all_lossy", detail={"losses": _describe_losses(losses)})
     assert isinstance(decision, Chosen)
     if loss(state, decision.license_id, request) <= bound:
         return CheckResult(True, "loss_bounded")
-    losses = candidate_losses(state, request, pool)
+    losses = {lid: loss(state, lid, request) for lid in pool}
     return CheckResult(
         False,
         "loss_bounded",
@@ -190,7 +191,7 @@ def check_weak_minimal_loss(
         return CheckResult(True, "no_candidates", vacuous=True)
     if isinstance(decision, PromptRequired):
         return CheckResult(True, "prompt_unresolved", vacuous=True)
-    losses = candidate_losses(state, request, pool)
+    losses = {lid: loss(state, lid, request) for lid in pool}
     bound = Counter({request.permission: 1})
     if all(lost > bound for lost in losses.values()):
         return CheckResult(True, "loss_inevitable", vacuous=True)
@@ -431,8 +432,7 @@ def run_trial(
         for name in checks:
             results.append((step, name, CHECKS[name](state, request, decision)))
         if isinstance(decision, PromptRequired):
-            picked = min_loss_chooser(request, decision.candidates, decision.losses)
-            decision = Chosen(picked, *select_target(state, picked, request), via_prompt=True)
+            decision = decision.choose(min_loss_chooser(request, decision.candidates, decision.losses))
         if isinstance(decision, Chosen):
             state = consume(state, decision.license_id, decision.sublicense_id, decision.cp_id, request)
     return results
@@ -806,7 +806,11 @@ def run_liveness_campaign(
     *,
     algorithm: str = "proposed",
 ) -> CampaignReport:
-    """Bounded liveness over generated depleting instances; gated ones are skipped."""
+    """Bounded liveness over ``n`` generated depleting instances.
+
+    The ``depleting`` profile conforms to the depletion assumption by
+    construction, so every instance is searched.
+    """
     generator = InstanceGenerator(caps, seed=seed, profile="depleting")
     report = CampaignReport(
         campaign="liveness",
@@ -817,21 +821,13 @@ def run_liveness_campaign(
         trials=n,
         checks=("liveness",),
     )
-    produced = 0
-    index = 0
-    while produced < n and index < n * 10:
+    for index in range(n):
         doc = generator.document(index)
-        index += 1
-        try:
-            outcome = run_bounded_liveness(doc.licenses, algorithm=algorithm)
-        except AssumptionViolation:
-            continue
-        produced += 1
+        outcome = run_bounded_liveness(doc.licenses, algorithm=algorithm)
         result = CheckResult(outcome.passed, "white_after_quiescence", vacuous=not outcome.finished, detail=outcome.failure)
         report.record(
             "liveness",
             result,
-            lambda: Counterexample.of(index - 1, outcome.failure["step"], "liveness", result, doc),
+            lambda: Counterexample.of(index, outcome.failure["step"], "liveness", result, doc),
         )
-    report.trials = produced
     return report

@@ -131,6 +131,27 @@ def test_chooser_contract_violation(all_lossy_state):
         proposed_allocate(all_lossy_state, request, chooser=lambda r, ids, losses: "license-99")
 
 
+def test_a_decision_carries_every_candidate_of_its_pool(all_lossy_state, deadline_state, play_a):
+    """The pool a decision was made from rides along, outside equality, hashing and repr."""
+    chosen = proposed_allocate(deadline_state, play_a)
+    assert list(chosen.pool) == ["license-1", "license-2"]  # the loser too
+    bare = Chosen(chosen.license_id, chosen.sublicense_id, chosen.cp_id)
+    assert (bare.pool, chosen) == ({}, bare)
+    assert hash(chosen) == hash(bare)
+    assert repr(chosen) == repr(bare) == "Chosen(license_id='license-2', sublicense_id='sl-1', cp_id='cp-1', via_prompt=False)"
+
+    request = Request(Action.PLAY, "song-a", at=REQUEST_AT)
+    prompt = proposed_allocate(all_lossy_state, request)
+    assert isinstance(prompt, PromptRequired) and list(prompt.pool) == list(prompt.candidates)
+    assert prompt == PromptRequired(prompt.candidates, prompt.losses)
+    assert repr(prompt) == repr(PromptRequired(prompt.candidates, prompt.losses))
+    picked = prompt.choose("license-2")
+    assert picked == Chosen("license-2", "sl-1", "cp-1", via_prompt=True)
+    assert picked.pool is prompt.pool
+    with pytest.raises(ChooserContractError):
+        prompt.choose("license-99")
+
+
 class TestAllocateAndExecute:
     def test_proposed_keeps_song_b(self, deadline_state, play_a):
         decision, after = allocate_and_execute(deadline_state, play_a, algorithm="proposed")

@@ -228,6 +228,21 @@ class TestSimulate:
         assert payload["final_rights"] == payload["steps"][-1]["rights"]
         assert len(walks) == len(payload["steps"]) + 1
 
+    def test_each_step_walks_its_hosts_once(self, tmp_path, capsys, monkeypatch):
+        """A step colors from the pool its decision carries instead of resolving it again."""
+        assert main(["cases", "--dump-corpora", str(tmp_path)]) == 0
+        walked = []
+        resolve = rights_module._resolve
+
+        def counting_resolve(state, lic, request, permission):
+            walked.append(lic.id)
+            return resolve(state, lic, request, permission)
+
+        monkeypatch.setattr(rights_module, "_resolve", counting_resolve)
+        assert main(["simulate", str(tmp_path / "deadline-vs-counter.json")]) == 0
+        assert walked == ["license-1", "license-2"]
+        capsys.readouterr()
+
 
 class TestVerify:
     def test_filtered_campaign_exits_0(self, capsys):
@@ -371,6 +386,24 @@ def test_parse_time_accepts_iso_and_int():
     assert parse_time("1970-01-01T00:02:03+00:00") == 123
     with pytest.raises(Exception):
         parse_time("not-a-time")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["allocate", "{corpus}", "play", "song-a", "--time", "-5"],
+        ["allocate", "{corpus}", "play", "song-a", "--duration", "-1"],
+        ["allocate", "{corpus}", "play", "song-a", "--duration", "soon"],
+        ["simulate", "{corpus}", "--time", "1969-01-01"],
+    ],
+    ids=["negative-time", "negative-duration", "non-integer-duration", "time-before-1970"],
+)
+def test_a_negative_time_or_duration_is_a_usage_error(argv, deadline_path, capsys):
+    assert main([arg.format(corpus=deadline_path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.count("error:") == 1
 
 
 ACCEPTED_OPTIONS = {

@@ -22,10 +22,9 @@ from licalloc.model import (
     TimedCount,
 )
 from licalloc.rights import (
-    _target_loss,
-    candidate_losses,
     candidates,
     loss,
+    pool_losses,
     remnants,
     resolve_candidates,
     rights,
@@ -337,7 +336,7 @@ def _path(state, lid, target):
 
 
 def test_local_loss_matches_copy_consume_recount():
-    """``loss``, ``remnants`` and ``candidate_losses`` agree with ``brute_force_loss``.
+    """``loss``, ``remnants`` and ``pool_losses`` agree with ``brute_force_loss``.
 
     Precondition: rights are measured at the instant of the request.  Each
     trajectory advances the clock, so date windows close and intervals started
@@ -366,11 +365,10 @@ def test_local_loss_matches_copy_consume_recount():
                 base = brute_force_rights(state, at)
                 targets = {lid: select_target(state, lid, request) for lid in pool}
                 expected = {lid: brute_force_loss(state, lid, request) for lid in pool}
-                assert candidate_losses(state, request, pool) == expected
-                # the prompt path prices the targets its pool resolved
+                # a decision prices the targets its pool resolved
                 resolved = resolve_candidates(state, request)
                 assert {lid: r.target for lid, r in resolved.items()} == targets
-                assert {lid: _target_loss(state, lid, r.target, request) for lid, r in resolved.items()} == expected
+                assert pool_losses(state, request, resolved) == expected
                 for lid, target in targets.items():
                     assert loss(state, lid, request) == expected[lid]
                     assert remnants(state, lid, request) == base - expected[lid]

@@ -236,15 +236,9 @@ def test_depletion_assumption_labels_the_nodes_it_walks(monkeypatch):
 
 
 def _conforming_instances(seed, n):
-    """The first ``n`` instances the liveness campaign checks at ``seed``."""
+    """The ``n`` instances the liveness campaign checks at ``seed``."""
     generator = InstanceGenerator(LIVENESS_CAPS, seed=seed, profile="depleting")
-    found, index = [], 0
-    while len(found) < n:
-        licenses = generator.document(index).licenses
-        if conforms_to_depletion_assumption(initial_state(licenses)):
-            found.append(licenses)
-        index += 1
-    return found
+    return [generator.document(index).licenses for index in range(n)]
 
 
 def _assert_replays(licenses, algorithm, failure):
@@ -303,6 +297,37 @@ class TestLivenessSearch:
             run_liveness_campaign(n=40, seed=0, algorithm=algorithm)
         assert outcomes["Chosen"] > 0
         assert outcomes["NoMatch"] == 0
+
+    def test_search_resolves_pools_only_inside_allocate(self, monkeypatch):
+        """An executed step colors from the pool its decision carries, so no walk happens outside ``allocate``."""
+        verify_module = sys.modules["licalloc.verify"]
+        inner, resolve = verify_module.allocate, rights_module._resolve
+        depth, resolves = [0], Counter()
+
+        def wrapped_allocate(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def checked_resolve(*args):
+            resolves[depth[0] > 0] += 1
+            return resolve(*args)
+
+        monkeypatch.setattr(verify_module, "allocate", wrapped_allocate)
+        monkeypatch.setattr(rights_module, "_resolve", checked_resolve)
+        for licenses in _conforming_instances(seed=0, n=20):
+            for algorithm in ("proposed", "oma"):
+                run_bounded_liveness(licenses, algorithm=algorithm)
+        assert resolves[True] > 0 and resolves[False] == 0
+
+    @pytest.mark.parametrize("caps", [LIVENESS_CAPS, GeneratorCaps()], ids=["liveness-caps", "default-caps"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_depleting_instances_conform_by_construction(self, caps, seed):
+        generator = InstanceGenerator(caps, seed=seed, profile="depleting")
+        for index in range(1000):
+            assert conforms_to_depletion_assumption(initial_state(generator.licenses(index))), index
 
     def test_a_search_cut_short_is_a_vacuous_pass(self, monkeypatch, capsys):
         monkeypatch.setattr(sys.modules["licalloc.verify"], "MAX_LIVENESS_STATES", 3)
@@ -455,24 +480,18 @@ class TestEachPoolIsPricedOnce:
         color_step(coloring, all_lossy_state, decision, self.request)
         assert counts["consume"] == 0 and counts["rights"] <= 1
 
-    def test_color_step_walks_each_host_once(self, all_lossy_state, monkeypatch):
+    def test_color_step_walks_no_license(self, all_lossy_state, monkeypatch):
+        """``color_step`` prices the pool its decision carries."""
         decision = proposed_allocate(all_lossy_state, self.request, chooser=min_loss_chooser)
         coloring = Coloring.initial(rights(all_lossy_state, REQUEST_AT))
-        walked = []
-        resolve = rights_module._resolve
-
-        def counting_resolve(state, lic, request, permission):
-            walked.append(lic.id)
-            return resolve(state, lic, request, permission)
 
         def second_walk(*args):
-            raise AssertionError("color_step walked a license outside its pool resolution")
+            raise AssertionError("color_step walked a license its decision had resolved")
 
-        monkeypatch.setattr(rights_module, "_resolve", counting_resolve)
-        for name in ("candidates", "select_target", "_valid_pairs"):
+        for name in ("_resolve", "candidates", "select_target", "_valid_pairs"):
             monkeypatch.setattr(rights_module, name, second_walk)
-        color_step(coloring, all_lossy_state, decision, self.request)
-        assert walked == [lic.id for lic in all_lossy_state.licenses]
+        after = color_step(coloring, all_lossy_state, decision, self.request)
+        assert after.color(perm("play", "song-b")) is Color.BLACK
 
     def test_prompted_soundness(self, all_lossy_state, counts):
         decision = proposed_allocate(all_lossy_state, self.request)
@@ -486,3 +505,16 @@ class TestEachPoolIsPricedOnce:
         path.write_bytes(serialize_corpus(CorpusDocument(all_lossy_licenses())))
         assert main(["allocate", str(path), "play", "song-a", "--time", str(REQUEST_AT)]) == 3
         assert counts["consume"] == 0 and counts["rights"] <= 1
+
+    def test_run_trial_resolves_a_prompt_from_its_pool(self, counts, monkeypatch):
+        original = rights_module.select_target
+
+        def second_walk(*args):
+            raise AssertionError("run_trial resolved a target its prompt already held")
+
+        for loaded_name, module in list(sys.modules.items()):
+            if loaded_name.startswith("licalloc") and getattr(module, "select_target", None) is original:
+                monkeypatch.setattr(module, "select_target", second_walk)
+        doc = CorpusDocument(all_lossy_licenses(), [self.request])
+        assert run_trial(doc, "proposed", []) == []
+        assert counts["consume"] == 1

@@ -15,8 +15,10 @@ The result goes to ``BENCH_<label>.json`` at the root of the repository,
 rewritten as each workload finishes: the commits, Python version, ``nproc``,
 seeds, every run's end-to-end metrics and source digest (``bench/run.py``'s
 ``source_sha256``), and per workload and metric each side's median and
-quartiles and the number of pairs the change won.  A metric's direction ("higher" or
-"lower" is better) is read from ``BENCHMARK.json``.  Runs at the confirming
+quartiles, the number of pairs the change won and whether the change's median
+is within the metric's bound.  A metric's direction ("higher" or "lower" is
+better) and bound (the largest relative loss of the median allowed) are read
+from ``BENCHMARK.json``.  Runs at the confirming
 seeds are recorded apart from the paired summary.
 
 Exit codes: 0 when every run completed with ``correct`` true, 1 otherwise.
@@ -94,9 +96,11 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: both sides' spread, the pairs the change won, and whether the
-    medians differ by more than the base's quartile distance in the change's favour."""
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
+    """Per metric: both sides' spread, the pairs the change won, whether the
+    medians differ by more than the base's quartile distance in the change's favour,
+    and whether the change's median is worse than the base's by at most ``bounds``
+    (a fraction of the base median)."""
     out = {}
     for name, direction in better.items():
         sign = 1 if direction == "higher" else -1
@@ -111,6 +115,7 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
             "pairs": len(pairs),
             "median_gain_exceeds_base_iqr": gain > base_spread["q3"] - base_spread["q1"],
+            "within_bound": -gain <= bounds[name] * abs(base_spread["median"]),
         }
     return out
 
@@ -127,6 +132,7 @@ def main(argv=None) -> int:
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+    bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
     status = git("status", "--porcelain", "--untracked-files=no")
     record: dict = {
         "label": args.label,
@@ -154,7 +160,7 @@ def main(argv=None) -> int:
                 for k, seed in enumerate(args.confirm_seeds)
             ]
             record["workloads"][workload] = {
-                "summary": summarize(pairs, better),
+                "summary": summarize(pairs, better, bounds),
                 "confirm": confirm,
                 "pairs": pairs,
             }
