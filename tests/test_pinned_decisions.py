@@ -5,9 +5,9 @@ compares it with a sha256 literal, so a change to the state layout, the
 validity walk or the selection code that alters a decision, a check verdict,
 a counterexample or a remnant multiset fails here.  The benchmark's
 reference digests cover only ``proposed`` on the ``general`` profile; these
-add ``oma``, the ``depleting`` profile, ``pair_discipline``, neutrality,
-liveness under both algorithms, the ``furthest`` tiebreak and the CLI's
-``simulate``/``allocate`` output on the bundled fixtures.
+add ``oma``, the ``depleting`` profile, ``pair_discipline``, each check run
+alone, neutrality, liveness under both algorithms, the ``furthest`` tiebreak
+and the CLI's ``simulate``/``allocate`` output on the bundled fixtures.
 """
 
 import hashlib
@@ -50,6 +50,20 @@ def test_fuzz_reports_are_pinned():
         for algorithm in ("proposed", "oma")
     )
     assert _sha256(reports) == "53c138ae96886ba89183915ab05cae158996cd7163407509554d0fea6e3f3aed"
+
+
+def test_single_check_fuzz_reports_are_pinned():
+    """Each check run alone, as the shrinker and ``verify --checks`` run it."""
+    reports = (
+        fuzz_campaign(
+            InstanceGenerator(seed=seed, profile=profile), 30, (check,), algorithm=algorithm
+        ).to_bytes()
+        for check in ALL_CHECKS
+        for seed in SEEDS
+        for profile in PROFILES
+        for algorithm in ("proposed", "oma")
+    )
+    assert _sha256(reports) == "8919dbca1b4d73e2bb7b034476f6fa4448c551d13df453ccb2661b89190826e4"
 
 
 def test_neutrality_reports_are_pinned():
