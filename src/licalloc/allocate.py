@@ -16,7 +16,8 @@ Each allocator resolves its candidates once, and its decision keeps that
 ``resolve_candidates`` pool (``pool``: every candidate's resolved target),
 so whoever acts on the decision walks no license again; a prompt becomes a
 choice through ``PromptRequired.choose``.  The pool takes no part in
-equality, hashing or repr.
+equality, hashing or repr; a prompt's losses (a dict) take part in equality
+but not in its hash.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class Chosen:
 @dataclass(frozen=True)
 class PromptRequired:
     candidates: tuple[str, ...]
-    losses: Mapping[str, RightsMultiset]
+    losses: Mapping[str, RightsMultiset] = field(hash=False)
     pool: Mapping[str, Resolved] = field(default_factory=dict, compare=False, repr=False)
 
     def choose(self, license_id: str) -> Chosen:

@@ -29,6 +29,7 @@ from .labels import state_labels
 from .model import Action, Request
 from .rights import pool_losses, rights
 from .verify import (
+    CHECKS,
     LIVENESS_CAPS,
     Color,
     Coloring,
@@ -105,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--checks",
         default="soundness,minimal_loss",
-        help="comma list from: soundness, minimal_loss, pair_discipline, neutrality, liveness",
+        help="comma list from: " + ", ".join([*CHECKS, "neutrality", "liveness"]),
     )
     p_verify.add_argument("--trials", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
@@ -377,8 +378,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    known = {"soundness", "minimal_loss", "pair_discipline", "neutrality", "liveness"}
-    unknown = set(checks) - known
+    unknown = set(checks) - {*CHECKS, "neutrality", "liveness"}
     if unknown:
         return _fail(f"unknown checks: {sorted(unknown)}", EXIT_LOAD)
     if args.trials < 1:
@@ -392,7 +392,7 @@ def cmd_verify(args) -> int:
     if "neutrality" in checks and caps.max_count < 2:
         return _fail("the neutrality check needs --max-count >= 2", EXIT_LOAD)
     reports = []
-    decision_checks = [c for c in checks if c in ("soundness", "minimal_loss", "pair_discipline")]
+    decision_checks = [c for c in checks if c in CHECKS]
     if decision_checks:
         generator = InstanceGenerator(caps, seed=args.seed, profile="general")
         reports.append(

@@ -5,15 +5,16 @@ measures availability, not remaining charges (a cp with ten charges left
 contributes each of its permissions once).
 
 Target resolution is one walk of a license (``_resolve``), which also labels
-both target nodes; the ``verify`` checks find their pool with ``candidates``
-instead, so a check does not trust the allocator it checks.  Both walk only
-the hosts of the requested permission: ``LicenseSet.hosts`` reads them from
-a flat ``{Permission: (host licenses in declaration order)}`` index that the
-set builds on first use, in one pass over its tree.  Within a host,
-``_resolve`` skips a sublicense with no cp granting the permission before it
-reads any state, so only sublicenses that could serve the request are read
-and labelled.  Hosts keep declaration order, so every tie-break is the one a
-walk of every license would make.
+both target nodes.  The ``verify`` checks do not trust the allocator they
+check: their oracle, built once per decision, maps each license id that
+``candidates`` finds to its ``loss``.  ``resolve_candidates`` and
+``candidates`` walk only the hosts of the requested permission:
+``LicenseSet.hosts`` reads them from a flat ``{Permission: (host licenses in
+declaration order)}`` index that the set builds on first use, in one pass
+over its tree.  Within a host, ``_resolve`` skips a sublicense with no cp
+granting the permission before it reads any state, so only sublicenses that
+could serve the request are read and labelled.  Hosts keep declaration
+order, so every tie-break is the one a walk of every license would make.
 
 Loss is measured at the instant of the request.  There a consume changes what
 holds only by depletion (see ``engine.is_depleting``), and only on the

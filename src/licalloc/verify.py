@@ -18,6 +18,13 @@ instances instead of being trusted:
   order, skips a state already searched with at least as many rounds left,
   and stops after ``MAX_LIVENESS_STATES`` states.
 
+Every decision is checked against one oracle, which ``run_trial`` builds
+once per decision with ``oracle_losses``: ``{candidate id: loss}``, found by
+``rights.candidates`` and priced by ``rights.loss``, independently of the
+pool the allocator resolved.  Each entry of ``CHECKS`` takes
+``(state, request, decision, losses)`` and walks no license itself; a
+choice naming no candidate fails as ``not_a_candidate``.
+
 All generation is seed-deterministic; identical seeds and caps produce
 byte-identical reports.  Campaign instances keep every date window open
 around the shared request timestamp and make every use long enough for
@@ -31,7 +38,7 @@ import functools
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -62,7 +69,7 @@ from .model import (
     SubLicense,
     TimedCount,
 )
-from .rights import candidates, loss, pool_losses, rights
+from .rights import RightsMultiset, candidates, loss, pool_losses, rights
 
 T0 = 1000
 TIMER_MAX = 60
@@ -114,8 +121,7 @@ def color_step(
     lost = losses[decision.license_id]
     if not lost:
         return coloring
-    bound = Counter({request.permission: 1})
-    blanket = len(losses) == 1 or all(other > bound for other in losses.values())
+    blanket = len(losses) == 1 or _all_lossy(losses.values(), request)
     colors = dict(coloring.colors)
     for permission in lost:
         if permission not in colors:
@@ -136,15 +142,34 @@ class CheckResult:
     detail: Optional[dict] = None
 
 
-def _describe_losses(losses: dict[str, Counter]) -> dict:
+def _describe_losses(losses: dict[str, RightsMultiset]) -> dict:
     return {
         lid: sorted((p.action.value, p.content, n) for p, n in lost.items())
         for lid, lost in losses.items()
     }
 
 
+def oracle_losses(state: AgentState, request: Request) -> dict[str, RightsMultiset]:
+    """{candidate id: loss}, found by ``candidates`` and priced by ``loss``: the checks' oracle."""
+    return {lid: loss(state, lid, request) for lid in candidates(state, request)}
+
+
+def _all_lossy(losses: Iterable[RightsMultiset], request: Request) -> bool:
+    """Every loss takes more than the one requested occurrence with it."""
+    bound = Counter({request.permission: 1})
+    return all(lost > bound for lost in losses)
+
+
+def _stray_choice(decision: AllocationDecision, losses: dict[str, RightsMultiset]) -> Optional[CheckResult]:
+    """The failure of a choice that names no candidate, or None."""
+    if isinstance(decision, Chosen) and decision.license_id not in losses:
+        detail = {"chosen": decision.license_id, "candidates": list(losses)}
+        return CheckResult(False, "not_a_candidate", detail=detail)
+    return None
+
+
 def check_selection_soundness(
-    state: AgentState, request: Request, decision: AllocationDecision
+    state: AgentState, request: Request, decision: AllocationDecision, losses: dict[str, RightsMultiset]
 ) -> CheckResult:
     """Every decision is covered by one of the three harmless cases.
 
@@ -152,75 +177,61 @@ def check_selection_soundness(
     prompted because every candidate loses extra rights, or the chosen
     license loses at most one occurrence of the requested permission.
     """
-    pool = candidates(state, request)
-    if not pool:
+    if not losses:
         if isinstance(decision, NoMatch):
             return CheckResult(True, "no_candidates", vacuous=True)
         return CheckResult(False, "no_candidates", detail={"decision": repr(decision)})
     if isinstance(decision, NoMatch):
-        return CheckResult(False, "missed_candidates", detail={"candidates": pool})
-    if len(pool) == 1:
-        ok = isinstance(decision, Chosen) and decision.license_id == pool[0]
-        return CheckResult(ok, "single_candidate", detail=None if ok else {"candidates": pool})
-    prompted = isinstance(decision, PromptRequired) or (
-        isinstance(decision, Chosen) and decision.via_prompt
-    )
-    bound = Counter({request.permission: 1})
-    if prompted:
-        losses = {lid: loss(state, lid, request) for lid in pool}
-        if all(lost > bound for lost in losses.values()):
-            return CheckResult(True, "prompted_all_lossy")
-        return CheckResult(False, "prompted_all_lossy", detail={"losses": _describe_losses(losses)})
-    assert isinstance(decision, Chosen)
-    if loss(state, decision.license_id, request) <= bound:
-        return CheckResult(True, "loss_bounded")
-    losses = {lid: loss(state, lid, request) for lid in pool}
-    return CheckResult(
-        False,
-        "loss_bounded",
-        detail={"chosen": decision.license_id, "losses": _describe_losses(losses)},
-    )
+        return CheckResult(False, "missed_candidates", detail={"candidates": list(losses)})
+    if (stray := _stray_choice(decision, losses)) is not None:
+        return stray
+    if len(losses) == 1:
+        ok = isinstance(decision, Chosen)
+        return CheckResult(ok, "single_candidate", detail=None if ok else {"candidates": list(losses)})
+    if isinstance(decision, PromptRequired) or decision.via_prompt:
+        ok = _all_lossy(losses.values(), request)
+        detail = None if ok else {"losses": _describe_losses(losses)}
+        return CheckResult(ok, "prompted_all_lossy", detail=detail)
+    # A nonempty loss always holds the requested permission, so a loss of at
+    # most its one occurrence is exactly a loss that is not lossy.
+    ok = not _all_lossy([losses[decision.license_id]], request)
+    detail = None if ok else {"chosen": decision.license_id, "losses": _describe_losses(losses)}
+    return CheckResult(ok, "loss_bounded", detail=detail)
 
 
 def check_weak_minimal_loss(
-    state: AgentState, request: Request, decision: AllocationDecision
+    state: AgentState, request: Request, decision: AllocationDecision, losses: dict[str, RightsMultiset]
 ) -> CheckResult:
     """When a loss is avoidable, the chosen license maximises the remnants."""
-    pool = candidates(state, request)
-    if not pool:
+    if not losses:
         return CheckResult(True, "no_candidates", vacuous=True)
     if isinstance(decision, PromptRequired):
         return CheckResult(True, "prompt_unresolved", vacuous=True)
-    losses = {lid: loss(state, lid, request) for lid in pool}
-    bound = Counter({request.permission: 1})
-    if all(lost > bound for lost in losses.values()):
+    if (stray := _stray_choice(decision, losses)) is not None:
+        return stray
+    if _all_lossy(losses.values(), request):
         return CheckResult(True, "loss_inevitable", vacuous=True)
     if not isinstance(decision, Chosen):
         return CheckResult(False, "dominance", detail={"decision": repr(decision)})
     # Every loss is part of the same base, so the chosen remnants contain a
     # candidate's exactly when the chosen loss is contained in that one's.
     chosen = losses[decision.license_id]
-    dominated = [lid for lid in pool if not chosen <= losses[lid]]
+    dominated = [lid for lid, lost in losses.items() if not chosen <= lost]
     if not dominated:
         return CheckResult(True, "dominance")
-    return CheckResult(
-        False,
-        "dominance",
-        detail={
-            "chosen": decision.license_id,
-            "not_dominated": dominated,
-            "losses": _describe_losses(losses),
-        },
-    )
+    described = _describe_losses(losses)
+    detail = {"chosen": decision.license_id, "not_dominated": dominated, "losses": described}
+    return CheckResult(False, "dominance", detail=detail)
 
 
 def check_pair_discipline(
-    state: AgentState, request: Request, decision: AllocationDecision
+    state: AgentState, request: Request, decision: AllocationDecision, losses: dict[str, RightsMultiset]
 ) -> CheckResult:
     """A ranked (non-prompted, non-forced) choice never targets a once+complex node."""
-    pool = candidates(state, request)
-    if len(pool) < 2 or not isinstance(decision, Chosen) or decision.via_prompt:
+    if len(losses) < 2 or not isinstance(decision, Chosen) or decision.via_prompt:
         return CheckResult(True, "pair_discipline", vacuous=True)
+    if (stray := _stray_choice(decision, losses)) is not None:
+        return stray
     sl_label = sublicense_label(state, decision.license_id, decision.sublicense_id)
     cp_lbl = cp_label(state, decision.license_id, decision.sublicense_id, decision.cp_id)
     ok = not sl_label.depleting_and_complex and not cp_lbl.depleting_and_complex
@@ -229,7 +240,9 @@ def check_pair_discipline(
     )
 
 
-CHECKS: dict[str, Callable[[AgentState, Request, AllocationDecision], CheckResult]] = {
+CHECKS: dict[
+    str, Callable[[AgentState, Request, AllocationDecision, dict[str, RightsMultiset]], CheckResult]
+] = {
     "soundness": check_selection_soundness,
     "minimal_loss": check_weak_minimal_loss,
     "pair_discipline": check_pair_discipline,
@@ -256,16 +269,7 @@ class GeneratorCaps:
                 raise ValueError(f"generator cap {name} must be >= 1, got {value}")
 
     def to_json(self) -> dict:
-        return {
-            "max_licenses": self.max_licenses,
-            "max_sublicenses": self.max_sublicenses,
-            "max_cps": self.max_cps,
-            "max_permissions": self.max_permissions,
-            "max_count": self.max_count,
-            "max_requests": self.max_requests,
-            "actions": self.actions,
-            "contents": self.contents,
-        }
+        return asdict(self)
 
 
 PROFILES = ("general", "many_only", "depleting")
@@ -421,16 +425,18 @@ def run_trial(
 ) -> list[tuple[int, str, CheckResult]]:
     """Run the document's request script, checking every decision.
 
-    Returns (step, check name, result) triples.  Prompts are resolved with
-    the deterministic minimum-loss chooser to keep the trial going, but the
-    checks see the unresolved decision.
+    Returns (step, check name, result) triples.  The checks of a decision
+    share its ``oracle_losses``.  Prompts are resolved with the deterministic
+    minimum-loss chooser to keep the trial going, but the checks see the
+    unresolved decision.
     """
     state = initial_state(doc.licenses)
     results = []
     for step, request in enumerate(doc.requests):
         decision = allocate(state, request, algorithm=algorithm)
+        losses = oracle_losses(state, request) if checks else {}
         for name in checks:
-            results.append((step, name, CHECKS[name](state, request, decision)))
+            results.append((step, name, CHECKS[name](state, request, decision, losses)))
         if isinstance(decision, PromptRequired):
             decision = decision.choose(min_loss_chooser(request, decision.candidates, decision.losses))
         if isinstance(decision, Chosen):
@@ -451,12 +457,10 @@ def shrink_document(
     def try_variant(variant: Optional[CorpusDocument]) -> bool:
         nonlocal attempts, doc
         attempts += 1
-        if variant is None:
+        if variant is None or not still_fails(variant):
             return False
-        if still_fails(variant):
-            doc = variant
-            return True
-        return False
+        doc = variant
+        return True
 
     def without_license(i: int) -> Optional[CorpusDocument]:
         if len(doc.licenses) <= 1:
@@ -519,14 +523,7 @@ class Counterexample:
     detail: Optional[dict] = None
 
     def to_json(self) -> dict:
-        return {
-            "trial": self.trial,
-            "step": self.step,
-            "check": self.check,
-            "case": self.case,
-            "document": self.document,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
     @classmethod
     def of(
@@ -715,8 +712,8 @@ def run_bounded_liveness(
 
     The schedules are 1-fair: every round requests each initially available
     permission once, in any order, and there is one round more than the most
-    hosts any permission has.  After every step, any permission with no valid
-    host left must already be black.  The search is depth-first over the
+    cps granting any one permission.  After every step, any permission with
+    no valid host left must already be black.  The search is depth-first over the
     permissions still due this round, tried in sorted order, so a failure is
     the lexicographically first failing schedule, cut at its failing step.
 
@@ -741,10 +738,10 @@ def run_bounded_liveness(
     support = tuple(sorted(rights(state0, at)))
     if not support:
         return LivenessResult(passed=True, states=0)
-    hosts = Counter(
+    granting = Counter(
         p for lic in licenses for sl in lic.sublicenses for cp in sl.cps for p in set(cp.permissions)
     )
-    rounds = max(hosts[p] for p in support) + 1
+    rounds = max(granting[p] for p in support) + 1
     requests = {
         p: Request(p.action, p.content, at=at, usage_duration=USAGE_DURATION) for p in support
     }

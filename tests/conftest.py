@@ -139,13 +139,13 @@ def fair_family(licenses, at=T0) -> tuple[list, int]:
     """Support and round count of the bounded 1-fair schedules of ``licenses``.
 
     Every round requests each initially available permission once; there is
-    one round more than the most hosts any permission has.
+    one round more than the most cps granting any one permission.
     """
     support = sorted(brute_force_rights(initial_state(licenses), at))
-    hosts = Counter(
+    granting = Counter(
         p for lic in licenses for sl in lic.sublicenses for cp in sl.cps for p in set(cp.permissions)
     )
-    return support, max((hosts[p] for p in support), default=0) + 1
+    return support, max((granting[p] for p in support), default=0) + 1
 
 
 def replay_fair_schedule(licenses, algorithm, schedule, at=T0):

@@ -148,6 +148,17 @@ def test_a_decision_carries_every_candidate_of_its_pool(all_lossy_state, deadlin
     picked = prompt.choose("license-2")
     assert picked == Chosen("license-2", "sl-1", "cp-1", via_prompt=True)
     assert picked.pool is prompt.pool
+
+
+def test_decisions_of_every_kind_hash(all_lossy_state, deadline_state, play_a):
+    """A prompt hashes without its losses, which still take part in equality."""
+    request = Request(Action.PLAY, "song-a", at=REQUEST_AT)
+    prompt = proposed_allocate(all_lossy_state, request)
+    again = proposed_allocate(all_lossy_state, request)
+    assert isinstance(prompt, PromptRequired) and prompt == again and hash(prompt) == hash(again)
+    assert prompt != PromptRequired(prompt.candidates, {})
+    chosen = proposed_allocate(deadline_state, play_a)
+    assert {chosen, prompt, again, NoMatch()} == {chosen, prompt, NoMatch()}
     with pytest.raises(ChooserContractError):
         prompt.choose("license-99")
 

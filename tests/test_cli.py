@@ -306,6 +306,10 @@ class TestVerify:
         assert main(["verify", "--checks", "neutrality", "--trials", "100"]) == 0
         assert main(["verify", "--checks", "liveness", "--trials", "20"]) == 0
 
+    def test_pair_discipline_check(self, capsys):
+        assert main(["verify", "--checks", "pair_discipline", "--trials", "20"]) == 0
+        assert "pair_discipline: 60 passed (20 vacuous), 0 failed" in capsys.readouterr().out
+
     def test_unknown_check_exits_1(self, capsys):
         assert main(["verify", "--checks", "vibes"]) == 1
 

@@ -40,6 +40,7 @@ from licalloc.verify import (
     color_step,
     conforms_to_depletion_assumption,
     fuzz_campaign,
+    oracle_losses,
     run_bounded_liveness,
     run_liveness_campaign,
     run_neutrality_campaign,
@@ -51,6 +52,11 @@ from conftest import brute_force_liveness, fair_family, perm, replay_fair_schedu
 
 # The rights module; the name ``rights`` is bound to its function.
 rights_module = importlib.import_module("licalloc.rights")
+
+
+def judge(check, state, request, decision):
+    """The verdict of ``check`` on the decision, given the oracle ``run_trial`` builds."""
+    return check(state, request, decision, oracle_losses(state, request))
 
 
 class TestColoring:
@@ -92,13 +98,13 @@ class TestColoring:
 class TestSelectionSoundness:
     def test_baseline_fails_on_deadline_fixture(self, deadline_state, play_a):
         decision = oma_allocate(deadline_state, play_a)
-        result = check_selection_soundness(deadline_state, play_a, decision)
+        result = judge(check_selection_soundness, deadline_state, play_a, decision)
         assert not result.passed
         assert result.case == "loss_bounded"
 
     def test_filtered_passes_on_deadline_fixture(self, deadline_state, play_a):
         decision = proposed_allocate(deadline_state, play_a)
-        result = check_selection_soundness(deadline_state, play_a, decision)
+        result = judge(check_selection_soundness, deadline_state, play_a, decision)
         assert result.passed
 
     def test_single_candidate_passes(self):
@@ -108,44 +114,44 @@ class TestSelectionSoundness:
         state = initial_state(licenses)
         request = Request(Action.PLAY, "a", at=0)
         decision = proposed_allocate(state, request)
-        result = check_selection_soundness(state, request, decision)
+        result = judge(check_selection_soundness, state, request, decision)
         assert result.passed and result.case == "single_candidate"
 
     def test_prompt_with_all_lossy_passes(self, all_lossy_state):
         request = Request(Action.PLAY, "song-a", at=REQUEST_AT)
         decision = proposed_allocate(all_lossy_state, request)
         assert isinstance(decision, PromptRequired)
-        result = check_selection_soundness(all_lossy_state, request, decision)
+        result = judge(check_selection_soundness, all_lossy_state, request, decision)
         assert result.passed and result.case == "prompted_all_lossy"
 
     def test_resolved_prompt_still_counts_as_prompt(self, all_lossy_state):
         request = Request(Action.PLAY, "song-a", at=REQUEST_AT)
         decision = proposed_allocate(all_lossy_state, request, chooser=min_loss_chooser)
-        result = check_selection_soundness(all_lossy_state, request, decision)
+        result = judge(check_selection_soundness, all_lossy_state, request, decision)
         assert result.passed and result.case == "prompted_all_lossy"
 
 
 class TestWeakMinimalLoss:
     def test_filtered_choice_dominates(self, deadline_state, play_a):
         decision = proposed_allocate(deadline_state, play_a)
-        assert check_weak_minimal_loss(deadline_state, play_a, decision).passed
+        assert judge(check_weak_minimal_loss, deadline_state, play_a, decision).passed
 
     def test_baseline_choice_fails_dominance(self, deadline_state, play_a):
         decision = oma_allocate(deadline_state, play_a)
-        result = check_weak_minimal_loss(deadline_state, play_a, decision)
+        result = judge(check_weak_minimal_loss, deadline_state, play_a, decision)
         assert not result.passed
 
     def test_vacuous_without_candidates(self, deadline_state):
         request = Request(Action.PLAY, "song-z", at=REQUEST_AT)
         from licalloc.allocate import NoMatch
 
-        result = check_weak_minimal_loss(deadline_state, request, NoMatch())
+        result = judge(check_weak_minimal_loss, deadline_state, request, NoMatch())
         assert result.passed and result.vacuous
 
     def test_vacuous_when_loss_inevitable(self, all_lossy_state):
         request = Request(Action.PLAY, "song-a", at=REQUEST_AT)
         decision = proposed_allocate(all_lossy_state, request, chooser=min_loss_chooser)
-        result = check_weak_minimal_loss(all_lossy_state, request, decision)
+        result = judge(check_weak_minimal_loss, all_lossy_state, request, decision)
         assert result.passed and result.vacuous
 
     def test_three_license_instance_requires_the_harmless_one(self):
@@ -161,10 +167,17 @@ class TestWeakMinimalLoss:
         request = Request(Action.PLAY, "x", at=0)
         for lid in ("lic-a", "lic-b", "lic-c"):
             sl_id, cp_id = select_target(state, lid, request)
-            verdict = check_weak_minimal_loss(state, request, Chosen(lid, sl_id, cp_id))
+            verdict = judge(check_weak_minimal_loss, state, request, Chosen(lid, sl_id, cp_id))
             assert verdict.passed == (lid == "lic-c")
         chosen = proposed_allocate(state, request)
         assert chosen.license_id == "lic-c"
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_choice_of_a_non_candidate_fails(name, deadline_state, play_a):
+    result = judge(CHECKS[name], deadline_state, play_a, Chosen("nope", "sl-1", "cp-1"))
+    assert (result.passed, result.case) == (False, "not_a_candidate")
+    assert result.detail == {"chosen": "nope", "candidates": ["license-1", "license-2"]}
 
 
 class TestBoundedLiveness:
@@ -497,7 +510,7 @@ class TestEachPoolIsPricedOnce:
         decision = proposed_allocate(all_lossy_state, self.request)
         assert isinstance(decision, PromptRequired)
         counts.clear()
-        assert check_selection_soundness(all_lossy_state, self.request, decision).passed
+        assert judge(check_selection_soundness, all_lossy_state, self.request, decision).passed
         assert counts["consume"] == 0 and counts["rights"] <= 1
 
     def test_cli_allocate_on_a_prompt(self, tmp_path, counts, capsys):
@@ -518,3 +531,30 @@ class TestEachPoolIsPricedOnce:
         doc = CorpusDocument(all_lossy_licenses(), [self.request])
         assert run_trial(doc, "proposed", []) == []
         assert counts["consume"] == 1
+
+
+@pytest.mark.parametrize("checks", [tuple(CHECKS), ("soundness",)], ids=["all", "soundness"])
+def test_each_checked_decision_builds_one_oracle(checks, monkeypatch):
+    """One ``candidates`` walk per checked decision, one ``loss`` per candidate it found."""
+    calls = Counter()
+    walk, price = rights_module.candidates, rights_module.loss
+
+    def candidates(*args):
+        pool = walk(*args)
+        calls["candidates"] += 1
+        calls["candidates_found"] += len(pool)
+        return pool
+
+    def loss(*args):
+        calls["loss"] += 1
+        return price(*args)
+
+    for loaded_name, module in list(sys.modules.items()):
+        if loaded_name.startswith("licalloc"):
+            for original, counted in ((walk, candidates), (price, loss)):
+                if getattr(module, original.__name__, None) is original:
+                    monkeypatch.setattr(module, original.__name__, counted)
+    report = fuzz_campaign(InstanceGenerator(GeneratorCaps(), seed=100), 200, checks)
+    assert not report.failed
+    assert calls["candidates"] == report.decisions_checked // len(checks)
+    assert calls["loss"] == calls["candidates_found"] > 0
