@@ -36,7 +36,6 @@ from .labels import (
     Label,
     Times,
     cp_label,
-    label_cp,
     state_labels,
     sublicense_label,
 )

@@ -378,6 +378,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if not checks:
+        return _fail(f"--checks names no check: {args.checks!r}", EXIT_LOAD)
     unknown = set(checks) - {*CHECKS, "neutrality", "liveness"}
     if unknown:
         return _fail(f"unknown checks: {sorted(unknown)}", EXIT_LOAD)

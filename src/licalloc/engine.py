@@ -125,13 +125,13 @@ def initial_state(licenses: LicenseSet) -> AgentState:
     return AgentState(licenses=licenses, cstate=cstate)
 
 
-def cp_valid(state: AgentState, license_id: str, sublicense_id: str, cp_id: str, at: Timestamp) -> bool:
+def cp_valid(
+    state: AgentState, license_id: str, sublicense: SubLicense, cp: ConstraintPermissionSet, at: Timestamp
+) -> bool:
     """True iff the full governing conjunction (sublicense and cp level) holds."""
-    sl = state.sublicense(license_id, sublicense_id)
-    if not constraints_hold(sl.constraints, state.sublicense_states(license_id, sublicense_id), at):
-        return False
-    cp = sl.cp(cp_id)
-    return constraints_hold(cp.constraints, state.cp_states(license_id, sublicense_id, cp_id), at)
+    return constraints_hold(
+        sublicense.constraints, state.sublicense_states(license_id, sublicense.id), at
+    ) and constraints_hold(cp.constraints, state.cp_states(license_id, sublicense.id, cp.id), at)
 
 
 class Depletion(enum.Enum):
@@ -167,10 +167,7 @@ def _checked_target(
         raise InvalidTargetError(
             f"cp {cp_id!r} of {license_id}/{sublicense_id} grants no permission matching the request"
         )
-    if not (
-        constraints_hold(sl.constraints, state.sublicense_states(license_id, sublicense_id), request.at)
-        and constraints_hold(cp.constraints, state.cp_states(license_id, sublicense_id, cp_id), request.at)
-    ):
+    if not cp_valid(state, license_id, sl, cp, request.at):
         raise InvalidTargetError(
             f"constraints of {license_id}/{sublicense_id}/{cp_id} do not hold at t={request.at}"
         )

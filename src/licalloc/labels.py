@@ -101,14 +101,14 @@ def _node_depleted(states: Sequence[ConstraintState]) -> bool:
     return any(s.depleted for s in states)
 
 
-def label_cp(cp: ConstraintPermissionSet, cp_states: Sequence[ConstraintState]) -> Label:
+def cp_label(cp: ConstraintPermissionSet, cp_states: Sequence[ConstraintState]) -> Label:
     """Label of a constraint-permission set under the given constraint states."""
     complexity = Complexity.SIMPLE if len(cp.permissions) == 1 else Complexity.COMPLEX
     times = Times.ONCE if _next_use_depletes(cp_states) else Times.MANY
     return Label(complexity, times, dominant_constraint(cp.constraints))
 
 
-def label_sublicense(
+def sublicense_label(
     sl: SubLicense,
     sl_states: Sequence[ConstraintState],
     cp_states: Sequence[Sequence[ConstraintState]],
@@ -124,33 +124,17 @@ def label_sublicense(
     return Label(complexity, times, dominant_constraint(sl.constraints))
 
 
-def cp_label(state: AgentState, license_id: str, sublicense_id: str, cp_id: str) -> Label:
-    return label_cp(
-        state.cp(license_id, sublicense_id, cp_id),
-        state.cp_states(license_id, sublicense_id, cp_id),
-    )
-
-
-def sublicense_label(state: AgentState, license_id: str, sublicense_id: str) -> Label:
-    sl = state.sublicense(license_id, sublicense_id)
-    return label_sublicense(
-        sl,
-        state.sublicense_states(license_id, sublicense_id),
-        [state.cp_states(license_id, sublicense_id, cp.id) for cp in sl.cps],
-    )
-
-
 def state_labels(state: AgentState) -> dict[NodeKey, Label]:
     """Current labels of every sublicense and cp, keyed by (lid, slid, cpid|None)."""
     out: dict[NodeKey, Label] = {}
     for lic in state.licenses:
         for sl in lic.sublicenses:
             cp_states = [state.cp_states(lic.id, sl.id, cp.id) for cp in sl.cps]
-            out[(lic.id, sl.id, None)] = label_sublicense(
+            out[(lic.id, sl.id, None)] = sublicense_label(
                 sl, state.sublicense_states(lic.id, sl.id), cp_states
             )
             for cp, states in zip(sl.cps, cp_states):
-                out[(lic.id, sl.id, cp.id)] = label_cp(cp, states)
+                out[(lic.id, sl.id, cp.id)] = cp_label(cp, states)
     return out
 
 

@@ -4,16 +4,16 @@
 measures availability, not remaining charges (a cp with ten charges left
 contributes each of its permissions once).
 
-Target resolution is one walk of a license (``_resolve``), which also labels
-both target nodes.  The ``verify`` checks do not trust the allocator they
-check: their oracle, built once per decision, maps each license id that
+Target resolution is one walk of a license (``select_target``), which also
+labels both target nodes.  The ``verify`` checks do not trust the allocator
+they check: their oracle, built once per decision, maps each license id that
 ``candidates`` finds to its ``loss``.  ``resolve_candidates`` and
 ``candidates`` walk only the hosts of the requested permission:
 ``LicenseSet.hosts`` reads them from a flat ``{Permission: (host licenses in
 declaration order)}`` index that the set builds on first use, in one pass
-over its tree.  Within a host, ``_resolve`` skips a sublicense with no cp
-granting the permission before it reads any state, so only sublicenses that
-could serve the request are read and labelled.  Hosts keep declaration
+over its tree.  Within a host, ``select_target`` skips a sublicense with no
+cp granting the permission before it reads any state, so only sublicenses
+that could serve the request are read and labelled.  Hosts keep declaration
 order, so every tie-break is the one a walk of every license would make.
 
 Loss is measured at the instant of the request.  There a consume changes what
@@ -34,7 +34,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .engine import AgentState, Depletion, constraints_hold, is_depleting
 from .errors import NotFoundError
-from .labels import Label, label_cp, label_sort_key, label_sublicense
+from .labels import Label, cp_label, label_sort_key, sublicense_label
 from .model import ConstraintPermissionSet, License, Permission, Request, SubLicense, Timestamp
 
 RightsMultiset = Counter  # Permission -> multiplicity
@@ -66,7 +66,7 @@ class Resolved(NamedTuple):
         return self.sublicense.id, self.cp.id
 
 
-def _resolve(
+def select_target(
     state: AgentState, lic: License, request: Request, permission: Permission
 ) -> Optional[Resolved]:
     """The target a selection of this license would consume, or None if it has none.
@@ -92,11 +92,11 @@ def _resolve(
             if constraints_hold(sl.cps[i].constraints, cp_states[i], request.at)
         ]
         if matching:
-            options.append((label_sublicense(sl, sl_states, cp_states), sl, matching))
+            options.append((sublicense_label(sl, sl_states, cp_states), sl, matching))
     if not options:
         return None
     sl_label, sl, matching = min(options, key=lambda option: label_sort_key(option[0]))
-    labelled = ((cp, label_cp(cp, states)) for cp, states in matching)
+    labelled = ((cp, cp_label(cp, states)) for cp, states in matching)
     cp, cp_lbl = min(labelled, key=lambda pair: label_sort_key(pair[1]))
     return Resolved(sl, cp, sl_label, cp_lbl)
 
@@ -107,7 +107,8 @@ def resolve_candidates(state: AgentState, request: Request) -> dict[str, Resolve
     Only the licenses that host the requested permission are walked.
     """
     permission = request.permission
-    pool = ((lic.id, _resolve(state, lic, request, permission)) for lic in state.licenses.hosts(permission))
+    hosts = state.licenses.hosts(permission)
+    pool = ((lic.id, select_target(state, lic, request, permission)) for lic in hosts)
     return {lid: resolved for lid, resolved in pool if resolved is not None}
 
 
@@ -119,14 +120,6 @@ def candidates(state: AgentState, request: Request) -> list[str]:
         for lic in state.licenses.hosts(permission)
         if any(permission in cp.permissions for _, cp in _valid_pairs(state, lic, request.at))
     ]
-
-
-def select_target(state: AgentState, license_id: str, request: Request) -> Target:
-    """(sublicense id, cp id) a selection of this license would consume (see ``_resolve``)."""
-    resolved = _resolve(state, state.license(license_id), request, request.permission)
-    if resolved is None:
-        raise NotFoundError(f"license {license_id!r} has no valid permission matching the request")
-    return resolved.target
 
 
 def rights(state: AgentState, at: Timestamp) -> RightsMultiset:
@@ -158,7 +151,10 @@ def _target_loss(
 
 def loss(state: AgentState, license_id: str, request: Request) -> RightsMultiset:
     """Rights that satisfying the request via this license makes unavailable."""
-    return _target_loss(state, license_id, select_target(state, license_id, request), request)
+    resolved = select_target(state, state.license(license_id), request, request.permission)
+    if resolved is None:
+        raise NotFoundError(f"license {license_id!r} has no valid permission matching the request")
+    return _target_loss(state, license_id, resolved.target, request)
 
 
 def remnants(state: AgentState, license_id: str, request: Request) -> RightsMultiset:

@@ -55,7 +55,7 @@ from .allocate import (
 from .corpus import CorpusDocument, document_to_json
 from .engine import AgentState, consume, initial_state
 from .errors import AssumptionViolation
-from .labels import Times, cp_label, label_cp, label_sublicense, state_labels, sublicense_label
+from .labels import Times, state_labels
 from .model import (
     CP,
     Action,
@@ -232,8 +232,9 @@ def check_pair_discipline(
         return CheckResult(True, "pair_discipline", vacuous=True)
     if (stray := _stray_choice(decision, losses)) is not None:
         return stray
-    sl_label = sublicense_label(state, decision.license_id, decision.sublicense_id)
-    cp_lbl = cp_label(state, decision.license_id, decision.sublicense_id, decision.cp_id)
+    labels = state_labels(state)
+    sl_label = labels[(decision.license_id, decision.sublicense_id, None)]
+    cp_lbl = labels[(decision.license_id, decision.sublicense_id, decision.cp_id)]
     ok = not sl_label.depleting_and_complex and not cp_lbl.depleting_and_complex
     return CheckResult(
         ok, "pair_discipline", detail=None if ok else {"labels": [str(sl_label), str(cp_lbl)]}
@@ -289,6 +290,14 @@ class InstanceGenerator:
     All date windows contain the shared request timestamp and every request
     outlasts every timer, so counter depletion is the only way rights
     disappear.
+
+    Known fault: ``document`` draws its requests from a fresh
+    ``self._rng(index)``, the stream ``licenses(index)`` has just used, so
+    the request count replays the random bits of the license count.  At
+    seed 0 with default caps, 2,394 of 3,000 documents have as many requests
+    as licenses and the other 606 have five.  A fix changes every generated
+    instance and the pinned fuzz digests, so it waits for a benchmark
+    revision.
     """
 
     def __init__(self, caps: GeneratorCaps = GeneratorCaps(), seed: int = 0, profile: str = "general"):
@@ -686,15 +695,13 @@ def run_neutrality_campaign(
 
 def conforms_to_depletion_assumption(state: AgentState) -> bool:
     """Every node burns on use: a many-labeled sublicense only holds once-labeled cps."""
-    for lic in state.licenses:
-        for sl in lic.sublicenses:
-            cp_states = [state.cp_states(lic.id, sl.id, cp.id) for cp in sl.cps]
-            sl_label = label_sublicense(sl, state.sublicense_states(lic.id, sl.id), cp_states)
-            if sl_label.times is Times.MANY and any(
-                label_cp(cp, states).times is not Times.ONCE for cp, states in zip(sl.cps, cp_states)
-            ):
-                return False
-    return True
+    labels = state_labels(state)
+    return all(
+        labels[(lic.id, sl.id, None)].times is not Times.MANY
+        or all(labels[(lic.id, sl.id, cp.id)].times is Times.ONCE for cp in sl.cps)
+        for lic in state.licenses
+        for sl in lic.sublicenses
+    )
 
 
 @dataclass

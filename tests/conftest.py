@@ -11,7 +11,7 @@ from licalloc.cases import (
     mixed_branch_license,
 )
 from licalloc.engine import constraints_hold, consume, initial_state
-from licalloc.labels import label_cp, label_sort_key, label_sublicense
+from licalloc.labels import cp_label, label_sort_key, sublicense_label
 from licalloc.model import Action, License, LicenseSet, Permission, Request, sat_cp
 from licalloc.rights import candidates, select_target
 from licalloc.verify import T0, USAGE_DURATION, Color, Coloring, GeneratorCaps, InstanceGenerator, color_step
@@ -107,9 +107,9 @@ def full_walk_resolution(state, request) -> dict:
         for sl in lic.sublicenses:
             sl_states = state.cstate[(lic.id, sl.id, None)]
             cp_states = [state.cstate[(lic.id, sl.id, cp.id)] for cp in sl.cps]
-            sl_label = label_sublicense(sl, sl_states, cp_states)
+            sl_label = sublicense_label(sl, sl_states, cp_states)
             matching = [
-                (cp, label_cp(cp, states))
+                (cp, cp_label(cp, states))
                 for cp, states in zip(sl.cps, cp_states)
                 if sat_cp(cp, request) and constraints_hold(cp.constraints, states, request.at)
             ]
@@ -122,6 +122,11 @@ def full_walk_resolution(state, request) -> dict:
     return out
 
 
+def target_of(state, license_id, request) -> tuple[str, str]:
+    """(sublicense id, cp id) that ``select_target`` resolves for the license."""
+    return select_target(state, state.license(license_id), request, request.permission).target
+
+
 def brute_force_loss(state, license_id, request) -> Counter:
     """Loss by copy, consume and recount: the oracle ``rights.loss`` is checked against.
 
@@ -130,7 +135,7 @@ def brute_force_loss(state, license_id, request) -> Counter:
     rights are measured at the instant of the request, so both counts are
     taken at ``request.at``.
     """
-    sl_id, cp_id = select_target(state, license_id, request)
+    sl_id, cp_id = target_of(state, license_id, request)
     after = consume(state, license_id, sl_id, cp_id, request)
     return brute_force_rights(state, request.at) - brute_force_rights(after, request.at)
 

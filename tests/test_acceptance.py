@@ -15,7 +15,7 @@ from licalloc.allocate import Chosen, NoMatch, allocate_and_execute, oma_allocat
 from licalloc.cases import REQUEST_AT, all_lossy_licenses, case_studies, mixed_branch_license
 from licalloc.corpus import CorpusDocument, parse_corpus, serialize_corpus
 from licalloc.engine import initial_state
-from licalloc.labels import Complexity, ConstraintName, Label, Times, cp_label, sublicense_label
+from licalloc.labels import Complexity, ConstraintName, Label, Times, state_labels
 from licalloc.model import Action, LicenseSet, Request
 from licalloc.verify import (
     GeneratorCaps,
@@ -137,13 +137,14 @@ def test_labeling_worked_example():
         state = initial_state(LicenseSet([mixed_branch_license()]))
         sl = state.sublicense("license-1", "sl-1")
         assert len(sl.cps) == 2
-        assert sublicense_label(state, "license-1", "sl-1") == Label(
+        labels = state_labels(state)
+        assert labels[("license-1", "sl-1", None)] == Label(
             Complexity.COMPLEX, Times.ONCE, ConstraintName.DATETIME
         )
-        assert cp_label(state, "license-1", "sl-1", "cp-1") == Label(
+        assert labels[("license-1", "sl-1", "cp-1")] == Label(
             Complexity.COMPLEX, Times.MANY, ConstraintName.COUNT
         )
-        assert cp_label(state, "license-1", "sl-1", "cp-2") == Label(
+        assert labels[("license-1", "sl-1", "cp-2")] == Label(
             Complexity.SIMPLE, Times.ONCE, ConstraintName.COUNT
         )
         record["detail"] = "2 cps; labels complex.once.datetime / complex.many.count / simple.once.count"

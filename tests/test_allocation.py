@@ -232,9 +232,9 @@ def test_tiebreak_is_validated_before_any_decision(deadline_state, play_a, all_l
 )
 def test_one_target_resolution_per_candidate(allocator, monkeypatch):
     """A decision walks each host of the requested permission once, in declaration
-    order, only through ``_resolve``, and never walks a license that does not host it."""
+    order, only through ``select_target``, and never walks a license that does not host it."""
     walked = []
-    resolve = rights_module._resolve
+    resolve = rights_module.select_target
 
     def counting_resolve(state, lic, request, permission):
         walked.append(lic.id)
@@ -243,8 +243,8 @@ def test_one_target_resolution_per_candidate(allocator, monkeypatch):
     def second_walk(*args):
         raise AssertionError("the allocator walked a license outside its pool resolution")
 
-    monkeypatch.setattr(rights_module, "_resolve", counting_resolve)
-    for name in ("candidates", "select_target", "_valid_pairs"):
+    monkeypatch.setattr(rights_module, "select_target", counting_resolve)
+    for name in ("candidates", "_valid_pairs"):
         monkeypatch.setattr(rights_module, name, second_walk)
 
     def stranger(lid):

@@ -61,3 +61,17 @@ def test_within_bound_compares_medians_against_the_metric_bound(change, p50_with
     summary = bench_pair.summarize(pairs, {"op_p50_us": "lower", "ops_per_s": "higher"}, BOUNDS)
     assert summary["op_p50_us"]["within_bound"] is p50_within
     assert summary["ops_per_s"]["within_bound"] is ops_within
+
+
+@pytest.mark.parametrize(
+    "base, change, unresolved",
+    [
+        ((100, 101, 99, 100), (130, 70, 100, 110), False),  # base quartiles 0.5 apart: within the bound
+        ((40, 100, 160, 100), (101, 99, 100, 102), True),  # base quartiles 30 apart, past the 25% bound
+        ((40, 100, 160, 100), (30, 35, 38, 20), False),  # every change run beats every base run
+    ],
+)
+def test_a_metric_noisier_than_its_bound_is_unresolved(base, change, unresolved):
+    pairs = [{"seed": s, "first": "base", "base": run(b), "change": run(c)} for s, (b, c) in enumerate(zip(base, change))]
+    summary = bench_pair.summarize(pairs, {"op_p50_us": "lower"}, BOUNDS)
+    assert summary["op_p50_us"]["unresolved"] is unresolved

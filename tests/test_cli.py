@@ -127,13 +127,13 @@ class TestAllocate:
         out = tmp_path / "corpora"
         assert main(["cases", "--dump-corpora", str(out)]) == 0
         walked = []
-        resolve = rights_module._resolve
+        resolve = rights_module.select_target
 
         def counting_resolve(state, lic, request, permission):
             walked.append(lic.id)
             return resolve(state, lic, request, permission)
 
-        monkeypatch.setattr(rights_module, "_resolve", counting_resolve)
+        monkeypatch.setattr(rights_module, "select_target", counting_resolve)
         monkeypatch.setattr("sys.stdin", io.StringIO("1\n"))
         files = sorted(out.glob("*.json"))
         assert len(files) == 5
@@ -232,13 +232,13 @@ class TestSimulate:
         """A step colors from the pool its decision carries instead of resolving it again."""
         assert main(["cases", "--dump-corpora", str(tmp_path)]) == 0
         walked = []
-        resolve = rights_module._resolve
+        resolve = rights_module.select_target
 
         def counting_resolve(state, lic, request, permission):
             walked.append(lic.id)
             return resolve(state, lic, request, permission)
 
-        monkeypatch.setattr(rights_module, "_resolve", counting_resolve)
+        monkeypatch.setattr(rights_module, "select_target", counting_resolve)
         assert main(["simulate", str(tmp_path / "deadline-vs-counter.json")]) == 0
         assert walked == ["license-1", "license-2"]
         capsys.readouterr()
@@ -259,8 +259,22 @@ class TestVerify:
             ["--max-count", "0"],
             ["--max-licenses", "0"],
             ["--checks", "neutrality", "--max-count", "1"],
+            ["--checks", ","],
+            ["--checks", ""],
+            ["--checks", " , "],
+            ["--checks", ",", "--format", "json"],
         ],
-        ids=["trials-0", "trials-negative", "max-count-0", "max-licenses-0", "neutrality-max-count-1"],
+        ids=[
+            "trials-0",
+            "trials-negative",
+            "max-count-0",
+            "max-licenses-0",
+            "neutrality-max-count-1",
+            "checks-comma",
+            "checks-empty",
+            "checks-blank",
+            "checks-comma-json",
+        ],
     )
     def test_bad_campaign_input_exits_1(self, flags, capsys):
         assert main(["verify", *flags]) == 1

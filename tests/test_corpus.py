@@ -15,7 +15,7 @@ from licalloc.corpus import (
     serialize_corpus,
 )
 from licalloc.engine import AgentState, initial_state
-from licalloc.labels import cp_label, sublicense_label
+from licalloc.labels import state_labels
 from licalloc.model import Action, Count, LicenseSet, Request
 
 from conftest import wide_licenses
@@ -69,17 +69,17 @@ def test_parsed_deadline_corpus_structure_and_labels(deadline_doc):
 
 def test_serialized_labels_match_label_module(deadline_doc):
     payload = json.loads(serialize_corpus(deadline_doc))
-    state = initial_state(deadline_doc.licenses)
+    labels = state_labels(initial_state(deadline_doc.licenses))
     for lic in payload["licenses"]:
         for sl in lic["sublicenses"]:
-            computed = sublicense_label(state, lic["id"], sl["id"])
+            computed = labels[(lic["id"], sl["id"], None)]
             assert sl["label"] == {
                 "complexity": computed.complexity.value,
                 "times": computed.times.value,
                 "constraint": computed.constraint.value,
             }
             for cp in sl["cps"]:
-                got = cp_label(state, lic["id"], sl["id"], cp["id"])
+                got = labels[(lic["id"], sl["id"], cp["id"])]
                 assert cp["label"]["times"] == got.times.value
 
 

@@ -92,17 +92,23 @@ def test_constraints_hold_conjunction():
     assert not constraints_hold(cs, states, at=10)
 
 
+def valid(state, license_id, sublicense_id, cp_id, at):
+    """``cp_valid`` of the nodes the ids name."""
+    sl = state.sublicense(license_id, sublicense_id)
+    return cp_valid(state, license_id, sl, sl.cp(cp_id), at)
+
+
 def test_deadline_sublicense_valid_before_month_end(deadline_state):
     from licalloc.cases import REQUEST_AT
 
-    assert cp_valid(deadline_state, "license-1", "sl-1", "cp-1", REQUEST_AT)
+    assert valid(deadline_state, "license-1", "sl-1", "cp-1", REQUEST_AT)
 
 
 class TestConsume:
     def test_depletes_whole_sublicense(self, deadline_state, play_a):
         after = consume(deadline_state, "license-1", "sl-1", "cp-1", play_a)
         # the single charge is gone, so nothing under the sublicense is valid
-        assert not cp_valid(after, "license-1", "sl-1", "cp-1", play_a.at)
+        assert not valid(after, "license-1", "sl-1", "cp-1", play_a.at)
         play_b = Request(Action.PLAY, "song-b", at=play_a.at)
         with pytest.raises(InvalidTargetError):
             consume(after, "license-1", "sl-1", "cp-1", play_b)
@@ -110,7 +116,7 @@ class TestConsume:
     def test_count_decrements_without_depleting(self, deadline_state, play_a):
         after = consume(deadline_state, "license-2", "sl-1", "cp-1", play_a)
         assert after.cstate[("license-2", "sl-1", None)][0].remaining == 9
-        assert cp_valid(after, "license-2", "sl-1", "cp-1", play_a.at)
+        assert valid(after, "license-2", "sl-1", "cp-1", play_a.at)
 
     def test_timed_count_ignores_short_use(self):
         licenses = single_license(cp_constraints=[TimedCount(3, timer=30)])
@@ -177,7 +183,7 @@ class TestIsDepleting:
         request = Request(Action.PLAY, "a", at=0)
         # oracle: simulate the consume and compare validity before/after
         after = consume(state, "l-1", "sl-1", "cp-1", request)
-        assert not cp_valid(after, "l-1", "sl-1", "cp-1", 0)
+        assert not valid(after, "l-1", "sl-1", "cp-1", 0)
         assert constraints_hold(
             state.sublicense("l-1", "sl-1").constraints,
             after.sublicense_states("l-1", "sl-1"),
@@ -222,6 +228,6 @@ def test_sublicense_depletion_matches_post_state(deadline_state, play_a):
     after = consume(deadline_state, "license-1", "sl-1", "cp-1", play_a)
     sl = deadline_state.sublicense("license-1", "sl-1")
     all_dead = all(
-        not cp_valid(after, "license-1", "sl-1", cp.id, play_a.at) for cp in sl.cps
+        not cp_valid(after, "license-1", sl, cp, play_a.at) for cp in sl.cps
     )
     assert (verdict is Depletion.SUBLICENSE_DEPLETES) == all_dead

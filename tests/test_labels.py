@@ -9,9 +9,7 @@ from licalloc.labels import (
     Times,
     cp_label,
     dominant_constraint,
-    label_cp,
     state_labels,
-    sublicense_label,
 )
 from licalloc.model import (
     CP,
@@ -35,14 +33,14 @@ def states_for(constraints):
 
 def test_two_song_single_charge_cp():
     cp = CP("cp", constraints=[Count(1)], permissions=[perm("play", "a"), perm("play", "b")])
-    assert label_cp(cp, states_for(cp.constraints)) == Label(
+    assert cp_label(cp, states_for(cp.constraints)) == Label(
         Complexity.COMPLEX, Times.ONCE, ConstraintName.COUNT
     )
 
 
 def test_unconstrained_print_cp():
     cp = CP("cp", permissions=[perm("print", "c")])
-    assert label_cp(cp, []) == Label(Complexity.SIMPLE, Times.MANY, ConstraintName.TRUE)
+    assert cp_label(cp, []) == Label(Complexity.SIMPLE, Times.MANY, ConstraintName.TRUE)
 
 
 def test_dominant_constraint_prefers_datetime_over_count():
@@ -53,7 +51,7 @@ def test_dominant_constraint_prefers_datetime_over_count():
     )
     # rank check: the dated constraint outranks the counter
     assert dominant_constraint(cp.constraints) is ConstraintName.DATETIME
-    assert label_cp(cp, states_for(cp.constraints)) == Label(
+    assert cp_label(cp, states_for(cp.constraints)) == Label(
         Complexity.SIMPLE, Times.MANY, ConstraintName.DATETIME
     )
 
@@ -62,13 +60,14 @@ def test_mixed_branch_sublicense(mixed_branch_state):
     # two cps, three permissions in total, single dated charge at the top
     sl = mixed_branch_state.sublicense("license-1", "sl-1")
     assert len(sl.cps) == 2
-    assert sublicense_label(mixed_branch_state, "license-1", "sl-1") == Label(
+    labels = state_labels(mixed_branch_state)
+    assert labels[("license-1", "sl-1", None)] == Label(
         Complexity.COMPLEX, Times.ONCE, ConstraintName.DATETIME
     )
-    assert cp_label(mixed_branch_state, "license-1", "sl-1", "cp-1") == Label(
+    assert labels[("license-1", "sl-1", "cp-1")] == Label(
         Complexity.COMPLEX, Times.MANY, ConstraintName.COUNT
     )
-    assert cp_label(mixed_branch_state, "license-1", "sl-1", "cp-2") == Label(
+    assert labels[("license-1", "sl-1", "cp-2")] == Label(
         Complexity.SIMPLE, Times.ONCE, ConstraintName.COUNT
     )
 
@@ -78,7 +77,7 @@ def test_single_permission_sublicense_is_simple():
         [License("l", [SubLicense("sl", cps=[CP("cp", permissions=[perm("play", "a")])])])]
     )
     state = initial_state(licenses)
-    assert sublicense_label(state, "l", "sl") == Label(
+    assert state_labels(state)[("l", "sl", None)] == Label(
         Complexity.SIMPLE, Times.MANY, ConstraintName.TRUE
     )
 
@@ -93,14 +92,14 @@ def test_times_flips_once_after_penultimate_use():
         ]
     )
     state = initial_state(licenses)
-    assert sublicense_label(state, "l", "sl").times is Times.MANY
+    assert state_labels(state)[("l", "sl", None)].times is Times.MANY
     after = consume(state, "l", "sl", "cp", Request(Action.PLAY, "a", at=0))
-    assert sublicense_label(after, "l", "sl").times is Times.ONCE
+    assert state_labels(after)[("l", "sl", None)].times is Times.ONCE
 
 
 def test_timed_count_last_charge_labels_once_pessimistically():
     cp = CP("cp", constraints=[TimedCount(1, timer=60)], permissions=[perm("play", "a")])
-    assert label_cp(cp, states_for(cp.constraints)).times is Times.ONCE
+    assert cp_label(cp, states_for(cp.constraints)).times is Times.ONCE
 
 
 def test_depleted_sibling_shrinks_sublicense_complexity():
@@ -123,9 +122,9 @@ def test_depleted_sibling_shrinks_sublicense_complexity():
         ]
     )
     state = initial_state(licenses)
-    assert sublicense_label(state, "l", "sl").complexity is Complexity.COMPLEX
+    assert state_labels(state)[("l", "sl", None)].complexity is Complexity.COMPLEX
     after = consume(state, "l", "sl", "cp-a", Request(Action.PLAY, "a", at=0))
-    assert sublicense_label(after, "l", "sl").complexity is Complexity.SIMPLE
+    assert state_labels(after)[("l", "sl", None)].complexity is Complexity.SIMPLE
 
 
 def test_relabelling_is_idempotent(deadline_state, play_a):
@@ -167,7 +166,7 @@ def cps(draw):
 
 @given(cps())
 def test_cp_complexity_tracks_permission_count(cp):
-    label = label_cp(cp, states_for(cp.constraints))
+    label = cp_label(cp, states_for(cp.constraints))
     assert (label.complexity is Complexity.SIMPLE) == (len(cp.permissions) == 1)
     assert (label.constraint is ConstraintName.TRUE) == (not cp.constraints)
 
@@ -176,7 +175,7 @@ def test_cp_complexity_tracks_permission_count(cp):
 def test_once_label_predicts_depletion(cp):
     licenses = LicenseSet([License("l", [SubLicense("sl", cps=[cp])])])
     state = initial_state(licenses)
-    label = cp_label(state, "l", "sl", "cp")
+    label = state_labels(state)[("l", "sl", "cp")]
     p = cp.permissions[0]
     # long uses make the pessimistic times label exact
     request = Request(p.action, p.content, at=100, usage_duration=10_000)

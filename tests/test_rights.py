@@ -10,7 +10,7 @@ from licalloc.allocate import PromptRequired, allocate_and_execute, min_loss_cho
 from licalloc.cases import REQUEST_AT, all_lossy_licenses, case_studies
 from licalloc.engine import AgentState, Depletion, consume, initial_state, is_depleting
 from licalloc.errors import NotFoundError
-from licalloc.labels import Times, cp_label, label_sublicense
+from licalloc.labels import Times, state_labels, sublicense_label
 from licalloc.model import (
     CP,
     Action,
@@ -28,7 +28,6 @@ from licalloc.rights import (
     remnants,
     resolve_candidates,
     rights,
-    select_target,
 )
 from licalloc.verify import T0, TIMER_MAX, GeneratorCaps, InstanceGenerator
 
@@ -38,6 +37,7 @@ from conftest import (
     full_walk_candidates,
     full_walk_resolution,
     perm,
+    target_of,
     wide_licenses,
 )
 
@@ -190,10 +190,10 @@ def test_resolution_reads_only_sublicenses_granting_the_request(monkeypatch):
 
     def labelling(sl, sl_states, cp_states):
         labelled.add(id(sl))
-        return label_sublicense(sl, sl_states, cp_states)
+        return sublicense_label(sl, sl_states, cp_states)
 
     monkeypatch.setattr(AgentState, "sublicense_states", reading)
-    monkeypatch.setattr(rights_module, "label_sublicense", labelling)
+    monkeypatch.setattr(rights_module, "sublicense_label", labelling)
     installed = sorted({p for lic in licenses for sl in lic.sublicenses for cp in sl.cps for p in cp.permissions})
     for p in installed:
         request = Request(p.action, p.content, at=T0)
@@ -211,7 +211,7 @@ def test_find_matching_cp_in_two_cp_sublicense():
 
     licenses = case_studies()[1].licenses
     state = initial_state(licenses)
-    assert select_target(state, "license-1", request) == ("sl-1", "cp-play")
+    assert target_of(state, "license-1", request) == ("sl-1", "cp-play")
     cp = state.cp("license-1", "sl-1", "cp-play")
     assert any(p == perm("play", "content-2") for p in cp.permissions)
 
@@ -239,9 +239,9 @@ def test_find_matching_prefers_surviving_cp():
     surviving = [
         cp.id
         for cp in state.sublicense("l", "sl").cps
-        if cp_label(state, "l", "sl", cp.id).times is Times.MANY
+        if state_labels(state)[("l", "sl", cp.id)].times is Times.MANY
     ]
-    sl_id, cp_id = select_target(state, "l", request)
+    sl_id, cp_id = target_of(state, "l", request)
     assert sl_id == "sl"
     assert [cp_id] == surviving == ["cp-many"]
 
@@ -252,20 +252,20 @@ def test_select_target_prefers_surviving_sublicense_then_declaration_order():
 
     request = Request(Action.PLAY, "a", at=0)
     ranked = initial_state(LicenseSet([License("l", [sublicense("sl-once", 1), sublicense("sl-many", 5)])]))
-    assert select_target(ranked, "l", request) == ("sl-many", "cp")
+    assert target_of(ranked, "l", request) == ("sl-many", "cp")
     tied = initial_state(LicenseSet([License("l", [sublicense("sl-1", 5), sublicense("sl-2", 5)])]))
-    assert select_target(tied, "l", request) == ("sl-1", "cp")
+    assert target_of(tied, "l", request) == ("sl-1", "cp")
 
 
 def test_find_matching_single_cp(deadline_state, play_a):
-    assert select_target(deadline_state, "license-1", play_a) == ("sl-1", "cp-1")
+    assert target_of(deadline_state, "license-1", play_a) == ("sl-1", "cp-1")
 
 
 def test_find_matching_requires_a_match(deadline_state):
     with pytest.raises(NotFoundError):
-        select_target(deadline_state, "license-1", Request(Action.PLAY, "song-z", at=0))
+        loss(deadline_state, "license-1", Request(Action.PLAY, "song-z", at=0))
     with pytest.raises(NotFoundError):
-        select_target(deadline_state, "license-2", Request(Action.PLAY, "song-b", at=0))
+        loss(deadline_state, "license-2", Request(Action.PLAY, "song-b", at=0))
 
 
 counts = st.one_of(st.none(), st.integers(1, 3))
@@ -319,7 +319,7 @@ def test_selected_target_always_satisfies_the_request(licenses, content):
     state = initial_state(licenses)
     request = Request(Action.PLAY, content, at=0)
     for lid in candidates(state, request):
-        sl_id, cp_id = select_target(state, lid, request)
+        sl_id, cp_id = target_of(state, lid, request)
         assert sat_cp(state.cp(lid, sl_id, cp_id), request)
 
 
@@ -363,7 +363,7 @@ def test_local_loss_matches_copy_consume_recount():
                 if not pool:
                     continue
                 base = brute_force_rights(state, at)
-                targets = {lid: select_target(state, lid, request) for lid in pool}
+                targets = {lid: target_of(state, lid, request) for lid in pool}
                 expected = {lid: brute_force_loss(state, lid, request) for lid in pool}
                 # a decision prices the targets its pool resolved
                 resolved = resolve_candidates(state, request)

@@ -11,7 +11,7 @@ from licalloc.cli import main
 from licalloc.corpus import CorpusDocument, parse_corpus, serialize_corpus
 from licalloc.engine import AgentState, initial_state
 from licalloc.errors import AssumptionViolation
-from licalloc.labels import Times, cp_label, sublicense_label
+from licalloc.labels import Times, state_labels
 from licalloc.model import (
     CP,
     Action,
@@ -22,7 +22,7 @@ from licalloc.model import (
     Request,
     SubLicense,
 )
-from licalloc.rights import rights, select_target
+from licalloc.rights import rights
 from licalloc.verify import (
     CHECKS,
     MAX_COUNTEREXAMPLES,
@@ -48,7 +48,7 @@ from licalloc.verify import (
     shrink_document,
 )
 
-from conftest import brute_force_liveness, fair_family, perm, replay_fair_schedule
+from conftest import brute_force_liveness, fair_family, perm, replay_fair_schedule, target_of
 
 # The rights module; the name ``rights`` is bound to its function.
 rights_module = importlib.import_module("licalloc.rights")
@@ -166,7 +166,7 @@ class TestWeakMinimalLoss:
         state = initial_state(licenses)
         request = Request(Action.PLAY, "x", at=0)
         for lid in ("lic-a", "lic-b", "lic-c"):
-            sl_id, cp_id = select_target(state, lid, request)
+            sl_id, cp_id = target_of(state, lid, request)
             verdict = judge(check_weak_minimal_loss, state, request, Chosen(lid, sl_id, cp_id))
             assert verdict.passed == (lid == "lic-c")
         chosen = proposed_allocate(state, request)
@@ -222,12 +222,13 @@ class TestBoundedLiveness:
 
 
 def test_depletion_assumption_labels_the_nodes_it_walks(monkeypatch):
-    """The check gives the verdict of id-based labelling without looking any node up."""
+    """The check gives the verdict of the state's labels without looking any node up."""
 
-    def by_lookup(state):
+    def by_labels(state):
+        labels = state_labels(state)
         return all(
-            sublicense_label(state, lic.id, sl.id).times is not Times.MANY
-            or all(cp_label(state, lic.id, sl.id, cp.id).times is Times.ONCE for cp in sl.cps)
+            labels[(lic.id, sl.id, None)].times is not Times.MANY
+            or all(labels[(lic.id, sl.id, cp.id)].times is Times.ONCE for cp in sl.cps)
             for lic in state.licenses
             for sl in lic.sublicenses
         )
@@ -237,7 +238,7 @@ def test_depletion_assumption_labels_the_nodes_it_walks(monkeypatch):
         for profile in ("depleting", "general")
         for index in range(40)
     ]
-    expected = [by_lookup(state) for state in states]
+    expected = [by_labels(state) for state in states]
     assert True in expected and False in expected
 
     def tree_lookup(*args):
@@ -314,7 +315,7 @@ class TestLivenessSearch:
     def test_search_resolves_pools_only_inside_allocate(self, monkeypatch):
         """An executed step colors from the pool its decision carries, so no walk happens outside ``allocate``."""
         verify_module = sys.modules["licalloc.verify"]
-        inner, resolve = verify_module.allocate, rights_module._resolve
+        inner, resolve = verify_module.allocate, rights_module.select_target
         depth, resolves = [0], Counter()
 
         def wrapped_allocate(*args, **kwargs):
@@ -329,7 +330,7 @@ class TestLivenessSearch:
             return resolve(*args)
 
         monkeypatch.setattr(verify_module, "allocate", wrapped_allocate)
-        monkeypatch.setattr(rights_module, "_resolve", checked_resolve)
+        monkeypatch.setattr(rights_module, "select_target", checked_resolve)
         for licenses in _conforming_instances(seed=0, n=20):
             for algorithm in ("proposed", "oma"):
                 run_bounded_liveness(licenses, algorithm=algorithm)
@@ -501,7 +502,7 @@ class TestEachPoolIsPricedOnce:
         def second_walk(*args):
             raise AssertionError("color_step walked a license its decision had resolved")
 
-        for name in ("_resolve", "candidates", "select_target", "_valid_pairs"):
+        for name in ("select_target", "candidates", "_valid_pairs"):
             monkeypatch.setattr(rights_module, name, second_walk)
         after = color_step(coloring, all_lossy_state, decision, self.request)
         assert after.color(perm("play", "song-b")) is Color.BLACK
@@ -520,16 +521,20 @@ class TestEachPoolIsPricedOnce:
         assert counts["consume"] == 0 and counts["rights"] <= 1
 
     def test_run_trial_resolves_a_prompt_from_its_pool(self, counts, monkeypatch):
-        original = rights_module.select_target
+        """The allocator walks each host once; choosing and consuming its prompt resolves no target again."""
+        original, walked = rights_module.select_target, []
 
-        def second_walk(*args):
-            raise AssertionError("run_trial resolved a target its prompt already held")
+        def counting_resolve(state, lic, request, permission):
+            walked.append(lic.id)
+            return original(state, lic, request, permission)
 
         for loaded_name, module in list(sys.modules.items()):
             if loaded_name.startswith("licalloc") and getattr(module, "select_target", None) is original:
-                monkeypatch.setattr(module, "select_target", second_walk)
-        doc = CorpusDocument(all_lossy_licenses(), [self.request])
+                monkeypatch.setattr(module, "select_target", counting_resolve)
+        licenses = all_lossy_licenses()
+        doc = CorpusDocument(licenses, [self.request])
         assert run_trial(doc, "proposed", []) == []
+        assert walked == [lic.id for lic in licenses.hosts(self.request.permission)]
         assert counts["consume"] == 1
 
 

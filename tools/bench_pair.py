@@ -18,8 +18,11 @@ seeds, every run's end-to-end metrics and source digest (``bench/run.py``'s
 quartiles, the number of pairs the change won and whether the change's median
 is within the metric's bound.  A metric's direction ("higher" or "lower" is
 better) and bound (the largest relative loss of the median allowed) are read
-from ``BENCHMARK.json``.  Runs at the confirming
-seeds are recorded apart from the paired summary.
+from ``BENCHMARK.json``.  A metric is ``unresolved`` when the distance
+between the base's quartiles is more than its bound times the base median
+and not every change run beats every base run: a metric noisier than its
+bound reads as unresolved, not as unchanged.  Runs at the confirming seeds
+are recorded apart from the paired summary.
 
 Exit codes: 0 when every run completed with ``correct`` true, 1 otherwise.
 """
@@ -99,8 +102,9 @@ def spread(values: list[float]) -> dict:
 def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     """Per metric: both sides' spread, the pairs the change won, whether the
     medians differ by more than the base's quartile distance in the change's favour,
-    and whether the change's median is worse than the base's by at most ``bounds``
-    (a fraction of the base median)."""
+    whether the change's median is worse than the base's by at most ``bounds``
+    (a fraction of the base median), and whether the base's quartile distance is
+    wider than that bound while some base run is not beaten by every change run."""
     out = {}
     for name, direction in better.items():
         sign = 1 if direction == "higher" else -1
@@ -108,14 +112,17 @@ def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float
         change = [p["change"]["metrics"][name] for p in pairs]
         base_spread, change_spread = spread(base), spread(change)
         gain = sign * (change_spread["median"] - base_spread["median"])
+        base_iqr = base_spread["q3"] - base_spread["q1"]
+        allowed = bounds[name] * abs(base_spread["median"])
         out[name] = {
             "better": direction,
             "base": base_spread,
             "change": change_spread,
             "wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
             "pairs": len(pairs),
-            "median_gain_exceeds_base_iqr": gain > base_spread["q3"] - base_spread["q1"],
-            "within_bound": -gain <= bounds[name] * abs(base_spread["median"]),
+            "median_gain_exceeds_base_iqr": gain > base_iqr,
+            "within_bound": -gain <= allowed,
+            "unresolved": base_iqr > allowed and not all(sign * (c - b) > 0 for b in base for c in change),
         }
     return out
 
