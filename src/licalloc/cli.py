@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import cases as case_fixtures
-from .allocate import Chosen, NoMatch, PromptRequired, allocate, min_loss_chooser
+from .allocate import Chosen, NoMatch, PromptRequired, allocate, allocate_and_execute, min_loss_chooser
 from .corpus import CorpusDocument, LabelMismatchError, load_corpus, serialize_corpus
 from .engine import consume, initial_state, is_depleting
 from .errors import LicallocError
@@ -31,8 +31,6 @@ from .rights import pool_losses, rights
 from .verify import (
     CHECKS,
     LIVENESS_CAPS,
-    Color,
-    Coloring,
     GeneratorCaps,
     InstanceGenerator,
     color_step,
@@ -281,7 +279,8 @@ def cmd_simulate(args) -> int:
         ]
     state = initial_state(doc.licenses)
     initial = rights(state, requests[0].at if requests else 0)
-    coloring = Coloring.initial(initial)
+    black: frozenset = frozenset()
+    labels = state_labels(state)
     final = initial
     steps: list[dict] = []
     exit_code = EXIT_OK
@@ -296,7 +295,7 @@ def cmd_simulate(args) -> int:
                 "usage_duration": request.usage_duration,
             },
         }
-        decision = allocate(
+        decision, after = allocate_and_execute(
             state,
             request,
             algorithm=args.algorithm,
@@ -309,7 +308,7 @@ def cmd_simulate(args) -> int:
             entry["decision"] = "no_match"
             steps.append(entry)
             exit_code = EXIT_NO_MATCH
-            final = rights(state, requests[-1].at)
+            final = rights(state, request.at)
             break
         entry["decision"] = {
             "license": decision.license_id,
@@ -321,20 +320,18 @@ def cmd_simulate(args) -> int:
             state, decision.license_id, decision.sublicense_id, decision.cp_id, request
         )
         entry["depletes"] = depletion.value
-        labels_before = state_labels(state)
-        coloring = color_step(coloring, state, decision, request)
-        state = consume(state, decision.license_id, decision.sublicense_id, decision.cp_id, request)
-        labels_after = state_labels(state)
+        black = color_step(black, state, decision, request)
+        labels_after = state_labels(after)
         entry["label_updates"] = {
-            "/".join(k for k in key if k): f"{labels_before[key]} -> {labels_after[key]}"
-            for key in sorted(labels_before, key=lambda k: (k[0], k[1], k[2] or ""))
-            if labels_before[key] != labels_after[key]
+            "/".join(k for k in key if k): f"{labels[key]} -> {labels_after[key]}"
+            for key in sorted(labels, key=lambda k: (k[0], k[1], k[2] or ""))
+            if labels[key] != labels_after[key]
         }
+        # A loss can take permissions that were not valid at the start; those are not listed.
         entry["black"] = [
-            {"action": p.action.value, "content": p.content}
-            for p, c in sorted(coloring.colors.items())
-            if c is Color.BLACK
+            {"action": p.action.value, "content": p.content} for p in sorted(black) if p in initial
         ]
+        state, labels = after, labels_after
         final = rights(state, request.at)
         entry["rights"] = _rights_entries(final)
         steps.append(entry)

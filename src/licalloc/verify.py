@@ -12,11 +12,12 @@ instances instead of being trusted:
 * filter neutrality: on instances where no label is once+complex the
   filtered allocator collapses to the baseline;
 * bounded liveness: under every bounded 1-fair request schedule, every
-  permission that runs out of valid hosts has been marked black by the
-  coloring model.  One depth-first search over the reachable states (state,
-  coloring, permissions due this round) tries the due permissions in sorted
-  order, skips a state already searched with at least as many rounds left,
-  and stops after ``MAX_LIVENESS_STATES`` states.
+  permission that runs out of valid hosts is black, that is, in the set of
+  permissions ``color_step`` has seen lost deliberately; every other
+  permission is white.  One depth-first search over the reachable states
+  (state, black permissions, permissions due this round) tries the due
+  permissions in sorted order, skips a state already searched with at least
+  as many rounds left, and stops after ``MAX_LIVENESS_STATES`` states.
 
 Every decision is checked against one oracle, which ``run_trial`` builds
 once per decision with ``oracle_losses``: ``{candidate id: loss}``, found by
@@ -39,7 +40,6 @@ import json
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
 from .allocate import (
@@ -48,6 +48,7 @@ from .allocate import (
     NoMatch,
     PromptRequired,
     allocate,
+    allocate_and_execute,
     min_loss_chooser,
     oma_allocate,
     proposed_allocate,
@@ -84,51 +85,23 @@ MAX_LIVENESS_STATES = 4096
 # --- coloring model ---------------------------------------------------------
 
 
-class Color(str, Enum):
-    WHITE = "white"
-    BLACK = "black"
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """White/black marking over the permissions available initially.
+def color_step(
+    black: frozenset[Permission], state: AgentState, decision: Chosen, request: Request
+) -> frozenset[Permission]:
+    """The black permissions after one executed decision; every other one is white.
 
     A permission turns black when it is lost deliberately: because it was
     the request itself, because there was no other candidate, or because
     every candidate was lossy anyway.  Black never reverts to white.
-    """
-
-    colors: dict[Permission, Color]
-
-    @classmethod
-    def initial(cls, available: Iterable[Permission]) -> "Coloring":
-        """Every permission of ``available`` (say, a ``rights`` multiset) white."""
-        return cls({p: Color.WHITE for p in sorted(available)})
-
-    def color(self, permission: Permission) -> Optional[Color]:
-        return self.colors.get(permission)
-
-
-def color_step(
-    coloring: Coloring, state: AgentState, decision: Chosen, request: Request
-) -> Coloring:
-    """Apply one executed decision to the coloring.
 
     ``state`` is the state the decision was made in (before the consume),
     and ``decision`` an allocator's, which carries the pool it was made from.
     """
     losses = pool_losses(state, request, decision.pool)
     lost = losses[decision.license_id]
-    if not lost:
-        return coloring
-    blanket = len(losses) == 1 or _all_lossy(losses.values(), request)
-    colors = dict(coloring.colors)
-    for permission in lost:
-        if permission not in colors:
-            continue
-        if blanket or permission == request.permission:
-            colors[permission] = Color.BLACK
-    return Coloring(colors)
+    if len(losses) == 1 or _all_lossy(losses.values(), request):
+        return black.union(lost)
+    return black.union(lost.keys() & {request.permission})
 
 
 # --- per-decision checks ----------------------------------------------------
@@ -724,15 +697,16 @@ def run_bounded_liveness(
     permissions still due this round, tried in sorted order, so a failure is
     the lexicographically first failing schedule, cut at its failing step.
 
-    A node is the state, the coloring and the permissions still due this
-    round.  One already searched from the same or an earlier round is
-    skipped: with at least as many rounds left, it covered every
+    A node is the state, the black permissions and the permissions still
+    due this round.  One already searched from the same or an earlier round
+    is skipped: with at least as many rounds left, it covered every
     continuation from here.  (When it is an ancestor, every step between
-    them changed nothing, since counters, intervals and colors only move
-    one way, so no continuation changes anything either.)  ``states``
-    counts the nodes searched; the search stops at ``MAX_LIVENESS_STATES``
-    and passes on what it searched, unfinished.  A due permission with no
-    valid host is not asked of ``allocate``, which could only say NoMatch.
+    them changed nothing, since counters and intervals only move one way
+    and the black set only grows, so no continuation changes anything
+    either.)  ``states`` counts the nodes searched; the search stops at
+    ``MAX_LIVENESS_STATES`` and passes on what it searched, unfinished.  A
+    due permission with no valid host is not asked of ``allocate``, which
+    could only say NoMatch.
 
     Raises AssumptionViolation when some node would survive its own
     selection, which is outside the regime this check covers.
@@ -753,13 +727,13 @@ def run_bounded_liveness(
         p: Request(p.action, p.content, at=at, usage_duration=USAGE_DURATION) for p in support
     }
 
-    # (state, coloring, permissions due this round, round, schedule so far)
-    stack = [(state0, Coloring.initial(support), support, 0, ())]
+    # (state, black permissions, permissions due this round, round, schedule so far)
+    stack = [(state0, frozenset(), support, 0, ())]
     searched: dict = {}  # node key -> earliest round it was searched from
     states = 0
     while stack:
-        state, coloring, due, round_, schedule = stack.pop()
-        key = (tuple(state.cstate.values()), tuple(coloring.colors.values()), due)
+        state, black, due, round_, schedule = stack.pop()
+        key = (tuple(state.cstate.values()), black, due)
         if key in searched and searched[key] <= round_:
             continue
         if states == MAX_LIVENESS_STATES:
@@ -768,7 +742,7 @@ def run_bounded_liveness(
         states += 1
         live = rights(state, at)
         for p in support:
-            if p not in live and coloring.color(p) is Color.WHITE:
+            if p not in live and p not in black:
                 return LivenessResult(
                     passed=False,
                     states=states,
@@ -783,18 +757,17 @@ def run_bounded_liveness(
         if round_ == rounds:
             continue
         for p in reversed(due):
-            after, colored = state, coloring
+            after, blackened = state, black
             if p in live:
                 request = requests[p]
-                decision = allocate(state, request, algorithm=algorithm, chooser=min_loss_chooser)
+                decision, after = allocate_and_execute(
+                    state, request, algorithm=algorithm, chooser=min_loss_chooser
+                )
                 if isinstance(decision, Chosen):
-                    colored = color_step(coloring, state, decision, request)
-                    after = consume(
-                        state, decision.license_id, decision.sublicense_id, decision.cp_id, request
-                    )
+                    blackened = color_step(black, state, decision, request)
             rest = tuple(q for q in due if q != p)
             child = (rest, round_) if rest else (support, round_ + 1)
-            stack.append((after, colored, *child, schedule + (p,)))
+            stack.append((after, blackened, *child, schedule + (p,)))
     return LivenessResult(passed=True, states=states)
 
 

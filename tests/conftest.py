@@ -14,7 +14,7 @@ from licalloc.engine import constraints_hold, consume, initial_state
 from licalloc.labels import cp_label, label_sort_key, sublicense_label
 from licalloc.model import Action, License, LicenseSet, Permission, Request, sat_cp
 from licalloc.rights import candidates, select_target
-from licalloc.verify import T0, USAGE_DURATION, Color, Coloring, GeneratorCaps, InstanceGenerator, color_step
+from licalloc.verify import T0, USAGE_DURATION, GeneratorCaps, InstanceGenerator, color_step
 
 
 @pytest.fixture
@@ -158,20 +158,21 @@ def replay_fair_schedule(licenses, algorithm, schedule, at=T0):
 
     Each permission of ``schedule`` is requested once, decided with
     ``min_loss_chooser`` on a prompt, colored and executed; after the step
-    every white permission of the support is asked for ``candidates``.
+    every permission of the support that is not black (white) is asked for
+    ``candidates``.
     """
     support, _ = fair_family(licenses, at)
     requests = {p: Request(p.action, p.content, at=at, usage_duration=USAGE_DURATION) for p in support}
-    state, coloring = initial_state(licenses), Coloring.initial(support)
+    state, black = initial_state(licenses), frozenset()
     for p in schedule:
         decision = allocate(state, requests[p], algorithm=algorithm, chooser=min_loss_chooser)
         if isinstance(decision, Chosen):
-            coloring = color_step(coloring, state, decision, requests[p])
+            black = color_step(black, state, decision, requests[p])
             state = consume(
                 state, decision.license_id, decision.sublicense_id, decision.cp_id, requests[p]
             )
         yield next(
-            (q for q in support if coloring.color(q) is Color.WHITE and not candidates(state, requests[q])),
+            (q for q in support if q not in black and not candidates(state, requests[q])),
             None,
         )
 

@@ -16,8 +16,8 @@ def test_seed_ranges():
     assert bench_pair.parse_seeds("1,5-6") == [1, 5, 6]
 
 
-def run(value):
-    return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"op_p50_us": value, "ops_per_s": 1e6 / value}}
+def run(value, failed=0):
+    return {"correct": True, "attempted": 10, "failed": failed, "metrics": {"op_p50_us": value, "ops_per_s": 1e6 / value}}
 
 
 BOUNDS = {"op_p50_us": 0.25, "ops_per_s": 0.25}
@@ -75,3 +75,25 @@ def test_a_metric_noisier_than_its_bound_is_unresolved(base, change, unresolved)
     pairs = [{"seed": s, "first": "base", "base": run(b), "change": run(c)} for s, (b, c) in enumerate(zip(base, change))]
     summary = bench_pair.summarize(pairs, {"op_p50_us": "lower"}, BOUNDS)
     assert summary["op_p50_us"]["unresolved"] is unresolved
+
+
+@pytest.mark.parametrize(
+    "change, change_failed, claimable",
+    [
+        ((60,) * 9 + (101,), 0, True),  # 9 wins of 10
+        ((60,) * 8 + (101, 101), 0, False),  # 8 wins of 10
+        ((60,) * 9, 0, False),  # 9 of 9: too few pairs
+        ((60,) * 10, 1, False),  # every pair won, but more failures than the base
+    ],
+    ids=["9-of-10", "8-of-10", "9-of-9", "more-failures"],
+)
+def test_a_gain_is_claimable_only_under_the_gain_rule(change, change_failed, claimable):
+    base = (100, 98, 102, 99, 101, 100, 97, 103, 100, 100)
+    pairs = [
+        {"seed": s, "first": "base", "base": run(b), "change": run(c, change_failed)}
+        for s, (b, c) in enumerate(zip(base, change))
+    ]
+    summary = bench_pair.summarize(pairs, {"op_p50_us": "lower", "ops_per_s": "higher"}, BOUNDS)
+    assert summary["op_p50_us"]["median_gain_exceeds_base_iqr"]
+    assert summary["op_p50_us"]["claimable"] is summary["ops_per_s"]["claimable"] is claimable
+    assert bench_pair.failed_share(pairs, "change") == change_failed / 10

@@ -9,9 +9,12 @@ from licalloc.cases import REQUEST_AT, all_lossy_licenses, case_studies
 from licalloc.cli import build_parser, main, parse_time
 from licalloc.corpus import CorpusDocument, load_corpus, serialize_corpus
 from licalloc.engine import initial_state
-from licalloc.model import Action, Request
+from licalloc.labels import state_labels
+from licalloc.model import CP, Action, Count, DateTime, License, LicenseSet, Request, SubLicense
 from licalloc.rights import rights
 from licalloc.verify import LIVENESS_CAPS, GeneratorCaps
+
+from conftest import perm
 
 rights_module = importlib.import_module("licalloc.rights")
 
@@ -36,6 +39,30 @@ def script_path(tmp_path, deadline_case):
     path = tmp_path / "script.json"
     path.write_bytes(serialize_corpus(doc))
     return str(path)
+
+
+def write_script(tmp_path, licenses, requests):
+    path = tmp_path / "script.json"
+    path.write_bytes(serialize_corpus(CorpusDocument(LicenseSet(licenses), requests)))
+    return str(path)
+
+
+def play(content, at):
+    return Request(Action.PLAY, content, at=at)
+
+
+@pytest.fixture
+def late_license_script(tmp_path):
+    """``license-1`` grants play a and play b only from t=150, once; ``license-2`` grants play c."""
+    granted = [perm("play", "a"), perm("play", "b")]
+    return write_script(
+        tmp_path,
+        [
+            License("license-1", [SubLicense("sl-1", [Count(1)], [CP("cp-1", [DateTime(start=150)], granted)])]),
+            License("license-2", [SubLicense("sl-1", cps=[CP("cp-1", permissions=[perm("play", "c")])])]),
+        ],
+        [play("c", 100), play("a", 200)],
+    )
 
 
 @pytest.fixture
@@ -242,6 +269,37 @@ class TestSimulate:
         assert main(["simulate", str(tmp_path / "deadline-vs-counter.json")]) == 0
         assert walked == ["license-1", "license-2"]
         capsys.readouterr()
+
+    def test_a_stopped_replay_reports_rights_where_it_stopped(self, tmp_path, capsys):
+        """The replay stops at t=100, while license-1 still holds; the last request's t=200 is never reached."""
+        licenses = [License("license-1", [SubLicense("sl-1", [DateTime(end=150)], [CP("cp-1", permissions=[perm("play", "a")])])])]
+        path = write_script(tmp_path, licenses, [play("a", 100), play("z", 100), play("a", 200)])
+        assert main(["simulate", path]) == 4
+        out = capsys.readouterr().out
+        assert "  rights: play a x1" in out
+        assert out.endswith("final rights: play a x1\n")
+
+    def test_each_reached_state_is_labelled_once(self, late_license_script, capsys, monkeypatch):
+        import licalloc.cli as cli_module
+
+        labelled = []
+
+        def counted(state):
+            labelled.append(state)
+            return state_labels(state)
+
+        monkeypatch.setattr(cli_module, "state_labels", counted)
+        assert main(["simulate", late_license_script, "--format", "json"]) == 0
+        steps = json.loads(capsys.readouterr().out)["steps"]
+        assert len(labelled) == len(steps) + 1 == 3
+
+    def test_black_lists_only_initial_rights(self, late_license_script, capsys):
+        """Step 2 depletes license-1, whose permissions were not valid at the start."""
+        assert main(["simulate", late_license_script, "--format", "json"]) == 0
+        steps = json.loads(capsys.readouterr().out)["steps"]
+        assert steps[1]["decision"]["license"] == "license-1"
+        assert steps[1]["depletes"] != "none"
+        assert steps[1]["black"] == []
 
 
 class TestVerify:

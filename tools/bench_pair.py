@@ -15,14 +15,19 @@ The result goes to ``BENCH_<label>.json`` at the root of the repository,
 rewritten as each workload finishes: the commits, Python version, ``nproc``,
 seeds, every run's end-to-end metrics and source digest (``bench/run.py``'s
 ``source_sha256``), and per workload and metric each side's median and
-quartiles, the number of pairs the change won and whether the change's median
-is within the metric's bound.  A metric's direction ("higher" or "lower" is
-better) and bound (the largest relative loss of the median allowed) are read
-from ``BENCHMARK.json``.  A metric is ``unresolved`` when the distance
+quartiles, the number of pairs the change won, whether the change's median
+is within the metric's bound and whether a gain in it may be claimed.  A
+metric's direction ("higher" or "lower" is better) and bound (the largest
+relative loss of the median allowed) are read from ``BENCHMARK.json``.  A metric is ``unresolved`` when the distance
 between the base's quartiles is more than its bound times the base median
 and not every change run beats every base run: a metric noisier than its
-bound reads as unresolved, not as unchanged.  Runs at the confirming seeds
-are recorded apart from the paired summary.
+bound reads as unresolved, not as unchanged.  A gain is ``claimable`` when
+at least ``MIN_CLAIM_PAIRS`` pairs ran, the change won at least nine in ten
+of them (ties count for neither side), its median gain exceeds the base's
+quartile distance, and its failed share (failed over attempted operations,
+summed over the paired runs, recorded per side as ``failed_share``) is no
+higher than the base's.  Runs at the confirming seeds are recorded apart
+from the paired summary.
 
 Exit codes: 0 when every run completed with ``correct`` true, 1 otherwise.
 """
@@ -41,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+MIN_CLAIM_PAIRS = 10
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -99,12 +105,20 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def failed_share(pairs: list[dict], side: str) -> float:
+    """Failed over attempted operations of one side, summed over ``pairs``."""
+    attempted = sum(p[side]["attempted"] for p in pairs)
+    return sum(p[side]["failed"] for p in pairs) / attempted if attempted else 0.0
+
+
 def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     """Per metric: both sides' spread, the pairs the change won, whether the
     medians differ by more than the base's quartile distance in the change's favour,
     whether the change's median is worse than the base's by at most ``bounds``
-    (a fraction of the base median), and whether the base's quartile distance is
-    wider than that bound while some base run is not beaten by every change run."""
+    (a fraction of the base median), whether the base's quartile distance is
+    wider than that bound while some base run is not beaten by every change run,
+    and whether a gain is claimable."""
+    no_more_failures = failed_share(pairs, "change") <= failed_share(pairs, "base")
     out = {}
     for name, direction in better.items():
         sign = 1 if direction == "higher" else -1
@@ -114,13 +128,18 @@ def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float
         gain = sign * (change_spread["median"] - base_spread["median"])
         base_iqr = base_spread["q3"] - base_spread["q1"]
         allowed = bounds[name] * abs(base_spread["median"])
+        wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         out[name] = {
             "better": direction,
             "base": base_spread,
             "change": change_spread,
-            "wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
+            "wins": wins,
             "pairs": len(pairs),
             "median_gain_exceeds_base_iqr": gain > base_iqr,
+            "claimable": len(pairs) >= MIN_CLAIM_PAIRS
+            and wins * 10 >= len(pairs) * 9
+            and gain > base_iqr
+            and no_more_failures,
             "within_bound": -gain <= allowed,
             "unresolved": base_iqr > allowed and not all(sign * (c - b) > 0 for b in base for c in change),
         }
@@ -167,6 +186,7 @@ def main(argv=None) -> int:
                 for k, seed in enumerate(args.confirm_seeds)
             ]
             record["workloads"][workload] = {
+                "failed_share": {side: failed_share(pairs, side) for side in SIDES},
                 "summary": summarize(pairs, better, bounds),
                 "confirm": confirm,
                 "pairs": pairs,
