@@ -278,7 +278,7 @@ def cmd_simulate(args) -> int:
             for r in requests
         ]
     state = initial_state(doc.licenses)
-    initial = rights(state, requests[0].at if requests else 0)
+    initial = rights(state, requests[0].at if requests else args.time or 0)
     black: frozenset = frozenset()
     labels = state_labels(state)
     final = initial

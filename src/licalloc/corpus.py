@@ -252,6 +252,10 @@ def parse_corpus(data: Union[bytes, str], *, strict_labels: bool = True) -> Corp
         raw = json.loads(data)
     except json.JSONDecodeError as exc:
         raise CorpusSyntaxError(exc.msg, f"line {exc.lineno} column {exc.colno}") from exc
+    except RecursionError:
+        raise CorpusSyntaxError("nested too deeply", "document") from None
+    except ValueError as exc:  # an integer literal longer than Python's digit limit
+        raise CorpusSyntaxError(str(exc), "document") from None
 
     _expect_keys(raw, {"schema_version", "licenses", "requests"}, {"schema_version", "licenses"}, "$")
     version = raw["schema_version"]

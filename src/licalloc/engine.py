@@ -6,6 +6,10 @@ sublicense id, cp id or None), the tuple of its constraints' states in
 declaration order.  A ``None`` cp slot keys the sublicense itself, so reading
 a node's states is one dict lookup, with no walk of the tree.
 
+A constraint's state is one ``Optional[int]``: a counter's remaining charges,
+a started interval's start time, and None otherwise.  This module is the only
+one that reads it; the labels ask ``depleted`` and ``on_last_charge``.
+
 ``consume`` is the only state transition.  It returns a fresh state; a failed
 precondition raises and leaves the input untouched, so replaying a request
 log always reproduces the same final state.
@@ -37,34 +41,20 @@ from .model import (
 NodeKey = tuple[str, str, Optional[str]]
 
 
-@dataclass(frozen=True, slots=True)
-class ConstraintState:
-    """Mutable side of one constraint occurrence.
-
-    ``remaining`` is set for counters, ``interval_started_at`` for intervals.
-    ``depleted`` is sticky: once a counter hits zero the owning node can never
-    hold again.
-    """
-
-    remaining: Optional[int] = None
-    interval_started_at: Optional[Timestamp] = None
-    depleted: bool = False
+ConstraintState = Optional[int]
+_COUNTERS = (Count, TimedCount)
 
 
 def fresh_state(constraint: Constraint) -> ConstraintState:
-    if isinstance(constraint, (Count, TimedCount)):
-        return ConstraintState(remaining=constraint.initial)
-    return ConstraintState()
+    return constraint.initial if isinstance(constraint, _COUNTERS) else None
 
 
 def constraint_holds(constraint: Constraint, state: ConstraintState, at: Timestamp) -> bool:
     """True iff the constraint authorises a use at time ``at``."""
-    if state.depleted:
-        return False
     if isinstance(constraint, Unconstrained):
         return True
-    if isinstance(constraint, (Count, TimedCount)):
-        return state.remaining is not None and state.remaining >= 1
+    if isinstance(constraint, _COUNTERS):
+        return state >= 1
     if isinstance(constraint, DateTime):
         if constraint.start is not None and at < constraint.start:
             return False
@@ -72,9 +62,7 @@ def constraint_holds(constraint: Constraint, state: ConstraintState, at: Timesta
             return False
         return True
     if isinstance(constraint, Interval):
-        if state.interval_started_at is None:
-            return True
-        return at <= state.interval_started_at + constraint.duration
+        return state is None or at <= state + constraint.duration
     raise TypeError(f"unknown constraint {constraint!r}")
 
 
@@ -142,19 +130,31 @@ class Depletion(enum.Enum):
 
 def _advance(constraint: Constraint, state: ConstraintState, request: Request) -> ConstraintState:
     """State of one constraint after a successful use."""
-    if isinstance(constraint, Count):
-        remaining = state.remaining - 1
-        return ConstraintState(remaining=remaining, depleted=remaining == 0)
-    if isinstance(constraint, TimedCount):
-        if request.usage_duration >= constraint.timer:
-            remaining = state.remaining - 1
-            return ConstraintState(remaining=remaining, depleted=remaining == 0)
-        return state
-    if isinstance(constraint, Interval):
-        if state.interval_started_at is None:
-            return ConstraintState(interval_started_at=request.at)
-        return state
+    if isinstance(constraint, Count) or (
+        isinstance(constraint, TimedCount) and request.usage_duration >= constraint.timer
+    ):
+        return state - 1
+    if isinstance(constraint, Interval) and state is None:
+        return request.at
     return state
+
+
+# The labels ask this and ``on_last_charge`` of every node they walk; the membership
+# tests scan the states in C and rule out most nodes before the typed check runs.
+def depleted(constraints: Sequence[Constraint], states: Sequence[ConstraintState]) -> bool:
+    """True iff some counter of the node is out of charges, so it never holds again."""
+    return 0 in states and any(isinstance(c, _COUNTERS) and s == 0 for c, s in zip(constraints, states))
+
+
+def on_last_charge(constraints: Sequence[Constraint], states: Sequence[ConstraintState]) -> bool:
+    """True iff some counter of the node has at most one charge left.
+
+    Pessimistic for timed counts: one on its last charge counts even though
+    a use shorter than its timer would leave it untouched.
+    """
+    return (0 in states or 1 in states) and any(
+        isinstance(c, _COUNTERS) and s <= 1 for c, s in zip(constraints, states)
+    )
 
 
 def _checked_target(
@@ -181,9 +181,9 @@ def consume(
 
     Every count at the sublicense and cp level loses one charge, timed counts
     only when the use lasts at least their timer, and unstarted intervals
-    start now.  A counter reaching zero marks its state depleted, which
-    permanently invalidates the owning cp (cp level) or the whole sublicense
-    (sublicense level).
+    start now.  A counter reaching zero depletes its node, which permanently
+    invalidates the owning cp (cp level) or the whole sublicense (sublicense
+    level).
 
     Raises InvalidTargetError (leaving ``state`` untouched) when the cp does
     not match the request or its governing constraints do not hold.
@@ -205,15 +205,13 @@ def is_depleting(
 
     Depletion is the only change a consume makes to what holds at
     ``request.at``: other charges leave a counter at one or more, and an
-    interval it starts holds at its own start.
+    interval it starts holds at its own start.  A target that holds has no
+    counter at zero, so a counter at zero after the use is one it depleted.
     """
     sl, cp = _checked_target(state, license_id, sublicense_id, cp_id, request)
 
     def would_deplete(constraints, states):
-        return any(
-            _advance(c, s, request).depleted and not s.depleted
-            for c, s in zip(constraints, states)
-        )
+        return depleted(constraints, [_advance(c, s, request) for c, s in zip(constraints, states)])
 
     if would_deplete(sl.constraints, state.sublicense_states(license_id, sublicense_id)):
         return Depletion.SUBLICENSE_DEPLETES

@@ -4,8 +4,8 @@ A label is a (complexity, times, constraint) triple:
 
 * ``times`` says whether the node survives another use.  ``once`` means some
   counter at the node is down to its last charge, so the next use depletes
-  it.  Timed counts are counted pessimistically (as if every use were long
-  enough to consume a charge).
+  it.  Timed counts are counted pessimistically, as if every use were long
+  enough to consume a charge (see ``engine.on_last_charge``).
 * ``complexity`` says whether depleting the node would take more than the
   single requested permission with it.  For a cp that is simply "more than
   one permission listed".  For a sublicense it counts the permission
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .engine import AgentState, ConstraintState, NodeKey
+from .engine import AgentState, ConstraintState, NodeKey, depleted, on_last_charge
 from .model import (
     Constraint,
     ConstraintPermissionSet,
@@ -91,20 +91,10 @@ def dominant_constraint(constraints: Sequence[Constraint]) -> ConstraintName:
     return _NAME_BY_TYPE[type(best)]
 
 
-def _next_use_depletes(states: Sequence[ConstraintState]) -> bool:
-    # Pessimistic: a timed count on its last charge counts as depleting even
-    # though a short use would leave it untouched.
-    return any(s.remaining is not None and s.remaining <= 1 for s in states)
-
-
-def _node_depleted(states: Sequence[ConstraintState]) -> bool:
-    return any(s.depleted for s in states)
-
-
 def cp_label(cp: ConstraintPermissionSet, cp_states: Sequence[ConstraintState]) -> Label:
     """Label of a constraint-permission set under the given constraint states."""
     complexity = Complexity.SIMPLE if len(cp.permissions) == 1 else Complexity.COMPLEX
-    times = Times.ONCE if _next_use_depletes(cp_states) else Times.MANY
+    times = Times.ONCE if on_last_charge(cp.constraints, cp_states) else Times.MANY
     return Label(complexity, times, dominant_constraint(cp.constraints))
 
 
@@ -117,10 +107,10 @@ def sublicense_label(
     live_permissions = sum(
         len(cp.permissions)
         for cp, states in zip(sl.cps, cp_states)
-        if not _node_depleted(states)
+        if not depleted(cp.constraints, states)
     )
     complexity = Complexity.SIMPLE if live_permissions <= 1 else Complexity.COMPLEX
-    times = Times.ONCE if _next_use_depletes(sl_states) else Times.MANY
+    times = Times.ONCE if on_last_charge(sl.constraints, sl_states) else Times.MANY
     return Label(complexity, times, dominant_constraint(sl.constraints))
 
 

@@ -132,20 +132,19 @@ def rights(state: AgentState, at: Timestamp) -> RightsMultiset:
 
 
 def _target_loss(
-    state: AgentState, license_id: str, target: Target, request: Request
+    state: AgentState, license_id: str, resolved: Resolved, request: Request
 ) -> RightsMultiset:
     """Rights lost at ``request.at`` by consuming the license's resolved target."""
-    sl_id, cp_id = target
-    depletion = is_depleting(state, license_id, sl_id, cp_id, request)
+    sl, cp = resolved.sublicense, resolved.cp
+    depletion = is_depleting(state, license_id, sl.id, cp.id, request)
     if depletion is Depletion.NONE:
         return Counter()
-    sl = state.sublicense(license_id, sl_id)
     if depletion is Depletion.CP_DEPLETES:
-        return Counter(sl.cp(cp_id).permissions)
+        return Counter(cp.permissions)
     lost: RightsMultiset = Counter()
-    for cp in sl.cps:
-        if constraints_hold(cp.constraints, state.cp_states(license_id, sl_id, cp.id), request.at):
-            lost.update(cp.permissions)
+    for other in sl.cps:
+        if constraints_hold(other.constraints, state.cp_states(license_id, sl.id, other.id), request.at):
+            lost.update(other.permissions)
     return lost
 
 
@@ -154,7 +153,7 @@ def loss(state: AgentState, license_id: str, request: Request) -> RightsMultiset
     resolved = select_target(state, state.license(license_id), request, request.permission)
     if resolved is None:
         raise NotFoundError(f"license {license_id!r} has no valid permission matching the request")
-    return _target_loss(state, license_id, resolved.target, request)
+    return _target_loss(state, license_id, resolved, request)
 
 
 def remnants(state: AgentState, license_id: str, request: Request) -> RightsMultiset:
@@ -166,4 +165,4 @@ def pool_losses(
     state: AgentState, request: Request, pool: Mapping[str, Resolved]
 ) -> dict[str, RightsMultiset]:
     """Loss multiset of each resolved candidate of ``resolve_candidates``'s pool."""
-    return {lid: _target_loss(state, lid, resolved.target, request) for lid, resolved in pool.items()}
+    return {lid: _target_loss(state, lid, resolved, request) for lid, resolved in pool.items()}

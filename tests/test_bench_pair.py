@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -14,6 +15,21 @@ def test_seed_ranges():
     assert bench_pair.parse_seeds("100-103") == [100, 101, 102, 103]
     assert bench_pair.parse_seeds("9001") == [9001]
     assert bench_pair.parse_seeds("1,5-6") == [1, 5, 6]
+
+
+@pytest.mark.parametrize("seeds", ["109-100", ""])
+def test_a_seed_list_naming_no_seed_is_a_usage_error(seeds, monkeypatch, capsys):
+    with pytest.raises(argparse.ArgumentTypeError):
+        bench_pair.parse_seeds(seeds)
+
+    def export(rev, into):
+        raise AssertionError("the base tree was exported before the seeds were checked")
+
+    monkeypatch.setattr(bench_pair, "export", export)
+    with pytest.raises(SystemExit) as exit_:
+        bench_pair.main(["--label", "x", "--workload", "fuzz", "--seeds", seeds])
+    assert exit_.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
 
 
 def run(value, failed=0):

@@ -88,6 +88,16 @@ class TestLabel:
         assert main(["label", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000, '{"schema_version": ' + "9" * 5_000 + "}"], ids=["nested", "long-integer"]
+    )
+    def test_json_the_decoder_cannot_hold_exits_1(self, text, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["label", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_missing_file_exits_1(self, capsys):
         assert main(["label", "/nonexistent/corpus.json"]) == 1
 
@@ -196,6 +206,14 @@ class TestSimulate:
         assert main(["simulate", str(path)]) == 0
         out = capsys.readouterr().out
         assert "initial rights" in out
+
+    def test_empty_request_script_is_measured_at_the_given_time(self, tmp_path, capsys):
+        later = [License("license-1", [SubLicense("sl-1", cps=[CP("cp-1", [DateTime(start=150)], [perm("play", "a")])])])]
+        path = write_script(tmp_path, later, [])
+        assert main(["simulate", path, "--time", "200"]) == 0
+        out = capsys.readouterr().out
+        assert "initial rights: play a x1" in out
+        assert "final rights: play a x1" in out
 
     def test_transcript_is_deterministic(self, script_path, capsys):
         main(["simulate", script_path, "--format", "json"])

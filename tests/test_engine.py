@@ -3,15 +3,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from licalloc.engine import (
-    ConstraintState,
     Depletion,
     consume,
     constraint_holds,
     constraints_hold,
     cp_valid,
+    depleted,
     initial_state,
     is_depleting,
     fresh_state,
+    on_last_charge,
 )
 from licalloc.errors import InvalidTargetError
 from licalloc.model import (
@@ -25,7 +26,6 @@ from licalloc.model import (
     Request,
     SubLicense,
     TimedCount,
-    Unconstrained,
 )
 
 from conftest import perm
@@ -50,7 +50,7 @@ def single_license(sl_constraints=(), cp_constraints=(), perms=(("play", "a"),))
 
 class TestConstraintHolds:
     def test_count_with_charges(self):
-        assert constraint_holds(Count(10), ConstraintState(remaining=10), at=0)
+        assert constraint_holds(Count(10), 10, at=0)
 
     def test_datetime_end_is_inclusive(self):
         dt = DateTime(end=100)
@@ -69,15 +69,16 @@ class TestConstraintHolds:
         state = consume(initial_state(licenses), "l-1", "sl-1", "cp-1", Request(Action.PLAY, "a", at=0))
         st_ = state.cstate[("l-1", "sl-1", "cp-1")][0]
         assert not constraint_holds(Count(1), st_, at=0)
-        assert st_.depleted
+        assert depleted([Count(1)], [st_])
 
     def test_depleted_never_holds(self):
-        assert not constraint_holds(Unconstrained(), ConstraintState(depleted=True), at=0)
+        for counter in (Count(3), TimedCount(3, timer=30)):
+            assert not constraint_holds(counter, 0, at=0)
 
     def test_interval_unstarted_and_running(self):
         iv = Interval(duration=100)
-        assert constraint_holds(iv, ConstraintState(), at=12345)
-        running = ConstraintState(interval_started_at=100)
+        assert constraint_holds(iv, None, at=12345)
+        running = 100
         assert constraint_holds(iv, running, at=200)
         assert not constraint_holds(iv, running, at=201)
 
@@ -88,7 +89,7 @@ def test_constraints_hold_empty_list_is_true():
 
 def test_constraints_hold_conjunction():
     cs = [Count(1), DateTime(end=1000)]
-    states = [ConstraintState(remaining=0, depleted=True), fresh_state(cs[1])]
+    states = [0, fresh_state(cs[1])]
     assert not constraints_hold(cs, states, at=10)
 
 
@@ -115,7 +116,7 @@ class TestConsume:
 
     def test_count_decrements_without_depleting(self, deadline_state, play_a):
         after = consume(deadline_state, "license-2", "sl-1", "cp-1", play_a)
-        assert after.cstate[("license-2", "sl-1", None)][0].remaining == 9
+        assert after.cstate[("license-2", "sl-1", None)][0] == 9
         assert valid(after, "license-2", "sl-1", "cp-1", play_a.at)
 
     def test_timed_count_ignores_short_use(self):
@@ -123,28 +124,28 @@ class TestConsume:
         state = initial_state(licenses)
         short = Request(Action.PLAY, "a", at=0, usage_duration=10)
         after = consume(state, "l-1", "sl-1", "cp-1", short)
-        assert after.cstate[("l-1", "sl-1", "cp-1")][0].remaining == 3
+        assert after.cstate[("l-1", "sl-1", "cp-1")][0] == 3
 
     def test_timed_count_charges_long_use(self):
         licenses = single_license(cp_constraints=[TimedCount(3, timer=30)])
         state = initial_state(licenses)
         long_use = Request(Action.PLAY, "a", at=0, usage_duration=30)
         after = consume(state, "l-1", "sl-1", "cp-1", long_use)
-        assert after.cstate[("l-1", "sl-1", "cp-1")][0].remaining == 2
+        assert after.cstate[("l-1", "sl-1", "cp-1")][0] == 2
 
     def test_interval_starts_once(self):
         licenses = single_license(sl_constraints=[Interval(1000)], cp_constraints=[], perms=(("play", "a"),))
         state = initial_state(licenses)
         after = consume(state, "l-1", "sl-1", "cp-1", Request(Action.PLAY, "a", at=50))
-        assert after.cstate[("l-1", "sl-1", None)][0].interval_started_at == 50
+        assert after.cstate[("l-1", "sl-1", None)][0] == 50
         again = consume(after, "l-1", "sl-1", "cp-1", Request(Action.PLAY, "a", at=200))
-        assert again.cstate[("l-1", "sl-1", None)][0].interval_started_at == 50
+        assert again.cstate[("l-1", "sl-1", None)][0] == 50
 
     def test_datetime_state_untouched(self):
         licenses = single_license(cp_constraints=[DateTime(end=10_000)])
         state = initial_state(licenses)
         after = consume(state, "l-1", "sl-1", "cp-1", Request(Action.PLAY, "a", at=5))
-        assert after.cstate[("l-1", "sl-1", "cp-1")][0] == ConstraintState()
+        assert after.cstate[("l-1", "sl-1", "cp-1")][0] is None
 
     def test_invalid_target_raises_and_leaves_state_alone(self, deadline_state):
         play_z = Request(Action.PLAY, "song-z", at=0)

@@ -1,7 +1,8 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from licalloc.engine import Depletion, consume, initial_state, is_depleting
+from licalloc.engine import Depletion, consume, depleted, initial_state, is_depleting, on_last_charge
 from licalloc.labels import (
     Complexity,
     ConstraintName,
@@ -16,6 +17,7 @@ from licalloc.model import (
     Action,
     Count,
     DateTime,
+    Interval,
     License,
     LicenseSet,
     Request,
@@ -100,6 +102,35 @@ def test_times_flips_once_after_penultimate_use():
 def test_timed_count_last_charge_labels_once_pessimistically():
     cp = CP("cp", constraints=[TimedCount(1, timer=60)], permissions=[perm("play", "a")])
     assert cp_label(cp, states_for(cp.constraints)).times is Times.ONCE
+
+
+@pytest.mark.parametrize("started", [0, 1])
+def test_a_started_interval_is_no_counter(started):
+    # an interval's state is its start time, which can read like a charge count of 0 or 1
+    iv = [Interval(100)]
+    assert not depleted(iv, [started]) and not on_last_charge(iv, [started])
+    licenses = LicenseSet(
+        [
+            License(
+                "l",
+                [
+                    SubLicense(
+                        "sl",
+                        constraints=iv,
+                        cps=[
+                            CP("cp-a", constraints=iv, permissions=[perm("play", "a")]),
+                            CP("cp-b", permissions=[perm("play", "b")]),
+                        ],
+                    )
+                ],
+            )
+        ]
+    )
+    after = consume(initial_state(licenses), "l", "sl", "cp-a", Request(Action.PLAY, "a", at=started))
+    assert after.cstate[("l", "sl", "cp-a")] == (started,)
+    labels = state_labels(after)
+    assert labels[("l", "sl", "cp-a")].times is Times.MANY
+    assert labels[("l", "sl", None)] == Label(Complexity.COMPLEX, Times.MANY, ConstraintName.INTERVAL)
 
 
 def test_depleted_sibling_shrinks_sublicense_complexity():

@@ -15,6 +15,7 @@ from licalloc.model import (
     CP,
     Action,
     Count,
+    Interval,
     License,
     LicenseSet,
     Request,
@@ -375,7 +376,7 @@ def test_local_loss_matches_copy_consume_recount():
                     seen[is_depleting(state, lid, *target, request)] += 1
                     for c, s in _path(state, lid, target):
                         seen["short use"] += isinstance(c, TimedCount) and request.usage_duration < c.timer
-                        seen["started interval"] += s.interval_started_at is not None
+                        seen["started interval"] += isinstance(c, Interval) and s is not None
                     seen["pairs"] += 1
                 picked = rng.choice(pool)
                 state = consume(state, picked, *targets[picked], request)

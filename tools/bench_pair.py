@@ -50,11 +50,17 @@ MIN_CLAIM_PAIRS = 10
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``"100-109"``, ``"9001"`` or a comma list of either."""
+    """``"100-109"``, ``"9001"`` or a comma list of either; each part names a seed."""
     seeds = []
     for part in text.split(","):
         low, _, high = part.partition("-")
-        seeds.extend(range(int(low), int(high or low) + 1))
+        try:
+            span = range(int(low), int(high or low) + 1)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a seed or seed range: {part!r}") from None
+        if not span:
+            raise argparse.ArgumentTypeError(f"empty seed range: {part!r}")
+        seeds.extend(span)
     return seeds
 
 
