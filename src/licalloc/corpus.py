@@ -27,6 +27,7 @@ parse/serialize round-trips are exact.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
@@ -353,10 +354,60 @@ def document_to_json(doc: CorpusDocument) -> dict:
     return out
 
 
+def _emit(value: Any, indent: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(indent=2, ensure_ascii=False)`` writes it.
+
+    ``indent`` is the newline and indentation of the line ``value`` starts
+    on.  With an indent, ``json.dumps`` runs CPython's pure-Python encoder;
+    this writes the same text with one call per value, and strings go
+    through the same ``encode_basestring``.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        head = "{" + inner
+        for key, item in value.items():
+            out.append(head + encode_basestring(key) + ": ")
+            _emit(item, inner, out)
+            head = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        head = "[" + inner
+        for item in value:
+            out.append(head)
+            _emit(item, inner, out)
+            head = "," + inner
+        out.append(indent + "]")
+    else:
+        out.append(json.dumps(value))
+
+
 def serialize_corpus(doc: CorpusDocument) -> bytes:
-    """Canonical bytes: fixed key order, 2-space indent, trailing newline."""
-    payload = document_to_json(doc)
-    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    """Canonical bytes: fixed key order, 2-space indent, trailing newline.
+
+    The bytes are ``json.dumps(document_to_json(doc), indent=2,
+    ensure_ascii=False)`` and a newline, written by ``_emit``.
+    """
+    out: list[str] = []
+    _emit(document_to_json(doc), "\n", out)
+    out.append("\n")
+    return "".join(out).encode("utf-8")
 
 
 def load_corpus(path: str, *, strict_labels: bool = True) -> CorpusDocument:

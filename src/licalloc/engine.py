@@ -128,11 +128,20 @@ class Depletion(enum.Enum):
     SUBLICENSE_DEPLETES = "sublicense_depletes"
 
 
+def _charged(constraint: Constraint, request: Optional[Request]) -> bool:
+    """True iff a use for ``request`` takes a charge of this constraint.
+
+    A count always does, a timed count when the use lasts at least its
+    timer; with no request every counter is taken to be charged.
+    """
+    if isinstance(constraint, TimedCount):
+        return request is None or request.usage_duration >= constraint.timer
+    return isinstance(constraint, Count)
+
+
 def _advance(constraint: Constraint, state: ConstraintState, request: Request) -> ConstraintState:
     """State of one constraint after a successful use."""
-    if isinstance(constraint, Count) or (
-        isinstance(constraint, TimedCount) and request.usage_duration >= constraint.timer
-    ):
+    if _charged(constraint, request):
         return state - 1
     if isinstance(constraint, Interval) and state is None:
         return request.at
@@ -146,14 +155,20 @@ def depleted(constraints: Sequence[Constraint], states: Sequence[ConstraintState
     return 0 in states and any(isinstance(c, _COUNTERS) and s == 0 for c, s in zip(constraints, states))
 
 
-def on_last_charge(constraints: Sequence[Constraint], states: Sequence[ConstraintState]) -> bool:
-    """True iff some counter of the node has at most one charge left.
+def on_last_charge(
+    constraints: Sequence[Constraint],
+    states: Sequence[ConstraintState],
+    request: Optional[Request] = None,
+) -> bool:
+    """True iff some counter of the node that a use charges has at most one charge left.
 
-    Pessimistic for timed counts: one on its last charge counts even though
-    a use shorter than its timer would leave it untouched.
+    With a request, a timed count counts only when the use lasts at least
+    its timer, as ``consume`` charges it.  Without one the reading is
+    pessimistic: a timed count on its last charge counts even though a use
+    shorter than its timer would leave it untouched.
     """
     return (0 in states or 1 in states) and any(
-        isinstance(c, _COUNTERS) and s <= 1 for c, s in zip(constraints, states)
+        _charged(c, request) and s <= 1 for c, s in zip(constraints, states)
     )
 
 
@@ -198,23 +213,40 @@ def consume(
     return AgentState(licenses=state.licenses, cstate=cstate)
 
 
-def is_depleting(
-    state: AgentState, license_id: str, sublicense_id: str, cp_id: str, request: Request
+def node_depletion(
+    state: AgentState,
+    license_id: str,
+    sublicense: SubLicense,
+    cp: ConstraintPermissionSet,
+    request: Request,
 ) -> Depletion:
-    """Pure lookahead: classify what a consume of this target would deplete.
+    """What a consume of the given nodes would deplete; the target is not checked.
 
     Depletion is the only change a consume makes to what holds at
     ``request.at``: other charges leave a counter at one or more, and an
     interval it starts holds at its own start.  A target that holds has no
     counter at zero, so a counter at zero after the use is one it depleted.
+    The caller vouches that the target matches and holds, as a resolved
+    target of ``rights.select_target`` does.
     """
-    sl, cp = _checked_target(state, license_id, sublicense_id, cp_id, request)
 
     def would_deplete(constraints, states):
         return depleted(constraints, [_advance(c, s, request) for c, s in zip(constraints, states)])
 
-    if would_deplete(sl.constraints, state.sublicense_states(license_id, sublicense_id)):
+    if would_deplete(sublicense.constraints, state.sublicense_states(license_id, sublicense.id)):
         return Depletion.SUBLICENSE_DEPLETES
-    if would_deplete(cp.constraints, state.cp_states(license_id, sublicense_id, cp_id)):
+    if would_deplete(cp.constraints, state.cp_states(license_id, sublicense.id, cp.id)):
         return Depletion.CP_DEPLETES
     return Depletion.NONE
+
+
+def is_depleting(
+    state: AgentState, license_id: str, sublicense_id: str, cp_id: str, request: Request
+) -> Depletion:
+    """Pure lookahead: classify what a consume of this target would deplete.
+
+    The target is looked up by id and checked as ``consume`` checks it;
+    ``node_depletion`` then classifies it.
+    """
+    sl, cp = _checked_target(state, license_id, sublicense_id, cp_id, request)
+    return node_depletion(state, license_id, sl, cp, request)

@@ -4,8 +4,11 @@ A label is a (complexity, times, constraint) triple:
 
 * ``times`` says whether the node survives another use.  ``once`` means some
   counter at the node is down to its last charge, so the next use depletes
-  it.  Timed counts are counted pessimistically, as if every use were long
-  enough to consume a charge (see ``engine.on_last_charge``).
+  it.  A decision labels for its request (``rights.select_target`` passes
+  it): a timed count is charged only by a use that lasts at least its timer.
+  Without a request (``state_labels``, and so the labels stored in corpus
+  files) timed counts are counted pessimistically, as if every use were long
+  enough to take a charge (see ``engine.on_last_charge``).
 * ``complexity`` says whether depleting the node would take more than the
   single requested permission with it.  For a cp that is simply "more than
   one permission listed".  For a sublicense it counts the permission
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .engine import AgentState, ConstraintState, NodeKey, depleted, on_last_charge
 from .model import (
@@ -31,6 +34,7 @@ from .model import (
     Count,
     DateTime,
     Interval,
+    Request,
     SubLicense,
     TimedCount,
     Unconstrained,
@@ -91,10 +95,18 @@ def dominant_constraint(constraints: Sequence[Constraint]) -> ConstraintName:
     return _NAME_BY_TYPE[type(best)]
 
 
-def cp_label(cp: ConstraintPermissionSet, cp_states: Sequence[ConstraintState]) -> Label:
-    """Label of a constraint-permission set under the given constraint states."""
+def cp_label(
+    cp: ConstraintPermissionSet,
+    cp_states: Sequence[ConstraintState],
+    request: Optional[Request] = None,
+) -> Label:
+    """Label of a constraint-permission set under the given constraint states.
+
+    ``times`` is read for a use serving ``request``; without one it is the
+    pessimistic reading.
+    """
     complexity = Complexity.SIMPLE if len(cp.permissions) == 1 else Complexity.COMPLEX
-    times = Times.ONCE if on_last_charge(cp.constraints, cp_states) else Times.MANY
+    times = Times.ONCE if on_last_charge(cp.constraints, cp_states, request) else Times.MANY
     return Label(complexity, times, dominant_constraint(cp.constraints))
 
 
@@ -102,20 +114,28 @@ def sublicense_label(
     sl: SubLicense,
     sl_states: Sequence[ConstraintState],
     cp_states: Sequence[Sequence[ConstraintState]],
+    request: Optional[Request] = None,
 ) -> Label:
-    """Label of a sublicense; ``cp_states`` is aligned with ``sl.cps``."""
+    """Label of a sublicense; ``cp_states`` is aligned with ``sl.cps``.
+
+    ``times`` is read as ``cp_label`` reads it.
+    """
     live_permissions = sum(
         len(cp.permissions)
         for cp, states in zip(sl.cps, cp_states)
         if not depleted(cp.constraints, states)
     )
     complexity = Complexity.SIMPLE if live_permissions <= 1 else Complexity.COMPLEX
-    times = Times.ONCE if on_last_charge(sl.constraints, sl_states) else Times.MANY
+    times = Times.ONCE if on_last_charge(sl.constraints, sl_states, request) else Times.MANY
     return Label(complexity, times, dominant_constraint(sl.constraints))
 
 
 def state_labels(state: AgentState) -> dict[NodeKey, Label]:
-    """Current labels of every sublicense and cp, keyed by (lid, slid, cpid|None)."""
+    """Current labels of every sublicense and cp, keyed by (lid, slid, cpid|None).
+
+    These labels know no request, so ``times`` is the pessimistic reading (a
+    use that reaches every timer); the labels in corpus files are these.
+    """
     out: dict[NodeKey, Label] = {}
     for lic in state.licenses:
         for sl in lic.sublicenses:

@@ -17,7 +17,7 @@ that could serve the request are read and labelled.  Hosts keep declaration
 order, so every tie-break is the one a walk of every license would make.
 
 Loss is measured at the instant of the request.  There a consume changes what
-holds only by depletion (see ``engine.is_depleting``), and only on the
+holds only by depletion (see ``engine.node_depletion``), and only on the
 target's path, so ``loss`` reads it off that path without building the
 successor state: the permissions of the sublicense's currently valid cps when
 the sublicense depletes, the target cp's permissions when only the cp
@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterator, Mapping, NamedTuple, Optional
 
-from .engine import AgentState, Depletion, constraints_hold, is_depleting
+from .engine import AgentState, Depletion, constraints_hold, node_depletion
 from .errors import NotFoundError
 from .labels import Label, cp_label, label_sort_key, sublicense_label
 from .model import ConstraintPermissionSet, License, Permission, Request, SubLicense, Timestamp
@@ -72,8 +72,10 @@ def select_target(
     """The target a selection of this license would consume, or None if it has none.
 
     ``permission`` is ``request.permission``, computed once by the caller.
-    Among the sublicenses holding a valid matching cp, the one whose current
-    label compares best wins; within it, the matching cp with the best label
+    Both nodes are labelled for this request, so a timed count the use is
+    too short to charge does not make a node ``once``.  Among the
+    sublicenses holding a valid matching cp, the one whose current label
+    compares best wins; within it, the matching cp with the best label
     wins.  Ties go to declaration order.  A sublicense with no cp granting
     the permission is skipped before any of its states are read.
     """
@@ -92,11 +94,11 @@ def select_target(
             if constraints_hold(sl.cps[i].constraints, cp_states[i], request.at)
         ]
         if matching:
-            options.append((sublicense_label(sl, sl_states, cp_states), sl, matching))
+            options.append((sublicense_label(sl, sl_states, cp_states, request), sl, matching))
     if not options:
         return None
     sl_label, sl, matching = min(options, key=lambda option: label_sort_key(option[0]))
-    labelled = ((cp, cp_label(cp, states)) for cp, states in matching)
+    labelled = ((cp, cp_label(cp, states, request)) for cp, states in matching)
     cp, cp_lbl = min(labelled, key=lambda pair: label_sort_key(pair[1]))
     return Resolved(sl, cp, sl_label, cp_lbl)
 
@@ -134,9 +136,13 @@ def rights(state: AgentState, at: Timestamp) -> RightsMultiset:
 def _target_loss(
     state: AgentState, license_id: str, resolved: Resolved, request: Request
 ) -> RightsMultiset:
-    """Rights lost at ``request.at`` by consuming the license's resolved target."""
+    """Rights lost at ``request.at`` by consuming the license's resolved target.
+
+    The target was resolved at this state, so it is priced by its nodes,
+    without looking it up or checking it again.
+    """
     sl, cp = resolved.sublicense, resolved.cp
-    depletion = is_depleting(state, license_id, sl.id, cp.id, request)
+    depletion = node_depletion(state, license_id, sl, cp, request)
     if depletion is Depletion.NONE:
         return Counter()
     if depletion is Depletion.CP_DEPLETES:

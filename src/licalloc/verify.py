@@ -708,6 +708,21 @@ def run_bounded_liveness(
     due permission with no valid host is not asked of ``allocate``, which
     could only say NoMatch.
 
+    Many nodes share a state, so the work that depends on the state alone
+    is done once per search and memoized on the state's key, the tuple of
+    its constraint states: the live permissions (one ``rights`` walk per
+    distinct state), and per (state, permission) the executed step's
+    successor and the permissions it blackens.  ``color_step`` only adds to
+    the black set, and what it adds does not depend on it, so a step's
+    blackened permissions are computed once from the empty set and joined
+    to each node's own.  Permissions are coded as bits, bit ``i`` for the
+    ``i``-th permission of the sorted support: the black, live and due sets
+    are int masks and a schedule is a tuple of indices.  Rights only shrink
+    at a fixed ``at``, so every mask stays within the support.  Due bits are
+    pushed from high to low, so the lowest is searched first, and the
+    lowest dead bit is the failure reported; only the failure dict names
+    permissions again.
+
     Raises AssumptionViolation when some node would survive its own
     selection, which is outside the regime this check covers.
     """
@@ -723,51 +738,71 @@ def run_bounded_liveness(
         p for lic in licenses for sl in lic.sublicenses for cp in sl.cps for p in set(cp.permissions)
     )
     rounds = max(granting[p] for p in support) + 1
-    requests = {
-        p: Request(p.action, p.content, at=at, usage_duration=USAGE_DURATION) for p in support
-    }
+    requests = [Request(p.action, p.content, at=at, usage_duration=USAGE_DURATION) for p in support]
+    bit = {p: 1 << i for i, p in enumerate(support)}
+    everything = (1 << len(support)) - 1
 
-    # (state, black permissions, permissions due this round, round, schedule so far)
-    stack = [(state0, frozenset(), support, 0, ())]
+    def mask(permissions) -> int:
+        assert bit.keys() >= permissions, "a permission outside the support"
+        return sum(bit[p] for p in permissions)
+
+    key0 = tuple(state0.cstate.values())
+    lives = {key0: everything}  # state key -> live mask
+    steps: dict = {}  # (state key, index) -> (successor, its key, blackened mask)
+    # (state, its key, black mask, due mask, round, schedule so far as indices)
+    stack = [(state0, key0, 0, everything, 0, ())]
     searched: dict = {}  # node key -> earliest round it was searched from
     states = 0
     while stack:
-        state, black, due, round_, schedule = stack.pop()
-        key = (tuple(state.cstate.values()), black, due)
+        state, skey, black, due, round_, schedule = stack.pop()
+        key = (skey, black, due)
         if key in searched and searched[key] <= round_:
             continue
         if states == MAX_LIVENESS_STATES:
             return LivenessResult(passed=True, states=states, finished=False)
         searched[key] = round_
         states += 1
-        live = rights(state, at)
-        for p in support:
-            if p not in live and p not in black:
-                return LivenessResult(
-                    passed=False,
-                    states=states,
-                    failure={
-                        "schedule": [
-                            {"action": q.action.value, "content": q.content} for q in schedule
-                        ],
-                        "step": len(schedule) - 1,
-                        "permission": {"action": p.action.value, "content": p.content},
-                    },
-                )
+        live = lives.get(skey)
+        if live is None:
+            live = lives[skey] = mask(rights(state, at).keys())
+        dead = everything & ~(live | black)
+        if dead:
+            p = support[(dead & -dead).bit_length() - 1]
+            return LivenessResult(
+                passed=False,
+                states=states,
+                failure={
+                    "schedule": [
+                        {"action": support[i].action.value, "content": support[i].content}
+                        for i in schedule
+                    ],
+                    "step": len(schedule) - 1,
+                    "permission": {"action": p.action.value, "content": p.content},
+                },
+            )
         if round_ == rounds:
             continue
-        for p in reversed(due):
-            after, blackened = state, black
-            if p in live:
-                request = requests[p]
-                decision, after = allocate_and_execute(
-                    state, request, algorithm=algorithm, chooser=min_loss_chooser
-                )
-                if isinstance(decision, Chosen):
-                    blackened = color_step(black, state, decision, request)
-            rest = tuple(q for q in due if q != p)
-            child = (rest, round_) if rest else (support, round_ + 1)
-            stack.append((after, blackened, *child, schedule + (p,)))
+        todo = due
+        while todo:
+            i = todo.bit_length() - 1
+            b = 1 << i
+            todo ^= b
+            after, akey, blackened = state, skey, 0
+            if live & b:
+                step = steps.get((skey, i))
+                if step is None:
+                    request = requests[i]
+                    decision, successor = allocate_and_execute(
+                        state, request, algorithm=algorithm, chooser=min_loss_chooser
+                    )
+                    lost = frozenset()
+                    if isinstance(decision, Chosen):
+                        lost = color_step(lost, state, decision, request)
+                    step = steps[(skey, i)] = (successor, tuple(successor.cstate.values()), mask(lost))
+                after, akey, blackened = step
+            rest = due & ~b
+            child = (rest, round_) if rest else (everything, round_ + 1)
+            stack.append((after, akey, black | blackened, *child, schedule + (i,)))
     return LivenessResult(passed=True, states=states)
 
 

@@ -97,9 +97,9 @@ def full_walk_resolution(state, request) -> dict:
     """{license id: (target, sublicense label, cp label)} from a walk of every license.
 
     The oracle for ``resolve_candidates``: every sublicense of every license
-    has its states read and its label computed, whatever it grants.  The best
-    valid matching sublicense by label wins, then its best valid matching cp;
-    ties go to declaration order.
+    has its states read and its label for the request computed, whatever it
+    grants.  The best valid matching sublicense by label wins, then its best
+    valid matching cp; ties go to declaration order.
     """
     out = {}
     for lic in state.licenses:
@@ -107,9 +107,9 @@ def full_walk_resolution(state, request) -> dict:
         for sl in lic.sublicenses:
             sl_states = state.cstate[(lic.id, sl.id, None)]
             cp_states = [state.cstate[(lic.id, sl.id, cp.id)] for cp in sl.cps]
-            sl_label = sublicense_label(sl, sl_states, cp_states)
+            sl_label = sublicense_label(sl, sl_states, cp_states, request)
             matching = [
-                (cp, cp_label(cp, states))
+                (cp, cp_label(cp, states, request))
                 for cp, states in zip(sl.cps, cp_states)
                 if sat_cp(cp, request) and constraints_hold(cp.constraints, states, request.at)
             ]

@@ -276,3 +276,32 @@ def test_document_to_json_key_order(deadline_doc):
     assert list(sl) == ["id", "constraints", "cps", "label"]
     cp = sl["cps"][0]
     assert list(cp) == ["id", "constraints", "permissions", "label"]
+
+
+def _bundled_documents():
+    from licalloc.cases import all_lossy_licenses
+    from licalloc.model import CP, DateTime, Interval, License, Permission, SubLicense, TimedCount, Unconstrained
+    from licalloc.verify import GeneratorCaps, InstanceGenerator, PROFILES
+
+    docs = [CorpusDocument(case.licenses, [case.request]) for case in case_studies()]
+    docs += [CorpusDocument(all_lossy_licenses()), CorpusDocument(LicenseSet([mixed_branch_license()]))]
+    docs.append(CorpusDocument(LicenseSet([])))
+    # strings that need escapes and characters beyond ASCII
+    odd = Permission(Action.PLAY, 'sóng "é"\n\\ ☃ \x01')
+    docs.append(
+        CorpusDocument(
+            LicenseSet([License("lic-é", [SubLicense("sl", [TimedCount(2, timer=30)], [CP("cp", [Unconstrained(), Interval(60), DateTime(start=5)], [odd])])])]),
+            [Request(Action.PLAY, odd.content, at=0, usage_duration=7)],
+        )
+    )
+    for i in range(50):
+        profile = PROFILES[i % len(PROFILES)]
+        docs.append(InstanceGenerator(GeneratorCaps(), seed=i, profile=profile).document(i))
+    return docs
+
+
+def test_serialize_writes_what_json_dumps_writes():
+    """The canonical bytes are the standard library's indent-2 output, byte for byte."""
+    for doc in _bundled_documents():
+        expected = json.dumps(document_to_json(doc), indent=2, ensure_ascii=False) + "\n"
+        assert serialize_corpus(doc) == expected.encode("utf-8")

@@ -212,3 +212,19 @@ def test_once_label_predicts_depletion(cp):
     request = Request(p.action, p.content, at=100, usage_duration=10_000)
     verdict = is_depleting(state, "l", "sl", "cp", request)
     assert (label.times is Times.ONCE) == (verdict is not Depletion.NONE)
+
+
+counters = st.one_of(
+    st.builds(Count, st.integers(1, 2)),
+    st.builds(TimedCount, st.integers(1, 2), st.integers(1, 60)),
+)
+
+
+@given(st.lists(counters, min_size=1, max_size=2), st.integers(0, 90))
+def test_request_label_predicts_depletion_for_any_use(constraints, duration):
+    cp = CP("cp", constraints=constraints, permissions=[perm("play", "a")])
+    state = initial_state(LicenseSet([License("l", [SubLicense("sl", cps=[cp])])]))
+    request = Request(Action.PLAY, "a", at=100, usage_duration=duration)
+    label = cp_label(cp, state.cp_states("l", "sl", "cp"), request)
+    verdict = is_depleting(state, "l", "sl", "cp", request)
+    assert (label.times is Times.ONCE) == (verdict is not Depletion.NONE)

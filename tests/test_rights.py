@@ -189,9 +189,9 @@ def test_resolution_reads_only_sublicenses_granting_the_request(monkeypatch):
         read.add((license_id, sublicense_id))
         return sublicense_states(self, license_id, sublicense_id)
 
-    def labelling(sl, sl_states, cp_states):
+    def labelling(sl, *states):
         labelled.add(id(sl))
-        return sublicense_label(sl, sl_states, cp_states)
+        return sublicense_label(sl, *states)
 
     monkeypatch.setattr(AgentState, "sublicense_states", reading)
     monkeypatch.setattr(rights_module, "sublicense_label", labelling)

@@ -21,6 +21,7 @@ from licalloc.model import (
     LicenseSet,
     Request,
     SubLicense,
+    TimedCount,
 )
 from licalloc.rights import rights
 from licalloc.verify import (
@@ -33,6 +34,7 @@ from licalloc.verify import (
     LIVENESS_CAPS,
     MAX_LIVENESS_STATES,
     InstanceGenerator,
+    LivenessResult,
     check_selection_soundness,
     check_weak_minimal_loss,
     color_step,
@@ -175,6 +177,22 @@ def test_choice_of_a_non_candidate_fails(name, deadline_state, play_a):
     assert result.detail == {"chosen": "nope", "candidates": ["license-1", "license-2"]}
 
 
+def test_a_use_shorter_than_the_timer_is_not_a_last_charge():
+    """A decision labels ``times`` for its request, as ``is_depleting`` prices it."""
+
+    def timed(license_id):
+        cp = CP("cp", permissions=[perm("play", "a"), perm("play", "b")])
+        return License(license_id, [SubLicense("sl", constraints=[TimedCount(1, timer=60)], cps=[cp])])
+
+    state = initial_state(LicenseSet([timed("l1"), timed("l2")]))
+    request = Request(Action.PLAY, "a", at=100, usage_duration=5)
+    decision = proposed_allocate(state, request)
+    assert decision == Chosen("l1", "sl", "cp")
+    assert judge(check_selection_soundness, state, request, decision).passed
+    # without a request the labels stay pessimistic
+    assert state_labels(state)[("l1", "sl", None)].times is Times.ONCE
+
+
 class TestBoundedLiveness:
     def test_all_lossy_instance_passes(self):
         result = run_bounded_liveness(all_lossy_licenses(), at=REQUEST_AT)
@@ -210,8 +228,16 @@ class TestBoundedLiveness:
         )
         assert conforms_to_depletion_assumption(initial_state(licenses))
         result = run_bounded_liveness(licenses, algorithm="oma", at=100)
-        assert not result.passed
-        assert result.failure["permission"] == {"action": "play", "content": "b"}
+        assert result == LivenessResult(
+            passed=False,
+            states=2,
+            failure={
+                "schedule": [{"action": "play", "content": "a"}],
+                "step": 0,
+                "permission": {"action": "play", "content": "b"},
+            },
+            finished=True,
+        )
         filtered = run_bounded_liveness(licenses, algorithm="proposed", at=100)
         assert filtered.passed
 
@@ -330,6 +356,33 @@ class TestLivenessSearch:
             for algorithm in ("proposed", "oma"):
                 run_bounded_liveness(licenses, algorithm=algorithm)
         assert resolves[True] > 0 and resolves[False] == 0
+
+    def test_search_does_each_states_work_once(self, monkeypatch):
+        """One ``rights`` walk per distinct state and one executed step per (state, permission)."""
+        verify_module = sys.modules["licalloc.verify"]
+        inner_execute, inner_rights = verify_module.allocate_and_execute, verify_module.rights
+        steps, walks = Counter(), Counter()
+
+        def counting_execute(state, request, **kwargs):
+            steps[(tuple(state.cstate.values()), request.permission)] += 1
+            return inner_execute(state, request, **kwargs)
+
+        def counting_rights(state, at):
+            walks[tuple(state.cstate.values())] += 1
+            return inner_rights(state, at)
+
+        monkeypatch.setattr(verify_module, "allocate_and_execute", counting_execute)
+        monkeypatch.setattr(verify_module, "rights", counting_rights)
+        searched = walked = 0
+        for licenses in _conforming_instances(seed=0, n=40):
+            for algorithm in ("proposed", "oma"):
+                steps.clear()
+                walks.clear()
+                searched += run_bounded_liveness(licenses, algorithm=algorithm).states
+                walked += len(walks)
+                assert set(steps.values()) <= {1} and set(walks.values()) <= {1}
+        # nodes share states, so the memo saves walks
+        assert searched > walked
 
     @pytest.mark.parametrize("caps", [LIVENESS_CAPS, GeneratorCaps()], ids=["liveness-caps", "default-caps"])
     @pytest.mark.parametrize("seed", [0, 1])
