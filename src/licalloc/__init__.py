@@ -54,8 +54,6 @@ from .model import (
     SubLicense,
     TimedCount,
     Unconstrained,
-    matches,
-    sat_cp,
 )
 from .rights import (
     candidates,

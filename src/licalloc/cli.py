@@ -380,6 +380,8 @@ def cmd_verify(args) -> int:
     unknown = set(checks) - {*CHECKS, "neutrality", "liveness"}
     if unknown:
         return _fail(f"unknown checks: {sorted(unknown)}", EXIT_LOAD)
+    if len(set(checks)) < len(checks):
+        return _fail(f"a check is named more than once in {checks}", EXIT_LOAD)
     if args.trials < 1:
         return _fail(f"--trials must be >= 1, got {args.trials}", EXIT_LOAD)
     given = {k: v for k, v in vars(args).items() if k.startswith("max_") and v is not None}

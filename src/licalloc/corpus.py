@@ -21,7 +21,8 @@ Labels in files are advisory caches.  The parser always recomputes them; in
 strict mode a stored label that disagrees with the recomputed one is an
 error.  Serialization is canonical (fixed key order, two-space indent,
 trailing newline), so equal documents serialize to identical bytes and
-parse/serialize round-trips are exact.
+parse/serialize round-trips are exact.  A cp that lists a permission twice
+grants it once, so it is written once.
 """
 
 from __future__ import annotations

@@ -35,7 +35,6 @@ from .model import (
     TimedCount,
     Timestamp,
     Unconstrained,
-    sat_cp,
 )
 
 NodeKey = tuple[str, str, Optional[str]]
@@ -178,7 +177,7 @@ def _checked_target(
     """The target's sublicense and cp, once they are shown to match and hold now."""
     sl = state.sublicense(license_id, sublicense_id)
     cp = sl.cp(cp_id)
-    if not sat_cp(cp, request):
+    if request.permission not in cp.permissions:
         raise InvalidTargetError(
             f"cp {cp_id!r} of {license_id}/{sublicense_id} grants no permission matching the request"
         )

@@ -4,14 +4,14 @@ A label is a (complexity, times, constraint) triple:
 
 * ``times`` says whether the node survives another use.  ``once`` means some
   counter at the node is down to its last charge, so the next use depletes
-  it.  A decision labels for its request (``rights.select_target`` passes
-  it): a timed count is charged only by a use that lasts at least its timer.
-  Without a request (``state_labels``, and so the labels stored in corpus
-  files) timed counts are counted pessimistically, as if every use were long
+  it.  A decision labels for its request (``rights.select_target`` and the
+  ``pair_discipline`` check pass it): a timed count is charged only by a use
+  that lasts at least its timer.  Without a request (``state_labels``)
+  timed counts are counted pessimistically, as if every use were long
   enough to take a charge (see ``engine.on_last_charge``).
 * ``complexity`` says whether depleting the node would take more than the
   single requested permission with it.  For a cp that is simply "more than
-  one permission listed".  For a sublicense it counts the permission
+  one permission granted".  For a sublicense it counts the permission
   occurrences of its not-yet-depleted cps: depleting the sublicense kills all
   of those at once.
 * ``constraint`` names the best-ranked constraint present at the node itself
@@ -19,6 +19,13 @@ A label is a (complexity, times, constraint) triple:
 
 Labels are always derived from the current constraint states, never stored,
 so they can not go stale: relabelling after a consume is the identity.
+
+The request-free labels of ``state_labels`` decide nothing.  Corpus files
+store them as advisory caches, and ``licalloc simulate`` shows how a step
+changed them; neither has one request to label for.  The neutrality
+precondition and the liveness assumption read them too, but campaign uses
+last ``verify.USAGE_DURATION``, longer than any generated timer, so every
+timed count is charged and both readings agree.
 """
 
 from __future__ import annotations

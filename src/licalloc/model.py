@@ -53,17 +53,15 @@ class Request:
     content: Content
     at: Timestamp
     usage_duration: int = 0
+    # The permission this request asks for, built once from action and content.
+    permission: Permission = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.at < 0:
             raise ValueError("request timestamp must be >= 0")
         if self.usage_duration < 0:
             raise ValueError("usage_duration must be >= 0")
-
-    @property
-    def permission(self) -> Permission:
-        """The permission this request asks for."""
-        return Permission(self.action, self.content)
+        object.__setattr__(self, "permission", Permission(self.action, self.content))
 
 
 # --- constraints -----------------------------------------------------------
@@ -150,7 +148,7 @@ def _require_id(value: str, what: str) -> None:
 
 @dataclass(frozen=True, slots=True)
 class ConstraintPermissionSet:
-    """Constraints that, when met, authorise a set of permissions."""
+    """Constraints that, when met, authorise a set of permissions, each granted once."""
 
     id: str
     constraints: tuple[Constraint, ...]
@@ -160,7 +158,7 @@ class ConstraintPermissionSet:
         _require_id(id, "cp")
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "constraints", tuple(constraints))
-        object.__setattr__(self, "permissions", tuple(permissions))
+        object.__setattr__(self, "permissions", tuple(dict.fromkeys(permissions)))
         if not self.permissions:
             raise ValueError(f"cp {id!r} must grant at least one permission")
 
@@ -262,17 +260,4 @@ class LicenseSet:
                     index.setdefault(p, []).append(lic)
             object.__setattr__(self, "_hosts", {p: tuple(hosts) for p, hosts in index.items()})
         return self._hosts.get(permission, ())
-
-
-# --- structural matching ---------------------------------------------------
-
-
-def matches(permission: Permission, request: Request) -> bool:
-    """True iff the permission grants exactly what the request asks for."""
-    return permission.action == request.action and permission.content == request.content
-
-
-def sat_cp(cp: ConstraintPermissionSet, request: Request) -> bool:
-    """True iff some permission of the cp matches the request (structure only)."""
-    return any(matches(p, request) for p in cp.permissions)
 

@@ -1,8 +1,9 @@
 """Rights accounting: what is exercisable now and what a selection would cost.
 
-``rights`` counts one occurrence per permission per currently valid cp, so it
-measures availability, not remaining charges (a cp with ten charges left
-contributes each of its permissions once).
+``rights`` counts one occurrence per permission per currently valid cp (a cp
+grants each permission once), so it measures availability, not remaining
+charges (a cp with ten charges left contributes each of its permissions
+once).
 
 Target resolution is one walk of a license (``select_target``), which also
 labels both target nodes.  The ``verify`` checks do not trust the allocator
@@ -35,7 +36,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional
 from .engine import AgentState, Depletion, constraints_hold, node_depletion
 from .errors import NotFoundError
 from .labels import Label, cp_label, label_sort_key, sublicense_label
-from .model import ConstraintPermissionSet, License, Permission, Request, SubLicense, Timestamp
+from .model import ConstraintPermissionSet, License, Request, SubLicense, Timestamp
 
 RightsMultiset = Counter  # Permission -> multiplicity
 Target = tuple[str, str]  # (sublicense id, cp id) a selection would consume
@@ -66,12 +67,9 @@ class Resolved(NamedTuple):
         return self.sublicense.id, self.cp.id
 
 
-def select_target(
-    state: AgentState, lic: License, request: Request, permission: Permission
-) -> Optional[Resolved]:
+def select_target(state: AgentState, lic: License, request: Request) -> Optional[Resolved]:
     """The target a selection of this license would consume, or None if it has none.
 
-    ``permission`` is ``request.permission``, computed once by the caller.
     Both nodes are labelled for this request, so a timed count the use is
     too short to charge does not make a node ``once``.  Among the
     sublicenses holding a valid matching cp, the one whose current label
@@ -79,6 +77,7 @@ def select_target(
     wins.  Ties go to declaration order.  A sublicense with no cp granting
     the permission is skipped before any of its states are read.
     """
+    permission = request.permission
     options = []  # (sublicense label, sublicense, [(matching cp, its states)])
     for sl in lic.sublicenses:
         granting = [i for i, cp in enumerate(sl.cps) if permission in cp.permissions]
@@ -108,19 +107,17 @@ def resolve_candidates(state: AgentState, request: Request) -> dict[str, Resolve
 
     Only the licenses that host the requested permission are walked.
     """
-    permission = request.permission
-    hosts = state.licenses.hosts(permission)
-    pool = ((lic.id, select_target(state, lic, request, permission)) for lic in hosts)
+    hosts = state.licenses.hosts(request.permission)
+    pool = ((lic.id, select_target(state, lic, request)) for lic in hosts)
     return {lid: resolved for lid, resolved in pool if resolved is not None}
 
 
 def candidates(state: AgentState, request: Request) -> list[str]:
     """Ids of licenses that can satisfy the request at its timestamp."""
-    permission = request.permission
     return [
         lic.id
-        for lic in state.licenses.hosts(permission)
-        if any(permission in cp.permissions for _, cp in _valid_pairs(state, lic, request.at))
+        for lic in state.licenses.hosts(request.permission)
+        if any(request.permission in cp.permissions for _, cp in _valid_pairs(state, lic, request.at))
     ]
 
 
@@ -156,7 +153,7 @@ def _target_loss(
 
 def loss(state: AgentState, license_id: str, request: Request) -> RightsMultiset:
     """Rights that satisfying the request via this license makes unavailable."""
-    resolved = select_target(state, state.license(license_id), request, request.permission)
+    resolved = select_target(state, state.license(license_id), request)
     if resolved is None:
         raise NotFoundError(f"license {license_id!r} has no valid permission matching the request")
     return _target_loss(state, license_id, resolved, request)

@@ -56,7 +56,7 @@ from .allocate import (
 from .corpus import CorpusDocument, document_to_json
 from .engine import AgentState, consume, initial_state
 from .errors import AssumptionViolation
-from .labels import Times, state_labels
+from .labels import Times, cp_label, state_labels, sublicense_label
 from .model import (
     CP,
     Action,
@@ -200,14 +200,16 @@ def check_weak_minimal_loss(
 def check_pair_discipline(
     state: AgentState, request: Request, decision: AllocationDecision, losses: dict[str, RightsMultiset]
 ) -> CheckResult:
-    """A ranked (non-prompted, non-forced) choice never targets a once+complex node."""
+    """A ranked choice (not prompted, not forced) targets no node once+complex for its request."""
     if len(losses) < 2 or not isinstance(decision, Chosen) or decision.via_prompt:
         return CheckResult(True, "pair_discipline", vacuous=True)
     if (stray := _stray_choice(decision, losses)) is not None:
         return stray
-    labels = state_labels(state)
-    sl_label = labels[(decision.license_id, decision.sublicense_id, None)]
-    cp_lbl = labels[(decision.license_id, decision.sublicense_id, decision.cp_id)]
+    lid, sl = decision.license_id, state.sublicense(decision.license_id, decision.sublicense_id)
+    cp_states = [state.cp_states(lid, sl.id, cp.id) for cp in sl.cps]
+    sl_label = sublicense_label(sl, state.sublicense_states(lid, sl.id), cp_states, request)
+    cp = sl.cp(decision.cp_id)
+    cp_lbl = cp_label(cp, state.cp_states(lid, sl.id, cp.id), request)
     ok = not sl_label.depleting_and_complex and not cp_lbl.depleting_and_complex
     return CheckResult(
         ok, "pair_discipline", detail=None if ok else {"labels": [str(sl_label), str(cp_lbl)]}
@@ -603,6 +605,8 @@ def fuzz_campaign(
     unknown = set(checks) - set(CHECKS)
     if unknown:
         raise ValueError(f"unknown checks {sorted(unknown)}")
+    if len(set(checks)) < len(checks):
+        raise ValueError(f"a check is named more than once in {list(checks)}")
     report = CampaignReport(
         campaign="fuzz",
         algorithm=algorithm,
@@ -735,7 +739,7 @@ def run_bounded_liveness(
     if not support:
         return LivenessResult(passed=True, states=0)
     granting = Counter(
-        p for lic in licenses for sl in lic.sublicenses for cp in sl.cps for p in set(cp.permissions)
+        p for lic in licenses for sl in lic.sublicenses for cp in sl.cps for p in cp.permissions
     )
     rounds = max(granting[p] for p in support) + 1
     requests = [Request(p.action, p.content, at=at, usage_duration=USAGE_DURATION) for p in support]

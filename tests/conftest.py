@@ -1,4 +1,5 @@
 import itertools
+import json
 from collections import Counter
 
 import pytest
@@ -12,7 +13,7 @@ from licalloc.cases import (
 )
 from licalloc.engine import constraints_hold, consume, initial_state
 from licalloc.labels import cp_label, label_sort_key, sublicense_label
-from licalloc.model import Action, License, LicenseSet, Permission, Request, sat_cp
+from licalloc.model import Action, License, LicenseSet, Permission, Request
 from licalloc.rights import candidates, select_target
 from licalloc.verify import T0, USAGE_DURATION, GeneratorCaps, InstanceGenerator, color_step
 
@@ -86,7 +87,7 @@ def full_walk_candidates(state, request) -> list[str]:
                 continue
             for cp in sl.cps:
                 states = state.cstate[(lic.id, sl.id, cp.id)]
-                if sat_cp(cp, request) and constraints_hold(cp.constraints, states, request.at):
+                if request.permission in cp.permissions and constraints_hold(cp.constraints, states, request.at):
                     return True
         return False
 
@@ -111,7 +112,7 @@ def full_walk_resolution(state, request) -> dict:
             matching = [
                 (cp, cp_label(cp, states, request))
                 for cp, states in zip(sl.cps, cp_states)
-                if sat_cp(cp, request) and constraints_hold(cp.constraints, states, request.at)
+                if request.permission in cp.permissions and constraints_hold(cp.constraints, states, request.at)
             ]
             if matching and constraints_hold(sl.constraints, sl_states, request.at):
                 options.append((sl_label, sl, matching))
@@ -124,7 +125,7 @@ def full_walk_resolution(state, request) -> dict:
 
 def target_of(state, license_id, request) -> tuple[str, str]:
     """(sublicense id, cp id) that ``select_target`` resolves for the license."""
-    return select_target(state, state.license(license_id), request, request.permission).target
+    return select_target(state, state.license(license_id), request).target
 
 
 def brute_force_loss(state, license_id, request) -> Counter:
@@ -202,3 +203,24 @@ def brute_force_liveness(licenses, algorithm, at=T0) -> tuple[bool, dict | None]
 
 def perm(action, content) -> Permission:
     return Permission(Action(action), content)
+
+
+def duplicate_listing_corpus() -> str:
+    """Corpus text of two one-charge licenses asked for play a at t=0.
+
+    ``l1``'s only cp lists play a twice; ``l2``'s grants play a and play b.
+    A cp grants each permission once, so ``l1`` is simple and ``l2`` complex.
+    """
+
+    def license_(license_id, contents):
+        permissions = [{"action": "play", "content": c} for c in contents]
+        cp = {"id": "cp", "permissions": permissions}
+        return {"id": license_id, "sublicenses": [{"id": "sl", "constraints": [{"count": 1}], "cps": [cp]}]}
+
+    return json.dumps(
+        {
+            "schema_version": "1",
+            "licenses": [license_("l1", ["a", "a"]), license_("l2", ["a", "b"])],
+            "requests": [{"action": "play", "content": "a", "at": 0}],
+        }
+    )

@@ -14,6 +14,7 @@ from licalloc.allocate import (
     proposed_allocate,
 )
 from licalloc.cases import REQUEST_AT, all_lossy_licenses, case_studies
+from licalloc.corpus import parse_corpus
 from licalloc.engine import consume, initial_state
 from licalloc.errors import ChooserContractError
 from licalloc.labels import Complexity, ConstraintName, Label, Times, dominant_constraint, label_sort_key
@@ -34,7 +35,7 @@ from licalloc.model import (
 from licalloc.rights import rights
 from licalloc.verify import T0
 
-from conftest import perm, wide_licenses
+from conftest import duplicate_listing_corpus, perm, wide_licenses
 
 # The rights module, as opposed to the ``rights`` function the package re-exports.
 rights_module = importlib.import_module("licalloc.rights")
@@ -115,6 +116,20 @@ def test_all_lossy_prompts_with_losses(all_lossy_state, ):
     assert decision.losses["license-2"] == Counter(
         {perm("play", "song-a"): 1, perm("play", "song-c"): 1, perm("play", "song-d"): 1}
     )
+
+
+def test_a_permission_listed_twice_is_granted_once():
+    """A cp listing play a twice grants it once, so it is simple and loses only the request."""
+    doc = parse_corpus(duplicate_listing_corpus())
+    (request,) = doc.requests
+    state = initial_state(doc.licenses)
+    assert rights(state, request.at) == Counter({perm("play", "a"): 2, perm("play", "b"): 1})
+    decision = proposed_allocate(state, request)
+    assert decision == Chosen("l1", "sl", "cp")
+    assert [str(decision.pool[lid].sublicense_label) for lid in ("l1", "l2")] == [
+        "simple.once.count",
+        "complex.once.count",
+    ]
 
 
 def test_chooser_resolves_prompt(all_lossy_state):
@@ -236,9 +251,9 @@ def test_one_target_resolution_per_candidate(allocator, monkeypatch):
     walked = []
     resolve = rights_module.select_target
 
-    def counting_resolve(state, lic, request, permission):
+    def counting_resolve(state, lic, request):
         walked.append(lic.id)
-        return resolve(state, lic, request, permission)
+        return resolve(state, lic, request)
 
     def second_walk(*args):
         raise AssertionError("the allocator walked a license outside its pool resolution")

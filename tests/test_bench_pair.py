@@ -32,6 +32,18 @@ def test_a_seed_list_naming_no_seed_is_a_usage_error(seeds, monkeypatch, capsys)
     assert "--seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workload", ["all", "streamwide", ""])
+def test_a_workload_the_benchmark_does_not_declare_is_a_usage_error(workload, monkeypatch, capsys):
+    def export(rev, into):
+        raise AssertionError("the base tree was exported before the workload was checked")
+
+    monkeypatch.setattr(bench_pair, "export", export)
+    with pytest.raises(SystemExit) as exit_:
+        bench_pair.main(["--label", "x", "--workload", "fuzz", "--workload", workload, "--seeds", "100"])
+    assert exit_.value.code == 2
+    assert "--workload" in capsys.readouterr().err
+
+
 def run(value, failed=0):
     return {"correct": True, "attempted": 10, "failed": failed, "metrics": {"op_p50_us": value, "ops_per_s": 1e6 / value}}
 

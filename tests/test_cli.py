@@ -14,7 +14,7 @@ from licalloc.model import CP, Action, Count, DateTime, License, LicenseSet, Req
 from licalloc.rights import rights
 from licalloc.verify import LIVENESS_CAPS, GeneratorCaps
 
-from conftest import perm
+from conftest import duplicate_listing_corpus, perm
 
 rights_module = importlib.import_module("licalloc.rights")
 
@@ -66,6 +66,13 @@ def late_license_script(tmp_path):
 
 
 @pytest.fixture
+def duplicate_listing_path(tmp_path):
+    path = tmp_path / "duplicate.json"
+    path.write_text(duplicate_listing_corpus())
+    return str(path)
+
+
+@pytest.fixture
 def all_lossy_path(tmp_path):
     doc = CorpusDocument(all_lossy_licenses())
     path = tmp_path / "lossy.json"
@@ -111,7 +118,21 @@ class TestLabel:
         assert main(["label", str(tampered), "--no-strict-labels"]) == 0
 
 
+    def test_a_permission_listed_twice_is_written_once(self, duplicate_listing_path, capsys):
+        assert main(["label", duplicate_listing_path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        (l1, l2) = payload["licenses"]
+        cp = l1["sublicenses"][0]["cps"][0]
+        assert cp["permissions"] == [{"action": "play", "content": "a"}]
+        assert cp["label"]["complexity"] == "simple"
+        assert len(l2["sublicenses"][0]["cps"][0]["permissions"]) == 2
+
+
 class TestAllocate:
+    def test_a_permission_listed_twice_loses_nothing_more(self, duplicate_listing_path, capsys):
+        assert main(["allocate", duplicate_listing_path, "play", "a", "--time", "0"]) == 0
+        assert "chosen: l1" in capsys.readouterr().out
+
     def test_proposed_picks_counter_license(self, deadline_path, capsys):
         code = main(["allocate", deadline_path, "play", "song-a", "--time", str(REQUEST_AT)])
         assert code == 0
@@ -166,9 +187,9 @@ class TestAllocate:
         walked = []
         resolve = rights_module.select_target
 
-        def counting_resolve(state, lic, request, permission):
+        def counting_resolve(state, lic, request):
             walked.append(lic.id)
-            return resolve(state, lic, request, permission)
+            return resolve(state, lic, request)
 
         monkeypatch.setattr(rights_module, "select_target", counting_resolve)
         monkeypatch.setattr("sys.stdin", io.StringIO("1\n"))
@@ -279,9 +300,9 @@ class TestSimulate:
         walked = []
         resolve = rights_module.select_target
 
-        def counting_resolve(state, lic, request, permission):
+        def counting_resolve(state, lic, request):
             walked.append(lic.id)
-            return resolve(state, lic, request, permission)
+            return resolve(state, lic, request)
 
         monkeypatch.setattr(rights_module, "select_target", counting_resolve)
         assert main(["simulate", str(tmp_path / "deadline-vs-counter.json")]) == 0
@@ -339,6 +360,8 @@ class TestVerify:
             ["--checks", ""],
             ["--checks", " , "],
             ["--checks", ",", "--format", "json"],
+            ["--checks", "soundness,soundness", "--trials", "3"],
+            ["--checks", "liveness,minimal_loss,liveness"],
         ],
         ids=[
             "trials-0",
@@ -350,6 +373,8 @@ class TestVerify:
             "checks-empty",
             "checks-blank",
             "checks-comma-json",
+            "checks-repeated",
+            "checks-repeated-campaign",
         ],
     )
     def test_bad_campaign_input_exits_1(self, flags, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from licalloc.model import (
@@ -7,39 +9,39 @@ from licalloc.model import (
     DateTime,
     License,
     LicenseSet,
+    Permission,
     Request,
     SubLicense,
-    matches,
-    sat_cp,
 )
 
 from conftest import perm
 
 
 def test_matches_identity():
-    assert matches(perm("play", "a"), Request(Action.PLAY, "a", at=0))
+    assert perm("play", "a") == Request(Action.PLAY, "a", at=0).permission
 
 
 def test_matches_action_mismatch():
-    assert not matches(perm("play", "a"), Request(Action.DISPLAY, "a", at=0))
+    assert perm("play", "a") != Request(Action.DISPLAY, "a", at=0).permission
 
 
 def test_matches_content_mismatch():
-    assert not matches(perm("play", "b"), Request(Action.PLAY, "a", at=0))
+    assert perm("play", "b") != Request(Action.PLAY, "a", at=0).permission
 
 
 def test_sat_cp_two_songs():
-    cp = CP("cp-1", permissions=[perm("play", "song-a"), perm("play", "song-b")])
-    assert sat_cp(cp, Request(Action.PLAY, "song-a", at=0))
-    assert not sat_cp(CP("cp-2", permissions=[perm("play", "song-c")]), Request(Action.PLAY, "song-a", at=0))
-    assert sat_cp(CP("cp-3", permissions=[perm("display", "c1")]), Request(Action.DISPLAY, "c1", at=0))
+    play_a = Request(Action.PLAY, "song-a", at=0).permission
+    assert play_a in CP("cp-1", permissions=[perm("play", "song-a"), perm("play", "song-b")]).permissions
+    assert play_a not in CP("cp-2", permissions=[perm("play", "song-c")]).permissions
+    display_c1 = Request(Action.DISPLAY, "c1", at=0).permission
+    assert display_c1 in CP("cp-3", permissions=[perm("display", "c1")]).permissions
 
 
 def test_sat_lifts_on_case_fixture(deadline_case):
     licenses = deadline_case.licenses
 
     def satisfiable(lics, request):
-        return any(sat_cp(cp, request) for lic in lics for sl in lic.sublicenses for cp in sl.cps)
+        return any(request.permission in cp.permissions for lic in lics for sl in lic.sublicenses for cp in sl.cps)
 
     assert satisfiable([licenses.license("license-2")], Request(Action.PLAY, "song-a", at=0))
     assert not satisfiable(LicenseSet([]), Request(Action.PLAY, "song-a", at=0))
@@ -86,3 +88,22 @@ def test_tree_invariants():
     with pytest.raises(ValueError):
         LicenseSet([lic, lic])
 
+
+
+def test_a_request_stores_its_permission_and_replace_rebuilds_it():
+    request = Request(Action.PLAY, "a", at=3, usage_duration=7)
+    assert request.permission == Permission(Action.PLAY, "a")
+    assert request.permission is request.permission
+    assert dataclasses.replace(request, content="b").permission == Permission(Action.PLAY, "b")
+    assert dataclasses.replace(request, action=Action.DISPLAY).permission == Permission(Action.DISPLAY, "a")
+    # The stored field takes no part in equality, hashing or the repr.
+    assert request == Request(Action.PLAY, "a", at=3, usage_duration=7)
+    assert hash(request) == hash(Request(Action.PLAY, "a", at=3, usage_duration=7))
+    assert repr(request) == "Request(action=<Action.PLAY: 'play'>, content='a', at=3, usage_duration=7)"
+
+
+def test_a_cp_grants_each_listed_permission_once_in_first_listing_order():
+    a, b = perm("play", "a"), perm("play", "b")
+    cp = CP("cp-1", permissions=[a, b, a, a])
+    assert cp.permissions == (a, b)
+    assert cp == CP("cp-1", permissions=[a, b])

@@ -193,6 +193,22 @@ def test_a_use_shorter_than_the_timer_is_not_a_last_charge():
     assert state_labels(state)[("l1", "sl", None)].times is Times.ONCE
 
 
+def test_pair_discipline_labels_for_the_request_it_checks():
+    """A timed count the use is too short to charge is not ``once`` for pair discipline either."""
+    def sublicense(constraint, other):
+        return SubLicense("sl", [constraint], [CP("cp", permissions=[perm("play", "a"), perm("play", other)])])
+
+    timed, counted = sublicense(TimedCount(1, timer=60), "b"), sublicense(Count(1), "c")
+    state = initial_state(LicenseSet([License("license-1", [timed]), License("license-2", [counted])]))
+    request = Request(Action.PLAY, "a", at=0, usage_duration=5)
+    decision = proposed_allocate(state, request)
+    assert decision == Chosen("license-1", "sl", "cp")
+    for check in CHECKS.values():
+        assert judge(check, state, request, decision).passed
+    # the request-free labels still read the timed count as on its last charge
+    assert str(state_labels(state)[("license-1", "sl", None)]) == "complex.once.timed_count"
+
+
 class TestBoundedLiveness:
     def test_all_lossy_instance_passes(self):
         result = run_bounded_liveness(all_lossy_licenses(), at=REQUEST_AT)
@@ -482,6 +498,11 @@ class TestCampaigns:
         with pytest.raises(ValueError):
             fuzz_campaign(gen, 1, checks=("sanity",))
 
+    def test_repeated_check_rejected(self):
+        gen = InstanceGenerator(GeneratorCaps(), seed=0)
+        with pytest.raises(ValueError, match="more than once"):
+            fuzz_campaign(gen, 1, checks=("soundness", "minimal_loss", "soundness"))
+
 
 def test_shrinker_prunes_irrelevant_licenses(deadline_case):
     # add noise licenses that do not affect the baseline failure
@@ -570,9 +591,9 @@ class TestEachPoolIsPricedOnce:
         """The allocator walks each host once; choosing and consuming its prompt resolves no target again."""
         original, walked = rights_module.select_target, []
 
-        def counting_resolve(state, lic, request, permission):
+        def counting_resolve(state, lic, request):
             walked.append(lic.id)
-            return original(state, lic, request, permission)
+            return original(state, lic, request)
 
         for loaded_name, module in list(sys.modules.items()):
             if loaded_name.startswith("licalloc") and getattr(module, "select_target", None) is original:

@@ -3,6 +3,8 @@
     python3 tools/bench_pair.py --label NAME [--base REV] --workload W \
         [--workload W2 ...] --seeds 100-109 [--confirm-seeds 9001] [--seconds 30]
 
+``W`` is one of the workloads ``BENCHMARK.json`` declares.
+
 For every seed, ``bench/run.py --workload W --seed S --seconds T`` runs once
 on the base commit and once on the working tree, one after the other; which
 side runs first alternates from pair to pair, so a drift in machine speed
@@ -153,16 +155,18 @@ def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float
 
 
 def main(argv=None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--base", default="HEAD")
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument(
+        "--workload", action="append", required=True, choices=[w["name"] for w in benchmark["workloads"]]
+    )
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     parser.add_argument("--confirm-seeds", type=parse_seeds, default=[])
     parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
 
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
     bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
     status = git("status", "--porcelain", "--untracked-files=no")
