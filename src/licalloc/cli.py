@@ -384,6 +384,8 @@ def cmd_verify(args) -> int:
         return _fail(f"a check is named more than once in {checks}", EXIT_LOAD)
     if args.trials < 1:
         return _fail(f"--trials must be >= 1, got {args.trials}", EXIT_LOAD)
+    if args.seed < 0:
+        return _fail(f"--seed must be >= 0, got {args.seed}", EXIT_LOAD)
     given = {k: v for k, v in vars(args).items() if k.startswith("max_") and v is not None}
     try:
         caps = dataclasses.replace(GeneratorCaps(), **given)

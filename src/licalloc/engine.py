@@ -18,8 +18,8 @@ log always reproduces the same final state.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import InvalidTargetError
 from .model import (
@@ -36,6 +36,9 @@ from .model import (
     Timestamp,
     Unconstrained,
 )
+
+if TYPE_CHECKING:
+    from .rights import Resolved
 
 NodeKey = tuple[str, str, Optional[str]]
 
@@ -79,11 +82,17 @@ class AgentState:
     """Installed licenses plus the consumption state of every constraint.
 
     Treat instances as immutable: ``consume`` returns a new state and never
-    mutates its input.
+    mutates its input.  ``resolutions`` is ``rights.select_target``'s memo
+    of the answers it gave at this state; it takes no part in equality or
+    repr, and every new state, ``consume``'s successor and a
+    ``dataclasses.replace`` copy included, starts with it empty.
     """
 
     licenses: LicenseSet
     cstate: dict[NodeKey, tuple[ConstraintState, ...]]
+    resolutions: dict[tuple[str, Request], Optional[Resolved]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def license(self, license_id: str) -> License:
         return self.licenses.license(license_id)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import NotFoundError
 
@@ -32,9 +32,12 @@ class Action(str, Enum):
     EXPORT = "export"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Permission:
-    """An action on a content."""
+class Permission(NamedTuple):
+    """An action on a content.
+
+    A tuple, so hashing, equality and order run in C: it equals and sorts
+    as the plain tuple ``(action, content)`` and unpacks into it.
+    """
 
     action: Action
     content: Content

@@ -8,7 +8,14 @@ once).
 Target resolution is one walk of a license (``select_target``), which also
 labels both target nodes.  The ``verify`` checks do not trust the allocator
 they check: their oracle, built once per decision, maps each license id that
-``candidates`` finds to its ``loss``.  ``resolve_candidates`` and
+``candidates`` finds, by its own walk of the valid pairs and not from the
+allocator's pool, to its ``loss``.  ``loss`` resolves its target with
+``select_target``, as the allocator does, and ``select_target`` keeps its
+answers on the state (``AgentState.resolutions``, per license id and
+request), so the two share one walk of each host per decision.  Sharing is
+sound because resolution is a pure function of the state, the license and
+the request, and both sides always called that same function: a memo hit
+returns what a second walk would have.  ``resolve_candidates`` and
 ``candidates`` walk only the hosts of the requested permission:
 ``LicenseSet.hosts`` reads them from a flat ``{Permission: (host licenses in
 declaration order)}`` index that the set builds on first use, in one pass
@@ -67,6 +74,10 @@ class Resolved(NamedTuple):
         return self.sublicense.id, self.cp.id
 
 
+# Marks a (license id, request) that the state's memo has no answer for yet.
+_UNRESOLVED = object()
+
+
 def select_target(state: AgentState, lic: License, request: Request) -> Optional[Resolved]:
     """The target a selection of this license would consume, or None if it has none.
 
@@ -76,7 +87,16 @@ def select_target(state: AgentState, lic: License, request: Request) -> Optional
     compares best wins; within it, the matching cp with the best label
     wins.  Ties go to declaration order.  A sublicense with no cp granting
     the permission is skipped before any of its states are read.
+
+    ``lic`` is one of the state's licenses.  The answer depends only on the
+    state, the license and the whole request, so it is memoized in
+    ``state.resolutions`` per (license id, request), and a second call
+    returns the first answer without walking the license.
     """
+    memo, key = state.resolutions, (lic.id, request)
+    answer = memo.get(key, _UNRESOLVED)
+    if answer is not _UNRESOLVED:
+        return answer
     permission = request.permission
     options = []  # (sublicense label, sublicense, [(matching cp, its states)])
     for sl in lic.sublicenses:
@@ -95,11 +115,13 @@ def select_target(state: AgentState, lic: License, request: Request) -> Optional
         if matching:
             options.append((sublicense_label(sl, sl_states, cp_states, request), sl, matching))
     if not options:
+        memo[key] = None
         return None
     sl_label, sl, matching = min(options, key=lambda option: label_sort_key(option[0]))
     labelled = ((cp, cp_label(cp, states, request)) for cp, states in matching)
     cp, cp_lbl = min(labelled, key=lambda pair: label_sort_key(pair[1]))
-    return Resolved(sl, cp, sl_label, cp_lbl)
+    answer = memo[key] = Resolved(sl, cp, sl_label, cp_lbl)
+    return answer
 
 
 def resolve_candidates(state: AgentState, request: Request) -> dict[str, Resolved]:

@@ -21,8 +21,12 @@ instances instead of being trusted:
 
 Every decision is checked against one oracle, which ``run_trial`` builds
 once per decision with ``oracle_losses``: ``{candidate id: loss}``, found by
-``rights.candidates`` and priced by ``rights.loss``, independently of the
-pool the allocator resolved.  Each entry of ``CHECKS`` takes
+``rights.candidates`` independently of the pool the allocator resolved, and
+priced by ``rights.loss``.  ``loss`` resolves each candidate's target with
+``rights.select_target``, the function the allocator resolved it with, and
+the state memoizes its answers, so the allocator and the oracle share one
+walk of each host; this is sound because resolution is pure, not because
+the oracle trusts the allocator.  Each entry of ``CHECKS`` takes
 ``(state, request, decision, losses)`` and walks no license itself; a
 choice naming no candidate fails as ``not_a_candidate``.
 
@@ -280,17 +284,24 @@ class InstanceGenerator:
             raise ValueError(f"unknown profile {profile!r}")
         if profile == "many_only" and caps.max_count < 2:
             raise ValueError("many_only needs max_count >= 2")
+        # random.Random seeds with the absolute value of a negative int, so a
+        # negative seed would replay another seed's instances.
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self.caps = caps
         self.seed = seed
         self.profile = profile
-        self._actions = list(Action)[: caps.actions]
-        self._contents = [f"c{i}" for i in range(1, caps.contents + 1)]
+        contents = [f"c{i}" for i in range(1, caps.contents + 1)]
+        # One interned permission per (action, content), one row per action.
+        self._grid = tuple(tuple(Permission(a, c) for c in contents) for a in list(Action)[: caps.actions])
+        self._universe = len(self._grid) * len(contents)
 
     def _rng(self, index: int) -> random.Random:
         return random.Random(self.seed * 1_000_003 + index)
 
     def _permission(self, rng: random.Random) -> Permission:
-        return Permission(rng.choice(self._actions), rng.choice(self._contents))
+        """One ``rng.choice`` of the action, then one of the content."""
+        return rng.choice(rng.choice(self._grid))
 
     def _datetime(self, rng: random.Random) -> DateTime:
         kind = rng.randrange(3)
@@ -328,13 +339,12 @@ class InstanceGenerator:
 
     def _cp(self, rng: random.Random, cp_id: str, constraints=None) -> CP:
         n = rng.randrange(1, self.caps.max_permissions + 1)
-        perms: list[Permission] = []
+        perms: dict[Permission, None] = {}  # distinct draws in draw order
         while len(perms) < n:
             p = self._permission(rng)
-            if p not in perms:
-                perms.append(p)
-            elif len(perms) >= len(self._actions) * len(self._contents):
+            if p in perms and len(perms) == self._universe:
                 break
+            perms[p] = None
         return CP(
             cp_id,
             constraints=self._constraints(rng) if constraints is None else constraints,

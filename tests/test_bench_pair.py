@@ -1,5 +1,7 @@
 import argparse
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -125,3 +127,22 @@ def test_a_gain_is_claimable_only_under_the_gain_rule(change, change_failed, cla
     assert summary["op_p50_us"]["median_gain_exceeds_base_iqr"]
     assert summary["op_p50_us"]["claimable"] is summary["ops_per_s"]["claimable"] is claimable
     assert bench_pair.failed_share(pairs, "change") == change_failed / 10
+
+
+def test_each_run_records_its_pass_count(tmp_path, monkeypatch):
+    """``peak_rss_mb`` grows with the passes a run fits, so the record keeps them beside the metrics."""
+    out = tmp_path / "bench" / "out"
+    out.mkdir(parents=True)
+    record = {"environment": {"source_sha256": "ab"}, "detail": {"passes": 7}}
+    (out / "result-fuzz-seed100-trace0.json").write_text(json.dumps(record))
+    line = {"correct": True, "attempted": 10, "failed": 0, "metrics": {"ops_per_s": {"value": 5.0, "unit": "1/s"}}}
+
+    def fake_run(command, cwd, **kwargs):
+        assert cwd == tmp_path and command[1:3] == ["bench/run.py", "--workload"]
+        return subprocess.CompletedProcess(command, 0, stdout="report\n" + json.dumps(line) + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", fake_run)
+    run = bench_pair.run_bench(tmp_path, "fuzz", 100, 1.0)
+    assert run["passes"] == 7
+    assert run["metrics"] == {"ops_per_s": 5.0}
+    assert run["source_sha256"] == "ab"

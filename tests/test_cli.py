@@ -362,6 +362,8 @@ class TestVerify:
             ["--checks", ",", "--format", "json"],
             ["--checks", "soundness,soundness", "--trials", "3"],
             ["--checks", "liveness,minimal_loss,liveness"],
+            ["--seed", "-1"],
+            ["--seed", "-5", "--checks", "neutrality,liveness"],
         ],
         ids=[
             "trials-0",
@@ -375,6 +377,8 @@ class TestVerify:
             "checks-comma-json",
             "checks-repeated",
             "checks-repeated-campaign",
+            "seed-negative",
+            "seed-negative-campaigns",
         ],
     )
     def test_bad_campaign_input_exits_1(self, flags, capsys):

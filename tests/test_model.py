@@ -107,3 +107,17 @@ def test_a_cp_grants_each_listed_permission_once_in_first_listing_order():
     cp = CP("cp-1", permissions=[a, b, a, a])
     assert cp.permissions == (a, b)
     assert cp == CP("cp-1", permissions=[a, b])
+
+
+def test_a_permission_hashes_sorts_and_prints_as_it_did_and_is_its_tuple():
+    """A ``Permission`` keeps the dataclass's hash, order and repr, so set orders and digests stay."""
+    p = Permission(Action.PLAY, "a")
+    assert hash(p) == hash((Action.PLAY, "a"))
+    assert repr(p) == "Permission(action=<Action.PLAY: 'play'>, content='a')"
+    unsorted = [perm("play", "a"), perm("display", "b"), perm("play", "A"), perm("display", "a")]
+    assert sorted(unsorted) == [perm("display", "a"), perm("display", "b"), perm("play", "A"), perm("play", "a")]
+    assert p == (Action.PLAY, "a") and p != (Action.PLAY, "b")
+    action, content = p
+    assert (action, content) == (p.action, p.content) == (Action.PLAY, "a")
+    with pytest.raises(AttributeError):
+        p.content = "b"

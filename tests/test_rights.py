@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import random
 from collections import Counter
@@ -15,6 +16,7 @@ from licalloc.model import (
     CP,
     Action,
     Count,
+    DateTime,
     Interval,
     License,
     LicenseSet,
@@ -29,6 +31,7 @@ from licalloc.rights import (
     remnants,
     resolve_candidates,
     rights,
+    select_target,
 )
 from licalloc.verify import T0, TIMER_MAX, GeneratorCaps, InstanceGenerator
 
@@ -256,6 +259,72 @@ def test_select_target_prefers_surviving_sublicense_then_declaration_order():
     assert target_of(ranked, "l", request) == ("sl-many", "cp")
     tied = initial_state(LicenseSet([License("l", [sublicense("sl-1", 5), sublicense("sl-2", 5)])]))
     assert target_of(tied, "l", request) == ("sl-1", "cp")
+
+
+def _two_sublicenses(first_constraint):
+    """One license: ``sl-1`` under ``first_constraint``, ``sl-2`` under ``Count(2)``, each granting play a."""
+    return License(
+        "l",
+        [
+            SubLicense(sl_id, constraints=[constraint], cps=[CP("cp", permissions=[perm("play", "a")])])
+            for sl_id, constraint in (("sl-1", first_constraint), ("sl-2", Count(2)))
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "first_constraint, requests, targets",
+    [
+        # A short use leaves the timed count many, and it outranks the count;
+        # a long use takes its last charge, so it is once and the count wins.
+        (
+            TimedCount(1, timer=60),
+            [Request(Action.PLAY, "a", at=0, usage_duration=10), Request(Action.PLAY, "a", at=0, usage_duration=60)],
+            ["sl-1", "sl-2"],
+        ),
+        # The date window holds at 100 and outranks the count; at 600 it has closed.
+        (
+            DateTime(end=500),
+            [Request(Action.PLAY, "a", at=100), Request(Action.PLAY, "a", at=600)],
+            ["sl-1", "sl-2"],
+        ),
+    ],
+    ids=["usage_duration", "at"],
+)
+def test_select_target_memo_is_keyed_by_the_whole_request(first_constraint, requests, targets):
+    """Two requests for one permission on one state each get their own labels and target."""
+    lic = _two_sublicenses(first_constraint)
+    licenses = LicenseSet([lic])
+    state = initial_state(licenses)
+    answers = [select_target(state, lic, request) for request in requests]
+    assert [answer.sublicense.id for answer in answers] == targets
+    for request, answer in zip(requests, answers):
+        assert answer == select_target(initial_state(licenses), lic, request)
+        assert select_target(state, lic, request) is answer
+    assert [key for key in state.resolutions] == [("l", request) for request in requests]
+    if isinstance(first_constraint, TimedCount):
+        assert [str(answer.sublicense_label) for answer in answers] == [
+            "simple.many.timed_count",
+            "simple.many.count",
+        ]
+
+
+def test_select_target_memo_starts_empty_on_every_new_state():
+    """``consume``'s successor and a ``dataclasses.replace`` copy answer from their own states."""
+    lic = _two_sublicenses(Count(1))
+    state = initial_state(LicenseSet([lic]))
+    request = Request(Action.PLAY, "a", at=0)
+    assert select_target(state, lic, request).sublicense.id == "sl-2"
+    assert state.resolutions
+    after = consume(state, "l", "sl-2", "cp", request)
+    copy = dataclasses.replace(state)
+    assert after.resolutions == {} and copy.resolutions == {}
+    assert copy == state and repr(copy) == repr(state)
+    # Both sublicenses are on their last charge after the consume, so the
+    # successor's answer is sl-1, labelled once; the parent's is unchanged.
+    resolved = select_target(after, lic, request)
+    assert resolved.target == ("sl-1", "cp") and resolved.sublicense_label.times is Times.ONCE
+    assert select_target(state, lic, request).target == ("sl-2", "cp")
 
 
 def test_find_matching_single_cp(deadline_state, play_a):

@@ -23,7 +23,7 @@ from licalloc.model import (
     SubLicense,
     TimedCount,
 )
-from licalloc.rights import rights
+from licalloc.rights import candidates, rights
 from licalloc.verify import (
     CHECKS,
     MAX_COUNTEREXAMPLES,
@@ -493,6 +493,20 @@ class TestCampaigns:
         assert len(report.counterexamples) == len(built) == MAX_COUNTEREXAMPLES
         assert report.failed and report.passes["minimal_loss"] == 0
 
+    @pytest.mark.parametrize(
+        "start",
+        [
+            lambda seed: InstanceGenerator(GeneratorCaps(), seed=seed),
+            lambda seed: run_neutrality_campaign(n=1, seed=seed),
+            lambda seed: run_liveness_campaign(n=1, seed=seed),
+        ],
+        ids=["generator", "neutrality", "liveness"],
+    )
+    def test_a_negative_seed_is_rejected(self, start):
+        """``random.Random`` seeds with ``|seed|``, so seed -5 would replay seed 5's instances."""
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            start(-5)
+
     def test_unknown_check_rejected(self):
         gen = InstanceGenerator(GeneratorCaps(), seed=0)
         with pytest.raises(ValueError):
@@ -630,3 +644,39 @@ def test_each_checked_decision_builds_one_oracle(checks, monkeypatch):
     assert not report.failed
     assert calls["candidates"] == report.decisions_checked // len(checks)
     assert calls["loss"] == calls["candidates_found"] > 0
+
+
+def test_each_checked_decision_labels_each_hosts_sublicenses_once(monkeypatch):
+    """The allocator and the oracle's ``loss`` share one ``select_target`` walk per host and decision.
+
+    ``select_target`` is still called once per host by the allocator and
+    once per candidate by ``loss``; the second call is answered from the
+    state's memo, so no sublicense is labelled twice for one decision.
+    """
+    verify_module = sys.modules["licalloc.verify"]
+    decide, label, resolve = verify_module.allocate, rights_module.sublicense_label, rights_module.select_target
+    decisions, labelled, calls = [0], Counter(), Counter()
+
+    def counting_allocate(state, request, **kwargs):
+        decisions[0] += 1
+        calls["hosts"] += len(state.licenses.hosts(request.permission))
+        calls["candidates"] += len(candidates(state, request))
+        return decide(state, request, **kwargs)
+
+    def counting_label(sl, *args):
+        labelled[(decisions[0], id(sl))] += 1
+        return label(sl, *args)
+
+    def counting_resolve(*args):
+        calls["select_target"] += 1
+        return resolve(*args)
+
+    monkeypatch.setattr(verify_module, "allocate", counting_allocate)
+    monkeypatch.setattr(rights_module, "sublicense_label", counting_label)
+    monkeypatch.setattr(rights_module, "select_target", counting_resolve)
+    generator = InstanceGenerator(GeneratorCaps(), seed=100)
+    for index in range(200):
+        run_trial(generator.document(index), "proposed", tuple(CHECKS))
+    assert calls["candidates"] > 0
+    assert calls["select_target"] == calls["hosts"] + calls["candidates"]
+    assert len(labelled) > decisions[0] and set(labelled.values()) == {1}

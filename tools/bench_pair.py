@@ -15,10 +15,11 @@ tree side runs the files as they are, committed or not.
 
 The result goes to ``BENCH_<label>.json`` at the root of the repository,
 rewritten as each workload finishes: the commits, Python version, ``nproc``,
-seeds, every run's end-to-end metrics and source digest (``bench/run.py``'s
-``source_sha256``), and per workload and metric each side's median and
-quartiles, the number of pairs the change won, whether the change's median
-is within the metric's bound and whether a gain in it may be claimed.  A
+seeds, every run's end-to-end metrics, pass count (``detail.passes``) and
+source digest (``bench/run.py``'s ``source_sha256``), and per workload and
+metric each side's median and quartiles, the number of pairs the change won,
+whether the change's median is within the metric's bound and whether a gain
+in it may be claimed.  A
 metric's direction ("higher" or "lower" is better) and bound (the largest
 relative loss of the median allowed) are read from ``BENCHMARK.json``.  A metric is ``unresolved`` when the distance
 between the base's quartiles is more than its bound times the base median
@@ -80,7 +81,12 @@ def export(rev: str, into: Path) -> None:
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced ``bench/run.py`` run: its correctness fields and metric values."""
+    """One untraced ``bench/run.py`` run: its correctness fields, pass count and metric values.
+
+    ``passes`` is how many passes of the workload the run fitted in
+    ``seconds``; ``peak_rss_mb`` grows with it, so a memory move is read
+    against it.
+    """
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -89,6 +95,7 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     record = json.loads((tree / "bench" / "out" / f"result-{workload}-seed{seed}-trace0.json").read_text())
     return {
         "source_sha256": record["environment"]["source_sha256"],
+        "passes": record["detail"]["passes"],
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
