@@ -30,6 +30,7 @@ from .model import (
     Interval,
     License,
     LicenseSet,
+    Permission,
     Request,
     SubLicense,
     TimedCount,
@@ -83,14 +84,14 @@ class AgentState:
 
     Treat instances as immutable: ``consume`` returns a new state and never
     mutates its input.  ``resolutions`` is ``rights.select_target``'s memo
-    of the answers it gave at this state; it takes no part in equality or
-    repr, and every new state, ``consume``'s successor and a
-    ``dataclasses.replace`` copy included, starts with it empty.
+    (see there); it takes no part in equality or repr, and every new state,
+    ``consume``'s successor and a ``dataclasses.replace`` copy included,
+    starts with it empty.
     """
 
     licenses: LicenseSet
     cstate: dict[NodeKey, tuple[ConstraintState, ...]]
-    resolutions: dict[tuple[str, Request], Optional[Resolved]] = field(
+    resolutions: dict[tuple[str, Permission, Timestamp, int], Optional[Resolved]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 

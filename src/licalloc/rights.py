@@ -9,13 +9,8 @@ Target resolution is one walk of a license (``select_target``), which also
 labels both target nodes.  The ``verify`` checks do not trust the allocator
 they check: their oracle, built once per decision, maps each license id that
 ``candidates`` finds, by its own walk of the valid pairs and not from the
-allocator's pool, to its ``loss``.  ``loss`` resolves its target with
-``select_target``, as the allocator does, and ``select_target`` keeps its
-answers on the state (``AgentState.resolutions``, per license id and
-request), so the two share one walk of each host per decision.  Sharing is
-sound because resolution is a pure function of the state, the license and
-the request, and both sides always called that same function: a memo hit
-returns what a second walk would have.  ``resolve_candidates`` and
+allocator's pool, to its ``loss``; the two share resolutions only through
+``select_target``'s per-state memo (see there).  ``resolve_candidates`` and
 ``candidates`` walk only the hosts of the requested permission:
 ``LicenseSet.hosts`` reads them from a flat ``{Permission: (host licenses in
 declaration order)}`` index that the set builds on first use, in one pass
@@ -89,11 +84,21 @@ def select_target(state: AgentState, lic: License, request: Request) -> Optional
     the permission is skipped before any of its states are read.
 
     ``lic`` is one of the state's licenses.  The answer depends only on the
-    state, the license and the whole request, so it is memoized in
-    ``state.resolutions`` per (license id, request), and a second call
-    returns the first answer without walking the license.
+    state, the license and the whole request (its instant and use duration
+    included), so it is memoized in ``state.resolutions`` per (license id,
+    permission, instant, use duration), and a second call returns the first
+    answer without walking the license.  The key spells out every field of
+    the request, so that it hashes in C, not through ``Request``'s
+    Python-level hash; a field added to ``Request`` must join it.
+
+    The allocator and the ``verify`` oracle's ``loss`` both resolve through
+    this function, so they share one walk of each host per decision.  That
+    is sound because resolution is pure and both sides always called this
+    same function: a memo hit returns what a second walk would have.  The
+    oracle still trusts nothing the allocator chose, since it finds its
+    candidates by its own ``candidates`` walk.
     """
-    memo, key = state.resolutions, (lic.id, request)
+    memo, key = state.resolutions, (lic.id, request.permission, request.at, request.usage_duration)
     answer = memo.get(key, _UNRESOLVED)
     if answer is not _UNRESOLVED:
         return answer

@@ -22,13 +22,10 @@ instances instead of being trusted:
 Every decision is checked against one oracle, which ``run_trial`` builds
 once per decision with ``oracle_losses``: ``{candidate id: loss}``, found by
 ``rights.candidates`` independently of the pool the allocator resolved, and
-priced by ``rights.loss``.  ``loss`` resolves each candidate's target with
-``rights.select_target``, the function the allocator resolved it with, and
-the state memoizes its answers, so the allocator and the oracle share one
-walk of each host; this is sound because resolution is pure, not because
-the oracle trusts the allocator.  Each entry of ``CHECKS`` takes
-``(state, request, decision, losses)`` and walks no license itself; a
-choice naming no candidate fails as ``not_a_candidate``.
+priced by ``rights.loss`` (which shares resolutions with the allocator only
+through ``rights.select_target``'s per-state memo; see there).  Each entry
+of ``CHECKS`` takes ``(state, request, decision, losses)`` and walks no
+license itself; a choice naming no candidate fails as ``not_a_candidate``.
 
 All generation is seed-deterministic; identical seeds and caps produce
 byte-identical reports.  Campaign instances keep every date window open

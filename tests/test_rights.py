@@ -301,7 +301,9 @@ def test_select_target_memo_is_keyed_by_the_whole_request(first_constraint, requ
     for request, answer in zip(requests, answers):
         assert answer == select_target(initial_state(licenses), lic, request)
         assert select_target(state, lic, request) is answer
-    assert [key for key in state.resolutions] == [("l", request) for request in requests]
+    assert list(state.resolutions) == [("l", r.permission, r.at, r.usage_duration) for r in requests]
+    # The key spells out the request field by field: a new field must join it.
+    assert [f.name for f in dataclasses.fields(Request) if f.compare] == ["action", "content", "at", "usage_duration"]
     if isinstance(first_constraint, TimedCount):
         assert [str(answer.sublicense_label) for answer in answers] == [
             "simple.many.timed_count",
