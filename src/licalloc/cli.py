@@ -23,7 +23,7 @@ from typing import Optional
 from . import cases as case_fixtures
 from .allocate import Chosen, NoMatch, PromptRequired, allocate, allocate_and_execute, min_loss_chooser
 from .corpus import CorpusDocument, LabelMismatchError, load_corpus, serialize_corpus
-from .engine import consume, initial_state, is_depleting
+from .engine import consume, initial_state
 from .errors import LicallocError
 from .labels import state_labels
 from .model import Action, Request
@@ -31,6 +31,7 @@ from .rights import pool_losses, rights
 from .verify import (
     CHECKS,
     LIVENESS_CAPS,
+    SEED_STRIDE,
     GeneratorCaps,
     InstanceGenerator,
     color_step,
@@ -316,10 +317,7 @@ def cmd_simulate(args) -> int:
             "cp": decision.cp_id,
             "via_prompt": decision.via_prompt,
         }
-        depletion = is_depleting(
-            state, decision.license_id, decision.sublicense_id, decision.cp_id, request
-        )
-        entry["depletes"] = depletion.value
+        entry["depletes"] = decision.pool[decision.license_id].depletion.value
         black = color_step(black, state, decision, request)
         labels_after = state_labels(after)
         entry["label_updates"] = {
@@ -384,6 +382,8 @@ def cmd_verify(args) -> int:
         return _fail(f"a check is named more than once in {checks}", EXIT_LOAD)
     if args.trials < 1:
         return _fail(f"--trials must be >= 1, got {args.trials}", EXIT_LOAD)
+    if args.trials > SEED_STRIDE:
+        return _fail(f"--trials must be <= {SEED_STRIDE}, got {args.trials}", EXIT_LOAD)
     if args.seed < 0:
         return _fail(f"--seed must be >= 0, got {args.seed}", EXIT_LOAD)
     given = {k: v for k, v in vars(args).items() if k.startswith("max_") and v is not None}

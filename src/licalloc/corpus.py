@@ -136,6 +136,13 @@ def _parse_constraint(obj: Any, where: str) -> Constraint:
     raise CorpusSchemaError(f"unknown constraint tag {tag!r}", where)
 
 
+def _parse_constraints(obj: dict, where: str) -> list[Constraint]:
+    """The node's optional ``constraints`` array, empty when absent."""
+    raw = obj.get("constraints", [])
+    _expect(isinstance(raw, list), "constraints must be an array", f"{where}.constraints")
+    return [_parse_constraint(c, f"{where}.constraints[{i}]") for i, c in enumerate(raw)]
+
+
 def _parse_action(value: Any, where: str) -> Action:
     try:
         return Action(value)
@@ -175,10 +182,7 @@ def _parse_id(obj: dict, where: str) -> str:
 def _parse_cp(obj: Any, where: str, interned: dict) -> tuple[CP, Optional[Label]]:
     _expect_keys(obj, {"id", "constraints", "permissions", "label"}, {"id", "permissions"}, where)
     cp_id = _parse_id(obj, where)
-    constraints = [
-        _parse_constraint(c, f"{where}.constraints[{i}]")
-        for i, c in enumerate(obj.get("constraints", []))
-    ]
+    constraints = _parse_constraints(obj, where)
     perms_raw = obj["permissions"]
     _expect(isinstance(perms_raw, list) and perms_raw, "permissions must be a non-empty array", where)
     permissions = [
@@ -194,10 +198,7 @@ def _parse_cp(obj: Any, where: str, interned: dict) -> tuple[CP, Optional[Label]
 def _parse_sublicense(obj: Any, where: str, interned: dict):
     _expect_keys(obj, {"id", "constraints", "cps", "label"}, {"id", "cps"}, where)
     sl_id = _parse_id(obj, where)
-    constraints = [
-        _parse_constraint(c, f"{where}.constraints[{i}]")
-        for i, c in enumerate(obj.get("constraints", []))
-    ]
+    constraints = _parse_constraints(obj, where)
     cps_raw = obj["cps"]
     _expect(isinstance(cps_raw, list) and cps_raw, "cps must be a non-empty array", where)
     parsed = [_parse_cp(c, f"{where}.cps[{i}]", interned) for i, c in enumerate(cps_raw)]

@@ -222,40 +222,17 @@ def consume(
     return AgentState(licenses=state.licenses, cstate=cstate)
 
 
-def node_depletion(
-    state: AgentState,
-    license_id: str,
-    sublicense: SubLicense,
-    cp: ConstraintPermissionSet,
-    request: Request,
-) -> Depletion:
-    """What a consume of the given nodes would deplete; the target is not checked.
-
-    Depletion is the only change a consume makes to what holds at
-    ``request.at``: other charges leave a counter at one or more, and an
-    interval it starts holds at its own start.  A target that holds has no
-    counter at zero, so a counter at zero after the use is one it depleted.
-    The caller vouches that the target matches and holds, as a resolved
-    target of ``rights.select_target`` does.
-    """
-
-    def would_deplete(constraints, states):
-        return depleted(constraints, [_advance(c, s, request) for c, s in zip(constraints, states)])
-
-    if would_deplete(sublicense.constraints, state.sublicense_states(license_id, sublicense.id)):
-        return Depletion.SUBLICENSE_DEPLETES
-    if would_deplete(cp.constraints, state.cp_states(license_id, sublicense.id, cp.id)):
-        return Depletion.CP_DEPLETES
-    return Depletion.NONE
-
-
 def is_depleting(
     state: AgentState, license_id: str, sublicense_id: str, cp_id: str, request: Request
 ) -> Depletion:
     """Pure lookahead: classify what a consume of this target would deplete.
 
-    The target is looked up by id and checked as ``consume`` checks it;
-    ``node_depletion`` then classifies it.
+    The target is looked up by id and checked as ``consume`` checks it; its
+    nodes are then read as ``rights.Resolved.depletion`` reads its labels.
     """
     sl, cp = _checked_target(state, license_id, sublicense_id, cp_id, request)
-    return node_depletion(state, license_id, sl, cp, request)
+    if on_last_charge(sl.constraints, state.sublicense_states(license_id, sublicense_id), request):
+        return Depletion.SUBLICENSE_DEPLETES
+    if on_last_charge(cp.constraints, state.cp_states(license_id, sublicense_id, cp_id), request):
+        return Depletion.CP_DEPLETES
+    return Depletion.NONE

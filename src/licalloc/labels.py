@@ -2,13 +2,13 @@
 
 A label is a (complexity, times, constraint) triple:
 
-* ``times`` says whether the node survives another use.  ``once`` means some
-  counter at the node is down to its last charge, so the next use depletes
-  it.  A decision labels for its request (``rights.select_target`` and the
-  ``pair_discipline`` check pass it): a timed count is charged only by a use
-  that lasts at least its timer.  Without a request (``state_labels``)
-  timed counts are counted pessimistically, as if every use were long
-  enough to take a charge (see ``engine.on_last_charge``).
+* ``times`` says whether the node survives another use: ``once`` means a
+  counter the next use charges is on its last charge, so that use depletes
+  the node.  A decision labels for its request (``rights.select_target`` and
+  ``pair_discipline`` pass it), so a timed count counts only for a use of at
+  least its timer; that label is the depletion lookahead ``loss`` reads
+  (``rights.Resolved.depletion``).  Without a request (``state_labels``)
+  every timed count is taken as charged (see ``engine.on_last_charge``).
 * ``complexity`` says whether depleting the node would take more than the
   single requested permission with it.  For a cp that is simply "more than
   one permission granted".  For a sublicense it counts the permission

@@ -20,14 +20,16 @@ that could serve the request are read and labelled.  Hosts keep declaration
 order, so every tie-break is the one a walk of every license would make.
 
 Loss is measured at the instant of the request.  There a consume changes what
-holds only by depletion (see ``engine.node_depletion``), and only on the
-target's path, so ``loss`` reads it off that path without building the
-successor state: the permissions of the sublicense's currently valid cps when
-the sublicense depletes, the target cp's permissions when only the cp
-depletes, and nothing otherwise.  ``remnants`` is ``rights`` minus that loss,
-and ``pool_losses`` prices a resolved pool, one target at a time.  A
-selection is lossy when its loss exceeds ``Counter({request.permission: 1})``,
-that is, when it takes more than the one requested occurrence with it.
+holds only by depletion (other charges leave a counter at one or more, and an
+interval it starts holds at its own start), and only on the target's path.
+``Resolved.depletion`` reads what it depletes off the target's labels, so
+``loss`` builds no successor state: the permissions of the sublicense's
+currently valid cps when the sublicense depletes, the target cp's permissions
+when only the cp depletes, and nothing otherwise.  ``remnants`` is ``rights``
+minus that loss, and ``pool_losses`` prices a resolved pool, one target at a
+time.  A selection is lossy when its loss exceeds
+``Counter({request.permission: 1})``, that is, when it takes more than the one
+requested occurrence with it.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterator, Mapping, NamedTuple, Optional
 
-from .engine import AgentState, Depletion, constraints_hold, node_depletion
+from .engine import AgentState, Depletion, constraints_hold
 from .errors import NotFoundError
-from .labels import Label, cp_label, label_sort_key, sublicense_label
+from .labels import Label, Times, cp_label, label_sort_key, sublicense_label
 from .model import ConstraintPermissionSet, License, Request, SubLicense, Timestamp
 
 RightsMultiset = Counter  # Permission -> multiplicity
@@ -67,6 +69,21 @@ class Resolved(NamedTuple):
     @property
     def target(self) -> Target:
         return self.sublicense.id, self.cp.id
+
+    @property
+    def depletion(self) -> Depletion:
+        """What a use for the request the target was resolved for depletes.
+
+        A resolved target holds, so each counter on its path has a charge
+        left, and the use leaves one at zero exactly when it charges it on its
+        last charge: ``engine.on_last_charge`` for the request, which is how
+        both labels read ``times``.  A sublicense that depletes takes its cps.
+        """
+        if self.sublicense_label.times is Times.ONCE:
+            return Depletion.SUBLICENSE_DEPLETES
+        if self.cp_label.times is Times.ONCE:
+            return Depletion.CP_DEPLETES
+        return Depletion.NONE
 
 
 # Marks a (license id, request) that the state's memo has no answer for yet.
@@ -162,15 +179,14 @@ def _target_loss(
 ) -> RightsMultiset:
     """Rights lost at ``request.at`` by consuming the license's resolved target.
 
-    The target was resolved at this state, so it is priced by its nodes,
-    without looking it up or checking it again.
+    It was resolved at this state for this request, so ``Resolved.depletion``
+    prices it without a lookup, a check or a successor state.
     """
-    sl, cp = resolved.sublicense, resolved.cp
-    depletion = node_depletion(state, license_id, sl, cp, request)
+    sl, depletion = resolved.sublicense, resolved.depletion
     if depletion is Depletion.NONE:
         return Counter()
     if depletion is Depletion.CP_DEPLETES:
-        return Counter(cp.permissions)
+        return Counter(resolved.cp.permissions)
     lost: RightsMultiset = Counter()
     for other in sl.cps:
         if constraints_hold(other.constraints, state.cp_states(license_id, sl.id, other.id), request.at):

@@ -81,6 +81,9 @@ MAX_COUNTEREXAMPLES = 5
 SHRINK_ATTEMPTS = 400
 # Nodes the liveness search expands per instance before it stops.
 MAX_LIVENESS_STATES = 4096
+# Instance indexes per seed: index i of seed s seeds random.Random(s * SEED_STRIDE
+# + i), so an index past the stride would replay the next seed's instances.
+SEED_STRIDE = 1_000_003
 
 
 # --- coloring model ---------------------------------------------------------
@@ -294,7 +297,9 @@ class InstanceGenerator:
         self._universe = len(self._grid) * len(contents)
 
     def _rng(self, index: int) -> random.Random:
-        return random.Random(self.seed * 1_000_003 + index)
+        if not 0 <= index < SEED_STRIDE:
+            raise ValueError(f"instance index must be in [0, {SEED_STRIDE}), got {index}")
+        return random.Random(self.seed * SEED_STRIDE + index)
 
     def _permission(self, rng: random.Random) -> Permission:
         """One ``rng.choice`` of the action, then one of the content."""

@@ -46,6 +46,29 @@ def test_a_workload_the_benchmark_does_not_declare_is_a_usage_error(workload, mo
     assert "--workload" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, option",
+    [
+        (["--seconds", "0"], "--seconds"),
+        (["--seconds", "-1"], "--seconds"),
+        (["--seconds", "nan"], "--seconds"),
+        (["--seconds", "inf"], "--seconds"),
+        (["--seconds", "soon"], "--seconds"),
+        (["--workload", "fuzz"], "--workload"),
+    ],
+    ids=["seconds-0", "seconds-negative", "seconds-nan", "seconds-inf", "seconds-text", "workload-twice"],
+)
+def test_a_run_length_or_workload_list_that_cannot_be_measured_is_a_usage_error(flags, option, monkeypatch, capsys):
+    def export(rev, into):
+        raise AssertionError("the base tree was exported before the arguments were checked")
+
+    monkeypatch.setattr(bench_pair, "export", export)
+    with pytest.raises(SystemExit) as exit_:
+        bench_pair.main(["--label", "x", "--workload", "fuzz", "--seeds", "100", *flags])
+    assert exit_.value.code == 2
+    assert option in capsys.readouterr().err
+
+
 def run(value, failed=0):
     return {"correct": True, "attempted": 10, "failed": failed, "metrics": {"op_p50_us": value, "ops_per_s": 1e6 / value}}
 

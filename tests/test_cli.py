@@ -10,7 +10,7 @@ from licalloc.cli import build_parser, main, parse_time
 from licalloc.corpus import CorpusDocument, load_corpus, serialize_corpus
 from licalloc.engine import initial_state
 from licalloc.labels import state_labels
-from licalloc.model import CP, Action, Count, DateTime, License, LicenseSet, Request, SubLicense
+from licalloc.model import CP, Action, Count, DateTime, License, LicenseSet, Request, SubLicense, TimedCount
 from licalloc.rights import rights
 from licalloc.verify import LIVENESS_CAPS, GeneratorCaps
 
@@ -104,6 +104,21 @@ class TestLabel:
         assert main(["label", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", [7, "ab", {"count": 1}], ids=["number", "string", "object"])
+    @pytest.mark.parametrize("level", ["sublicense", "cp"])
+    def test_constraints_that_are_not_an_array_exit_1(self, level, value, tmp_path, deadline_path, capsys):
+        payload = json.load(open(deadline_path))
+        node = payload["licenses"][0]["sublicenses"][0]
+        if level == "cp":
+            node = node["cps"][0]
+        node["constraints"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["label", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert err.rstrip("\n").endswith(".constraints: constraints must be an array")
 
     def test_missing_file_exits_1(self, capsys):
         assert main(["label", "/nonexistent/corpus.json"]) == 1
@@ -236,6 +251,23 @@ class TestSimulate:
         assert "initial rights: play a x1" in out
         assert "final rights: play a x1" in out
 
+    def test_each_step_reports_what_its_use_depletes(self, tmp_path, capsys):
+        """Two uses of a two-charge cp, then a sublicense timed count spared by a short use, then charged."""
+        licenses = [
+            License("l1", [SubLicense("sl", cps=[CP("cp", [Count(2)], [perm("play", "a")])])]),
+            License("l2", [SubLicense("sl", [TimedCount(1, timer=30)], [CP("cp", [], [perm("play", "b")])])]),
+        ]
+        requests = [
+            play("a", 0),
+            play("a", 1),
+            Request(Action.PLAY, "b", at=2, usage_duration=10),
+            Request(Action.PLAY, "b", at=3, usage_duration=30),
+        ]
+        path = write_script(tmp_path, licenses, requests)
+        assert main(["simulate", path, "--format", "json"]) == 0
+        steps = json.loads(capsys.readouterr().out)["steps"]
+        assert [step["depletes"] for step in steps] == ["none", "cp_depletes", "none", "sublicense_depletes"]
+
     def test_transcript_is_deterministic(self, script_path, capsys):
         main(["simulate", script_path, "--format", "json"])
         first = capsys.readouterr().out
@@ -364,6 +396,8 @@ class TestVerify:
             ["--checks", "liveness,minimal_loss,liveness"],
             ["--seed", "-1"],
             ["--seed", "-5", "--checks", "neutrality,liveness"],
+            ["--trials", "1000004"],
+            ["--trials", "1000004", "--checks", "neutrality,liveness"],
         ],
         ids=[
             "trials-0",
@@ -379,6 +413,8 @@ class TestVerify:
             "checks-repeated-campaign",
             "seed-negative",
             "seed-negative-campaigns",
+            "trials-past-stride",
+            "trials-past-stride-campaigns",
         ],
     )
     def test_bad_campaign_input_exits_1(self, flags, capsys):

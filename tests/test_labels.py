@@ -11,6 +11,7 @@ from licalloc.labels import (
     cp_label,
     dominant_constraint,
     state_labels,
+    sublicense_label,
 )
 from licalloc.model import (
     CP,
@@ -220,11 +221,20 @@ counters = st.one_of(
 )
 
 
-@given(st.lists(counters, min_size=1, max_size=2), st.integers(0, 90))
-def test_request_label_predicts_depletion_for_any_use(constraints, duration):
-    cp = CP("cp", constraints=constraints, permissions=[perm("play", "a")])
-    state = initial_state(LicenseSet([License("l", [SubLicense("sl", cps=[cp])])]))
+@given(st.lists(counters, min_size=1, max_size=2), st.integers(0, 90), st.sampled_from(["cp", "sublicense"]))
+def test_request_label_predicts_depletion_for_any_use(constraints, duration, level):
+    """A node labelled for the request is ``once`` exactly when the use leaves one of its counters at zero."""
+    on_cp = level == "cp"
+    cp = CP("cp", constraints=constraints if on_cp else [], permissions=[perm("play", "a")])
+    sl = SubLicense("sl", constraints=[] if on_cp else constraints, cps=[cp])
+    state = initial_state(LicenseSet([License("l", [sl])]))
     request = Request(Action.PLAY, "a", at=100, usage_duration=duration)
-    label = cp_label(cp, state.cp_states("l", "sl", "cp"), request)
-    verdict = is_depleting(state, "l", "sl", "cp", request)
-    assert (label.times is Times.ONCE) == (verdict is not Depletion.NONE)
+    cp_states = state.cp_states("l", "sl", "cp")
+    if on_cp:
+        label, key, depletes = cp_label(cp, cp_states, request), ("l", "sl", "cp"), Depletion.CP_DEPLETES
+    else:
+        label = sublicense_label(sl, state.sublicense_states("l", "sl"), [cp_states], request)
+        key, depletes = ("l", "sl", None), Depletion.SUBLICENSE_DEPLETES
+    once = label.times is Times.ONCE
+    assert is_depleting(state, "l", "sl", "cp", request) is (depletes if once else Depletion.NONE)
+    assert once == depleted(constraints, consume(state, "l", "sl", "cp", request).cstate[key])

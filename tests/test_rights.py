@@ -442,7 +442,9 @@ def test_local_loss_matches_copy_consume_recount():
                 for lid, target in targets.items():
                     assert loss(state, lid, request) == expected[lid]
                     assert remnants(state, lid, request) == base - expected[lid]
-                    seen[is_depleting(state, lid, *target, request)] += 1
+                    depletion = is_depleting(state, lid, *target, request)
+                    assert resolved[lid].depletion is depletion
+                    seen[depletion] += 1
                     for c, s in _path(state, lid, target):
                         seen["short use"] += isinstance(c, TimedCount) and request.usage_duration < c.timer
                         seen["started interval"] += isinstance(c, Interval) and s is not None

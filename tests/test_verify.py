@@ -33,6 +33,7 @@ from licalloc.verify import (
     GeneratorCaps,
     LIVENESS_CAPS,
     MAX_LIVENESS_STATES,
+    SEED_STRIDE,
     InstanceGenerator,
     LivenessResult,
     check_selection_soundness,
@@ -506,6 +507,16 @@ class TestCampaigns:
         """``random.Random`` seeds with ``|seed|``, so seed -5 would replay seed 5's instances."""
         with pytest.raises(ValueError, match="seed must be >= 0"):
             start(-5)
+
+    @pytest.mark.parametrize("index", [-1, SEED_STRIDE], ids=["negative", "stride"])
+    def test_an_index_outside_the_seed_stride_is_rejected(self, index):
+        """Seed 1's index ``SEED_STRIDE`` would replay seed 2's index 0, and index -1 seed 0's last."""
+        generator = InstanceGenerator(GeneratorCaps(), seed=1)
+        generator.licenses(SEED_STRIDE - 1)
+        with pytest.raises(ValueError, match="instance index"):
+            generator.document(index)
+        with pytest.raises(ValueError, match="instance index"):
+            generator.licenses(index)
 
     def test_unknown_check_rejected(self):
         gen = InstanceGenerator(GeneratorCaps(), seed=0)

@@ -3,7 +3,9 @@
     python3 tools/bench_pair.py --label NAME [--base REV] --workload W \
         [--workload W2 ...] --seeds 100-109 [--confirm-seeds 9001] [--seconds 30]
 
-``W`` is one of the workloads ``BENCHMARK.json`` declares.
+``W`` is one of the workloads ``BENCHMARK.json`` declares, each named once;
+``--seconds`` is finite and above zero.  Arguments are checked before the
+base tree is exported.
 
 For every seed, ``bench/run.py --workload W --seed S --seconds T`` runs once
 on the base commit and once on the working tree, one after the other; which
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -65,6 +68,17 @@ def parse_seeds(text: str) -> list[int]:
             raise argparse.ArgumentTypeError(f"empty seed range: {part!r}")
         seeds.extend(span)
     return seeds
+
+
+def positive_seconds(text: str) -> float:
+    """A run length in seconds: finite and above zero."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number of seconds: {text!r}") from None
+    if not 0 < seconds < math.inf:
+        raise argparse.ArgumentTypeError(f"not a finite number of seconds above 0: {text!r}")
+    return seconds
 
 
 def git(*args: str) -> str:
@@ -171,8 +185,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     parser.add_argument("--confirm-seeds", type=parse_seeds, default=[])
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=positive_seconds, default=30.0)
     args = parser.parse_args(argv)
+    repeated = sorted({w for w in args.workload if args.workload.count(w) > 1})
+    if repeated:
+        parser.error(f"argument --workload: named more than once: {', '.join(repeated)}")
 
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
     bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
