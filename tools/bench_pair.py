@@ -72,10 +72,7 @@ def parse_seeds(text: str) -> list[int]:
 
 def positive_seconds(text: str) -> float:
     """A run length in seconds: finite and above zero."""
-    try:
-        seconds = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number of seconds: {text!r}") from None
+    seconds = float(text)
     if not 0 < seconds < math.inf:
         raise argparse.ArgumentTypeError(f"not a finite number of seconds above 0: {text!r}")
     return seconds
