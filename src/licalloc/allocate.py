@@ -82,10 +82,11 @@ def _check_tiebreak(datetime_tiebreak: str) -> None:
 def _constraint_key(constraint: Constraint, tiebreak: str) -> tuple[int, float]:
     # An end-of-validity bound means the right is lost by waiting, so by
     # default the soonest-expiring one is used first; an absent end never
-    # expires.  The "furthest" mode inverts this.
+    # expires.  The "furthest" mode inverts this.  An end stays an int, which
+    # Python compares with a float exactly: float() would overflow past 1e308.
     if not isinstance(constraint, DateTime):
         return (constraint_rank(constraint), 0.0)
-    end = math.inf if constraint.end is None else float(constraint.end)
+    end = math.inf if constraint.end is None else constraint.end
     return (constraint_rank(constraint), end if tiebreak == "earliest" else -end)
 
 

@@ -78,12 +78,10 @@ class LabelMismatchError(CorpusError):
 class CorpusDocument:
     licenses: LicenseSet
     requests: tuple[Request, ...] = ()
-    schema_version: str = SCHEMA_VERSION
 
-    def __init__(self, licenses, requests=(), schema_version=SCHEMA_VERSION):
+    def __init__(self, licenses, requests=()):
         object.__setattr__(self, "licenses", licenses)
         object.__setattr__(self, "requests", tuple(requests))
-        object.__setattr__(self, "schema_version", schema_version)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -344,7 +342,7 @@ def document_to_json(doc: CorpusDocument) -> dict:
             }
             subs.append(sub)
         licenses.append({"id": lic.id, "sublicenses": subs})
-    out: dict = {"schema_version": doc.schema_version, "licenses": licenses}
+    out: dict = {"schema_version": SCHEMA_VERSION, "licenses": licenses}
     if doc.requests:
         requests = []
         for r in doc.requests:

@@ -27,6 +27,11 @@ through ``rights.select_target``'s per-state memo; see there).  Each entry
 of ``CHECKS`` takes ``(state, request, decision, losses)`` and walks no
 license itself; a choice naming no candidate fails as ``not_a_candidate``.
 
+The three campaigns share one runner, ``_run_campaign``: each supplies a
+generator and a function from a document to its verdicts, and the runner
+builds the report.  A campaign with no check or no trial is refused with
+ValueError, since a report of zero verdicts would read as a pass.
+
 All generation is seed-deterministic; identical seeds and caps produce
 byte-identical reports.  Campaign instances keep every date window open
 around the shared request timestamp and make every use long enough for
@@ -444,68 +449,55 @@ def _trial_failures(doc: CorpusDocument, algorithm: str, checks: Sequence[str]):
     return [(step, name, res) for step, name, res in run_trial(doc, algorithm, checks) if not res.passed]
 
 
-def shrink_document(
-    doc: CorpusDocument, still_fails: Callable[[CorpusDocument], bool]
-) -> CorpusDocument:
-    """Greedily drop licenses, sublicenses and cps while the failure persists."""
+def _without(doc: CorpusDocument, li: int, si: Optional[int] = None, ci: Optional[int] = None) -> Optional[CorpusDocument]:
+    """``doc`` without license ``li``, its sublicense ``si`` or that one's cp ``ci``; None for an only child."""
+    kept = list(doc.licenses.licenses)
+    subs = list(kept[li].sublicenses)
+    if si is None:
+        siblings, i = kept, li
+    elif ci is None:
+        siblings, i = subs, si
+    else:
+        siblings, i = list(subs[si].cps), ci
+    if len(siblings) <= 1:
+        return None
+    del siblings[i]
+    if ci is not None:
+        subs[si] = SubLicense(subs[si].id, subs[si].constraints, siblings)
+    if si is not None:
+        kept[li] = License(kept[li].id, subs)
+    return CorpusDocument(LicenseSet(kept), doc.requests)
+
+
+def shrink_document(doc: CorpusDocument, still_fails: Callable[[CorpusDocument], bool]) -> CorpusDocument:
+    """Greedily drop licenses, then sublicenses, then cps, last sibling first, while the failure persists.
+
+    Every variant counts toward ``SHRINK_ATTEMPTS``, also one that would
+    drop an only child and so never reaches ``still_fails``.
+    """
     attempts = 0
-
-    def try_variant(variant: Optional[CorpusDocument]) -> bool:
-        nonlocal attempts, doc
-        attempts += 1
-        if variant is None or not still_fails(variant):
-            return False
-        doc = variant
-        return True
-
-    def without_license(i: int) -> Optional[CorpusDocument]:
-        if len(doc.licenses) <= 1:
-            return None
-        kept = [lic for j, lic in enumerate(doc.licenses) if j != i]
-        return CorpusDocument(LicenseSet(kept), doc.requests)
-
-    def without_sublicense(li: int, si: int) -> Optional[CorpusDocument]:
-        lic = doc.licenses.licenses[li]
-        if len(lic.sublicenses) <= 1:
-            return None
-        subs = [sl for j, sl in enumerate(lic.sublicenses) if j != si]
-        kept = list(doc.licenses.licenses)
-        kept[li] = License(lic.id, subs)
-        return CorpusDocument(LicenseSet(kept), doc.requests)
-
-    def without_cp(li: int, si: int, ci: int) -> Optional[CorpusDocument]:
-        lic = doc.licenses.licenses[li]
-        sl = lic.sublicenses[si]
-        if len(sl.cps) <= 1:
-            return None
-        cps = [cp for j, cp in enumerate(sl.cps) if j != ci]
-        subs = list(lic.sublicenses)
-        subs[si] = SubLicense(sl.id, sl.constraints, cps)
-        kept = list(doc.licenses.licenses)
-        kept[li] = License(lic.id, subs)
-        return CorpusDocument(LicenseSet(kept), doc.requests)
-
     progress = True
+
+    def attempt(*path: int) -> None:
+        nonlocal attempts, doc, progress
+        if attempts >= SHRINK_ATTEMPTS:
+            return
+        attempts += 1
+        variant = _without(doc, *path)
+        if variant is not None and still_fails(variant):
+            doc, progress = variant, True
+
     while progress and attempts < SHRINK_ATTEMPTS:
         progress = False
-        for i in range(len(doc.licenses) - 1, -1, -1):
-            if attempts >= SHRINK_ATTEMPTS:
-                break
-            if try_variant(without_license(i)):
-                progress = True
+        for li in reversed(range(len(doc.licenses))):
+            attempt(li)
         for li in range(len(doc.licenses)):
-            for si in range(len(doc.licenses.licenses[li].sublicenses) - 1, -1, -1):
-                if attempts >= SHRINK_ATTEMPTS:
-                    break
-                if try_variant(without_sublicense(li, si)):
-                    progress = True
+            for si in reversed(range(len(doc.licenses.licenses[li].sublicenses))):
+                attempt(li, si)
         for li in range(len(doc.licenses)):
             for si, sl in enumerate(doc.licenses.licenses[li].sublicenses):
-                for ci in range(len(sl.cps) - 1, -1, -1):
-                    if attempts >= SHRINK_ATTEMPTS:
-                        break
-                    if try_variant(without_cp(li, si, ci)):
-                        progress = True
+                for ci in reversed(range(len(sl.cps))):
+                    attempt(li, si, ci)
     return doc
 
 
@@ -593,12 +585,47 @@ class CampaignReport:
         return (json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _shrunk_counterexample(
-    doc: CorpusDocument, trial: int, algorithm: str, check: str
-) -> Counterexample:
+def _shrunk_counterexample(doc: CorpusDocument, trial: int, algorithm: str, check: str) -> Counterexample:
     shrunk = shrink_document(doc, lambda d: bool(_trial_failures(d, algorithm, [check])))
     step, _, result = _trial_failures(shrunk, algorithm, [check])[0]
     return Counterexample.of(trial, step, check, result, shrunk)
+
+
+# One verdict of a campaign: (check name, result, counterexample thunk or None).
+_Verdict = tuple[str, CheckResult, Optional[Callable[[], Counterexample]]]
+
+
+def _run_campaign(
+    campaign: str, algorithm: str, generator: InstanceGenerator, n: int, checks: tuple[str, ...],
+    verdicts: Callable[[int, CorpusDocument], Iterable[_Verdict]], stop_after: Optional[int] = None,
+) -> CampaignReport:
+    """Record ``verdicts(index, document)`` for each of the generator's first ``n`` documents.
+
+    A check keeps a counterexample of its first failure on a document only.
+    ``stop_after`` ends the campaign after the document that makes that many
+    failing ones, and ``trials`` then counts the documents run.  No check,
+    or ``n`` outside ``[1, SEED_STRIDE]``, raises ValueError before any
+    document is generated: such a campaign checks nothing, or replays
+    another seed's instances.
+    """
+    if not checks:
+        raise ValueError("a campaign needs at least one check")
+    if not 1 <= n <= SEED_STRIDE:
+        raise ValueError(f"a campaign runs between 1 and {SEED_STRIDE} trials, got {n}")
+    report = CampaignReport(campaign, algorithm, generator.seed, generator.caps, generator.profile, n, checks)
+    failing = 0
+    for index in range(n):
+        failed: set[str] = set()  # the checks failed on this document so far
+        for name, result, counterexample in verdicts(index, generator.document(index)):
+            report.record(name, result, None if name in failed else counterexample)
+            if not result.passed:
+                failed.add(name)
+        if failed:
+            failing += 1
+            if stop_after is not None and failing >= stop_after:
+                report.trials = index + 1
+                break
+    return report
 
 
 def fuzz_campaign(
@@ -619,31 +646,12 @@ def fuzz_campaign(
         raise ValueError(f"unknown checks {sorted(unknown)}")
     if len(set(checks)) < len(checks):
         raise ValueError(f"a check is named more than once in {list(checks)}")
-    report = CampaignReport(
-        campaign="fuzz",
-        algorithm=algorithm,
-        seed=generator.seed,
-        caps=generator.caps,
-        profile=generator.profile,
-        trials=n,
-        checks=tuple(checks),
-    )
-    failing_trials = 0
-    for index in range(n):
-        doc = generator.document(index)
-        failed_checks: set[str] = set()
+
+    def verdicts(index: int, doc: CorpusDocument) -> Iterable[_Verdict]:
         for _, name, result in run_trial(doc, algorithm, checks):
-            keep = None
-            if not result.passed and name not in failed_checks:
-                failed_checks.add(name)
-                keep = functools.partial(_shrunk_counterexample, doc, index, algorithm, name)
-            report.record(name, result, keep)
-        if failed_checks:
-            failing_trials += 1
-            if stop_after is not None and failing_trials >= stop_after:
-                report.trials = index + 1
-                break
-    return report
+            yield name, result, functools.partial(_shrunk_counterexample, doc, index, algorithm, name)
+
+    return _run_campaign("fuzz", algorithm, generator, n, tuple(checks), verdicts, stop_after)
 
 
 def run_neutrality_campaign(
@@ -652,18 +660,8 @@ def run_neutrality_campaign(
     seed: int = 0,
 ) -> CampaignReport:
     """Both allocators must agree when no label anywhere is once+complex."""
-    generator = InstanceGenerator(caps, seed=seed, profile="many_only")
-    report = CampaignReport(
-        campaign="neutrality",
-        algorithm="both",
-        seed=seed,
-        caps=caps,
-        profile="many_only",
-        trials=n,
-        checks=("neutrality",),
-    )
-    for index in range(n):
-        doc = generator.document(index)
+
+    def verdicts(index: int, doc: CorpusDocument) -> Iterable[_Verdict]:
         state = initial_state(doc.licenses)
         if any(lbl.depleting_and_complex for lbl in state_labels(state).values()):
             raise AssertionError("many_only generator emitted a once+complex label")
@@ -673,10 +671,10 @@ def run_neutrality_campaign(
         same = base == filtered
         detail = None if same else {"oma": repr(base), "proposed": repr(filtered)}
         result = CheckResult(same, "decision_mismatch", detail=detail)
-        report.record(
-            "neutrality", result, lambda: Counterexample.of(index, 0, "neutrality", result, doc)
-        )
-    return report
+        yield "neutrality", result, lambda: Counterexample.of(index, 0, "neutrality", result, doc)
+
+    generator = InstanceGenerator(caps, seed=seed, profile="many_only")
+    return _run_campaign("neutrality", "both", generator, n, ("neutrality",), verdicts)
 
 
 # --- bounded liveness -------------------------------------------------------
@@ -839,23 +837,11 @@ def run_liveness_campaign(
     The ``depleting`` profile conforms to the depletion assumption by
     construction, so every instance is searched.
     """
-    generator = InstanceGenerator(caps, seed=seed, profile="depleting")
-    report = CampaignReport(
-        campaign="liveness",
-        algorithm=algorithm,
-        seed=seed,
-        caps=caps,
-        profile="depleting",
-        trials=n,
-        checks=("liveness",),
-    )
-    for index in range(n):
-        doc = generator.document(index)
+
+    def verdicts(index: int, doc: CorpusDocument) -> Iterable[_Verdict]:
         outcome = run_bounded_liveness(doc.licenses, algorithm=algorithm)
         result = CheckResult(outcome.passed, "white_after_quiescence", vacuous=not outcome.finished, detail=outcome.failure)
-        report.record(
-            "liveness",
-            result,
-            lambda: Counterexample.of(index, outcome.failure["step"], "liveness", result, doc),
-        )
-    return report
+        yield "liveness", result, lambda: Counterexample.of(index, outcome.failure["step"], "liveness", result, doc)
+
+    generator = InstanceGenerator(caps, seed=seed, profile="depleting")
+    return _run_campaign("liveness", algorithm, generator, n, ("liveness",), verdicts)

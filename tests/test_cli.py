@@ -160,6 +160,24 @@ class TestAllocate:
         assert code == 0
         assert "chosen: license-1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tiebreak, chosen", [("earliest", "finite"), ("furthest", "huge")])
+    def test_an_end_past_the_float_range_is_ranked_without_a_traceback(self, tiebreak, chosen, tmp_path, capsys):
+        """A 309-digit end is above the largest float; the ranking compares it as an int."""
+        granted = [perm("play", "a")]
+        path = write_script(
+            tmp_path,
+            [
+                License("huge", [SubLicense("sl", cps=[CP("cp", [DateTime(end=5 * 10**308)], granted)])]),
+                License("finite", [SubLicense("sl", cps=[CP("cp", [DateTime(end=2000)], granted)])]),
+            ],
+            [play("a", 1000)],
+        )
+        for algorithm in ("proposed", "oma"):
+            options = ["--algorithm", algorithm, "--datetime-tiebreak", tiebreak]
+            for argv in (["allocate", path, "play", "a", "--time", "1000"], ["simulate", path]):
+                assert main([*argv, *options]) == 0
+                assert f"chosen: {chosen} / sl / cp" in capsys.readouterr().out
+
     def test_unknown_content_exits_4(self, deadline_path, capsys):
         assert main(["allocate", deadline_path, "play", "song-z"]) == 4
 
