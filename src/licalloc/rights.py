@@ -165,12 +165,19 @@ def candidates(state: AgentState, request: Request) -> list[str]:
     ]
 
 
+def license_rights(state: AgentState, lic: License, at: Timestamp) -> RightsMultiset:
+    """The license's share of ``rights``: it reads only the license's own node states."""
+    out: RightsMultiset = Counter()
+    for _, cp in _valid_pairs(state, lic, at):
+        out.update(cp.permissions)
+    return out
+
+
 def rights(state: AgentState, at: Timestamp) -> RightsMultiset:
     """Multiset of exercisable permissions, one occurrence per valid cp."""
     out: RightsMultiset = Counter()
     for lic in state.licenses:
-        for _, cp in _valid_pairs(state, lic, at):
-            out.update(cp.permissions)
+        out.update(license_rights(state, lic, at))
     return out
 
 

@@ -17,7 +17,10 @@ instances instead of being trusted:
   permission is white.  One depth-first search over the reachable states
   (state, black permissions, permissions due this round) tries the due
   permissions in sorted order, skips a state already searched with at least
-  as many rounds left, and stops after ``MAX_LIVENESS_STATES`` states.
+  as many rounds left, and stops after ``MAX_LIVENESS_STATES`` states.  It
+  drops requests no host can serve, runs ``allocate`` once per (permission,
+  node states of its hosts) and walks each license's validity once per
+  (license, node states); ``run_bounded_liveness`` says why each is exact.
 
 Every decision is checked against one oracle, which ``run_trial`` builds
 once per decision with ``oracle_losses``: ``{candidate id: loss}``, found by
@@ -46,6 +49,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .allocate import (
@@ -76,7 +80,8 @@ from .model import (
     SubLicense,
     TimedCount,
 )
-from .rights import RightsMultiset, candidates, loss, pool_losses, rights
+# ``rights`` is re-exported: ``bench/workloads.py`` reads ``verify.rights``.
+from .rights import RightsMultiset, candidates, license_rights, loss, pool_losses, rights
 
 T0 = 1000
 TIMER_MAX = 60
@@ -718,24 +723,46 @@ def run_bounded_liveness(
     them changed nothing, since counters and intervals only move one way
     and the black set only grows, so no continuation changes anything
     either.)  ``states`` counts the nodes searched; the search stops at
-    ``MAX_LIVENESS_STATES`` and passes on what it searched, unfinished.  A
-    due permission with no valid host is not asked of ``allocate``, which
-    could only say NoMatch.
+    ``MAX_LIVENESS_STATES`` and passes on what it searched, unfinished.
 
-    Many nodes share a state, so the work that depends on the state alone
-    is done once per search and memoized on the state's key, the tuple of
-    its constraint states: the live permissions (one ``rights`` walk per
-    distinct state), and per (state, permission) the executed step's
-    successor and the permissions it blackens.  ``color_step`` only adds to
-    the black set, and what it adds does not depend on it, so a step's
-    blackened permissions are computed once from the empty set and joined
-    to each node's own.  Permissions are coded as bits, bit ``i`` for the
-    ``i``-th permission of the sorted support: the black, live and due sets
-    are int masks and a schedule is a tuple of indices.  Rights only shrink
-    at a fixed ``at``, so every mask stays within the support.  Due bits are
-    pushed from high to low, so the lowest is searched first, and the
-    lowest dead bit is the failure reported; only the failure dict names
-    permissions again.
+    Three reductions leave every verdict as it is:
+
+    * A request no host can serve is dropped: after the dead check the due
+      permissions are cut to the live ones, and when none of those is left
+      the node of the next round is pushed instead.  Rights only shrink at
+      a fixed ``at``, so a dead permission stays dead, and its request could
+      only be a NoMatch step that changes neither the state nor the black
+      set.  A reported schedule therefore names no such request.
+    * A step is memoized on the licenses it touches.  The step taken for a
+      permission depends only on the node states of its hosts
+      (``LicenseSet.hosts``): ``allocate`` resolves, labels and prices only
+      the hosts, ``color_step`` reads only the decision's pool, and
+      ``consume`` writes only the chosen license.  So per (permission,
+      hosts' node states) the search runs ``allocate_and_execute`` once and
+      keeps the chosen target and the permissions the step blackens; in
+      another state with the same hosts' node states it builds the
+      successor with ``consume`` on the stored target, so ``consume`` stays
+      the only state transition.  ``color_step`` only adds to the black
+      set, and what it adds does not depend on it, so the blackened
+      permissions are computed once from the empty set and joined to each
+      node's own.  Per (state, permission) the successor and blackened
+      permissions are then kept, so a state shared by many nodes takes each
+      step once.  In the same way a license's live permissions depend only
+      on its own node states, so a state's live set is the union of
+      per-license sets, each one ``license_rights`` walk per (license, node
+      states).
+    * Each distinct (license, node states) and each distinct state is
+      interned as an int once, so the node, step and live-set memos hash
+      small ints.  A state's key is the tuple of its licenses' ids, so a
+      step's key picks its hosts' entries out of it, and a successor's key
+      replaces the chosen license's entry.
+
+    Permissions are coded as bits, bit ``i`` for the ``i``-th permission of
+    the sorted support: the black, live and due sets are int masks and a
+    schedule is a tuple of indices.  Every mask stays within the support,
+    since rights only shrink.  Due bits are pushed from high to low, so the
+    lowest is searched first, and the lowest dead bit is the failure
+    reported; only the failure dict names permissions again.
 
     Raises AssumptionViolation when some node would survive its own
     selection, which is outside the regime this check covers.
@@ -745,7 +772,13 @@ def run_bounded_liveness(
         raise AssumptionViolation(
             "instance has a many-labeled sublicense with a non-once cp"
         )
-    support = tuple(sorted(rights(state0, at)))
+    order = licenses.licenses
+    position = {lic.id: j for j, lic in enumerate(order)}
+    nodes: list[list] = [[] for _ in order]  # per license, its node keys in the state's order
+    for node in state0.cstate:
+        nodes[position[node[0]]].append(node)
+    held = [license_rights(state0, lic, at) for lic in order]
+    support = tuple(sorted(set().union(*held)))
     if not support:
         return LivenessResult(passed=True, states=0)
     granting = Counter(
@@ -755,30 +788,75 @@ def run_bounded_liveness(
     requests = [Request(p.action, p.content, at=at, usage_duration=USAGE_DURATION) for p in support]
     bit = {p: 1 << i for i, p in enumerate(support)}
     everything = (1 << len(support)) - 1
+    # Per permission index, picks its hosts' entries out of a state key.
+    hosts = [itemgetter(*(position[lic.id] for lic in licenses.hosts(p))) for p in support]
 
     def mask(permissions) -> int:
         assert bit.keys() >= permissions, "a permission outside the support"
         return sum(bit[p] for p in permissions)
 
-    key0 = tuple(state0.cstate.values())
-    lives = {key0: everything}  # state key -> live mask
-    steps: dict = {}  # (state key, index) -> (successor, its key, blackened mask)
-    # (state, its key, black mask, due mask, round, schedule so far as indices)
-    stack = [(state0, key0, 0, everything, 0, ())]
+    ids: dict = {}  # (license index, its node states) -> id
+    license_lives: list[int] = []  # id -> the license's live mask
+    for j, share in enumerate(held):
+        ids[(j, tuple(map(state0.cstate.__getitem__, nodes[j])))] = j
+        license_lives.append(mask(share.keys()))
+
+    def license_id(state: AgentState, j: int) -> int:
+        node_states = (j, tuple(map(state.cstate.__getitem__, nodes[j])))
+        nid = ids.get(node_states)
+        if nid is None:
+            nid = ids[node_states] = len(license_lives)
+            license_lives.append(mask(license_rights(state, order[j], at).keys()))
+        return nid
+
+    sids: dict = {}  # state key (its licenses' ids) -> state id
+    known: list[tuple[AgentState, tuple[int, ...], int]] = []  # state id -> (state, key, live mask)
+
+    def state_id(state: AgentState, skey: tuple[int, ...]) -> int:
+        sid = sids.get(skey)
+        if sid is None:
+            sid = sids[skey] = len(known)
+            live = 0
+            for nid in skey:
+                live |= license_lives[nid]
+            known.append((state, skey, live))
+        return sid
+
+    steps: dict = {}  # (index, hosts' ids) -> (chosen target, blackened mask)
+
+    def take(sid: int, i: int) -> tuple[int, int]:
+        """The successor's state id and the blackened mask of state ``sid``'s step for permission ``i``."""
+        state, skey, _ = known[sid]
+        request, step_key = requests[i], (i, hosts[i](skey))
+        step = steps.get(step_key)
+        if step is None:
+            decision, successor = allocate_and_execute(
+                state, request, algorithm=algorithm, chooser=min_loss_chooser
+            )
+            assert isinstance(decision, Chosen), "a live permission has a host, and a prompt is chosen"
+            target = (decision.license_id, decision.sublicense_id, decision.cp_id)
+            step = steps[step_key] = (target, mask(color_step(frozenset(), state, decision, request)))
+        else:
+            successor = consume(state, *step[0], request)
+        target, blackened = step
+        j = position[target[0]]
+        return state_id(successor, skey[:j] + (license_id(successor, j),) + skey[j + 1 :]), blackened
+
+    moves: dict = {}  # (state id, index) -> take's answer
+    # (state id, black mask, due mask, round, schedule so far as indices)
+    stack = [(state_id(state0, tuple(range(len(order)))), 0, everything, 0, ())]
     searched: dict = {}  # node key -> earliest round it was searched from
     states = 0
     while stack:
-        state, skey, black, due, round_, schedule = stack.pop()
-        key = (skey, black, due)
+        sid, black, due, round_, schedule = stack.pop()
+        key = (sid, black, due)
         if key in searched and searched[key] <= round_:
             continue
         if states == MAX_LIVENESS_STATES:
             return LivenessResult(passed=True, states=states, finished=False)
         searched[key] = round_
         states += 1
-        live = lives.get(skey)
-        if live is None:
-            live = lives[skey] = mask(rights(state, at).keys())
+        live = known[sid][2]
         dead = everything & ~(live | black)
         if dead:
             p = support[(dead & -dead).bit_length() - 1]
@@ -796,27 +874,22 @@ def run_bounded_liveness(
             )
         if round_ == rounds:
             continue
+        due &= live
+        if not due:
+            stack.append((sid, black, everything, round_ + 1, schedule))
+            continue
         todo = due
         while todo:
             i = todo.bit_length() - 1
             b = 1 << i
             todo ^= b
-            after, akey, blackened = state, skey, 0
-            if live & b:
-                step = steps.get((skey, i))
-                if step is None:
-                    request = requests[i]
-                    decision, successor = allocate_and_execute(
-                        state, request, algorithm=algorithm, chooser=min_loss_chooser
-                    )
-                    lost = frozenset()
-                    if isinstance(decision, Chosen):
-                        lost = color_step(lost, state, decision, request)
-                    step = steps[(skey, i)] = (successor, tuple(successor.cstate.values()), mask(lost))
-                after, akey, blackened = step
+            move = moves.get((sid, i))
+            if move is None:
+                move = moves[(sid, i)] = take(sid, i)
+            after, blackened = move
             rest = due & ~b
             child = (rest, round_) if rest else (everything, round_ + 1)
-            stack.append((after, akey, black | blackened, *child, schedule + (i,)))
+            stack.append((after, black | blackened, *child, schedule + (i,)))
     return LivenessResult(passed=True, states=states)
 
 

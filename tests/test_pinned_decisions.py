@@ -159,7 +159,7 @@ def test_proposed_liveness_reports_are_pinned():
 
 def test_oma_liveness_reports_are_pinned():
     digest = _sha256(_liveness_reports("oma"))
-    assert digest == "72c26ffca999a39a61d7a2f7e883f3d47ebb42bce4aae4729211c0a00d19dac3"
+    assert digest == "35eda72e843e173e2840365f6feec780dc4ead041869889e42981fa09f980631"
 
 
 def _cli_transcript(corpus_dir, capsys):

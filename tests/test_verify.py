@@ -5,7 +5,14 @@ from collections import Counter
 
 import pytest
 
-from licalloc.allocate import Chosen, PromptRequired, min_loss_chooser, oma_allocate, proposed_allocate
+from licalloc.allocate import (
+    Chosen,
+    PromptRequired,
+    allocate_and_execute,
+    min_loss_chooser,
+    oma_allocate,
+    proposed_allocate,
+)
 from licalloc.cases import REQUEST_AT, all_lossy_licenses
 from licalloc.cli import main
 from licalloc.corpus import CorpusDocument, parse_corpus, serialize_corpus
@@ -34,6 +41,8 @@ from licalloc.verify import (
     LIVENESS_CAPS,
     MAX_LIVENESS_STATES,
     SEED_STRIDE,
+    T0,
+    USAGE_DURATION,
     InstanceGenerator,
     LivenessResult,
     check_selection_soundness,
@@ -331,15 +340,43 @@ class TestLivenessSearch:
                     _assert_replays(licenses, algorithm, result.failure)
         assert verdicts[True] and verdicts[False]
 
-    @pytest.mark.parametrize("index", [157, 251])
-    def test_finds_failures_beyond_full_enumeration(self, index):
-        licenses = InstanceGenerator(LIVENESS_CAPS, seed=0, profile="depleting").document(index).licenses
+    @pytest.mark.parametrize(
+        "seed, index, step",
+        [
+            pytest.param(0, 157, 0, id="157"),
+            pytest.param(0, 251, 4, id="251"),
+            # each was reported one step later, after a request no host could serve
+            pytest.param(2, 10, 2, id="seed2-10"),
+            pytest.param(4, 5, 3, id="seed4-5"),
+        ],
+    )
+    def test_finds_failures_beyond_full_enumeration(self, seed, index, step):
+        licenses = InstanceGenerator(LIVENESS_CAPS, seed=seed, profile="depleting").document(index).licenses
         support, rounds = fair_family(licenses)
         assert math.factorial(len(support)) ** rounds > 256
         baseline = run_bounded_liveness(licenses, algorithm="oma")
-        assert not baseline.passed
+        assert not baseline.passed and baseline.failure["step"] == step
         _assert_replays(licenses, "oma", baseline.failure)
+        # no request of the schedule asks for a permission that no host serves by then
+        state = initial_state(licenses)
+        for entry in baseline.failure["schedule"]:
+            request = Request(Action(entry["action"]), entry["content"], at=T0, usage_duration=USAGE_DURATION)
+            assert candidates(state, request), entry
+            _, state = allocate_and_execute(state, request, algorithm="oma", chooser=min_loss_chooser)
         assert run_bounded_liveness(licenses, algorithm="proposed").passed
+
+    @pytest.mark.parametrize(
+        "algorithm, index, passed",
+        [("oma", 40, False), ("oma", 212, False), ("proposed", 18, True), ("proposed", 204, True)],
+    )
+    def test_searches_finish_at_the_default_caps(self, algorithm, index, passed):
+        """Searches that used to stop at the state budget, and so passed vacuously, now finish."""
+        licenses = InstanceGenerator(GeneratorCaps(), seed=0, profile="depleting").document(index).licenses
+        result = run_bounded_liveness(licenses, algorithm=algorithm)
+        assert result.finished and result.states < MAX_LIVENESS_STATES
+        assert result.passed is passed
+        if not passed:
+            _assert_replays(licenses, algorithm, result.failure)
 
     def test_pinned_seeds_stay_under_the_state_budget(self):
         for seed in range(6):
@@ -389,31 +426,59 @@ class TestLivenessSearch:
         assert resolves[True] > 0 and resolves[False] == 0
 
     def test_search_does_each_states_work_once(self, monkeypatch):
-        """One ``rights`` walk per distinct state and one executed step per (state, permission)."""
+        """Each step, allocation and validity walk is done once for what it depends on.
+
+        One step per (state, permission), one ``allocate`` per (permission,
+        hosts' node states) and one walk per (license, node states).
+        """
         verify_module = sys.modules["licalloc.verify"]
-        inner_execute, inner_rights = verify_module.allocate_and_execute, verify_module.rights
-        steps, walks = Counter(), Counter()
+        inner_execute, inner_consume = verify_module.allocate_and_execute, verify_module.consume
+        inner_walk = verify_module.license_rights
+        taken, allocated, walked = Counter(), Counter(), Counter()
+        seen = set()  # keys of every state the search reached
+
+        def node_states(state, license_ids):
+            return tuple(s for node, s in state.cstate.items() if node[0] in license_ids)
 
         def counting_execute(state, request, **kwargs):
-            steps[(tuple(state.cstate.values()), request.permission)] += 1
-            return inner_execute(state, request, **kwargs)
+            hosts = {lic.id for lic in state.licenses.hosts(request.permission)}
+            taken[(tuple(state.cstate.values()), request.permission)] += 1
+            allocated[(request.permission, node_states(state, hosts))] += 1
+            decision, successor = inner_execute(state, request, **kwargs)
+            seen.add(tuple(successor.cstate.values()))
+            return decision, successor
 
-        def counting_rights(state, at):
-            walks[tuple(state.cstate.values())] += 1
-            return inner_rights(state, at)
+        def counting_consume(state, license_id, sublicense_id, cp_id, request):
+            taken[(tuple(state.cstate.values()), request.permission)] += 1
+            successor = inner_consume(state, license_id, sublicense_id, cp_id, request)
+            seen.add(tuple(successor.cstate.values()))
+            return successor
+
+        def counting_walk(state, lic, at):
+            walked[(lic.id, node_states(state, {lic.id}))] += 1
+            return inner_walk(state, lic, at)
 
         monkeypatch.setattr(verify_module, "allocate_and_execute", counting_execute)
-        monkeypatch.setattr(verify_module, "rights", counting_rights)
-        searched = walked = 0
+        monkeypatch.setattr(verify_module, "consume", counting_consume)
+        monkeypatch.setattr(verify_module, "license_rights", counting_walk)
+        steps = allocations = walks = license_states = 0
         for licenses in _conforming_instances(seed=0, n=40):
             for algorithm in ("proposed", "oma"):
-                steps.clear()
-                walks.clear()
-                searched += run_bounded_liveness(licenses, algorithm=algorithm).states
-                walked += len(walks)
-                assert set(steps.values()) <= {1} and set(walks.values()) <= {1}
-        # nodes share states, so the memo saves walks
-        assert searched > walked
+                taken.clear()
+                allocated.clear()
+                walked.clear()
+                seen.clear()
+                seen.add(tuple(initial_state(licenses).cstate.values()))
+                run_bounded_liveness(licenses, algorithm=algorithm)
+                assert set(taken.values()) <= {1}
+                assert set(allocated.values()) <= {1} and set(walked.values()) <= {1}
+                steps += len(taken)
+                allocations += len(allocated)
+                walks += len(walked)
+                license_states += len(seen) * len(licenses)
+        # steps from different states share an allocation, and states share each license's walk
+        assert 0 < allocations < steps
+        assert 0 < walks < license_states
 
     @pytest.mark.parametrize("caps", [LIVENESS_CAPS, GeneratorCaps()], ids=["liveness-caps", "default-caps"])
     @pytest.mark.parametrize("seed", [0, 1])
