@@ -753,7 +753,7 @@ def run_bounded_liveness(
       states).
     * Each distinct (license, node states) and each distinct state is
       interned as an int once, so the node, step and live-set memos hash
-      small ints.  A state's key is the tuple of its licenses' ids, so a
+      small ints.  A state's key is the tuple of its license-state ids, so a
       step's key picks its hosts' entries out of it, and a successor's key
       replaces the chosen license's entry.
 
@@ -795,13 +795,13 @@ def run_bounded_liveness(
         assert bit.keys() >= permissions, "a permission outside the support"
         return sum(bit[p] for p in permissions)
 
-    ids: dict = {}  # (license index, its node states) -> id
-    license_lives: list[int] = []  # id -> the license's live mask
+    ids: dict = {}  # (license index, its node states) -> license-state id
+    license_lives: list[int] = []  # license-state id -> the license's live mask
     for j, share in enumerate(held):
         ids[(j, tuple(map(state0.cstate.__getitem__, nodes[j])))] = j
         license_lives.append(mask(share.keys()))
 
-    def license_id(state: AgentState, j: int) -> int:
+    def license_state_id(state: AgentState, j: int) -> int:
         node_states = (j, tuple(map(state.cstate.__getitem__, nodes[j])))
         nid = ids.get(node_states)
         if nid is None:
@@ -809,7 +809,7 @@ def run_bounded_liveness(
             license_lives.append(mask(license_rights(state, order[j], at).keys()))
         return nid
 
-    sids: dict = {}  # state key (its licenses' ids) -> state id
+    sids: dict = {}  # state key (its license-state ids, by license) -> state id
     known: list[tuple[AgentState, tuple[int, ...], int]] = []  # state id -> (state, key, live mask)
 
     def state_id(state: AgentState, skey: tuple[int, ...]) -> int:
@@ -822,7 +822,7 @@ def run_bounded_liveness(
             known.append((state, skey, live))
         return sid
 
-    steps: dict = {}  # (index, hosts' ids) -> (chosen target, blackened mask)
+    steps: dict = {}  # (index, hosts' license-state ids) -> (chosen target, blackened mask)
 
     def take(sid: int, i: int) -> tuple[int, int]:
         """The successor's state id and the blackened mask of state ``sid``'s step for permission ``i``."""
@@ -840,7 +840,7 @@ def run_bounded_liveness(
             successor = consume(state, *step[0], request)
         target, blackened = step
         j = position[target[0]]
-        return state_id(successor, skey[:j] + (license_id(successor, j),) + skey[j + 1 :]), blackened
+        return state_id(successor, skey[:j] + (license_state_id(successor, j),) + skey[j + 1 :]), blackened
 
     moves: dict = {}  # (state id, index) -> take's answer
     # (state id, black mask, due mask, round, schedule so far as indices)
