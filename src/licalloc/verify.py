@@ -18,9 +18,12 @@ instances instead of being trusted:
   (state, black permissions, permissions due this round) tries the due
   permissions in sorted order, skips a state already searched with at least
   as many rounds left, and stops after ``MAX_LIVENESS_STATES`` states.  It
-  drops requests no host can serve, runs ``allocate`` once per (permission,
-  node states of its hosts) and walks each license's validity once per
-  (license, node states); ``run_bounded_liveness`` says why each is exact.
+  drops requests no host can serve and keeps a state only as the tuple of
+  its licenses' interned node states.  It runs ``allocate`` once per
+  (permission, node states of its hosts), and every other state with those
+  hosts' node states steps by replacing one entry of its tuple; it walks
+  each license's validity once per (license, node states).
+  ``run_bounded_liveness`` says why each is exact.
 
 Every decision is checked against one oracle, which ``run_trial`` builds
 once per decision with ``oracle_losses``: ``{candidate id: loss}``, found by
@@ -257,6 +260,8 @@ class GeneratorCaps:
         for name, value in self.to_json().items():
             if value < 1:
                 raise ValueError(f"generator cap {name} must be >= 1, got {value}")
+        if self.actions > len(Action):
+            raise ValueError(f"generator cap actions must be <= {len(Action)}, got {self.actions}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -738,24 +743,22 @@ def run_bounded_liveness(
       (``LicenseSet.hosts``): ``allocate`` resolves, labels and prices only
       the hosts, ``color_step`` reads only the decision's pool, and
       ``consume`` writes only the chosen license.  So per (permission,
-      hosts' node states) the search runs ``allocate_and_execute`` once and
-      keeps the chosen target and the permissions the step blackens; in
-      another state with the same hosts' node states it builds the
-      successor with ``consume`` on the stored target, so ``consume`` stays
-      the only state transition.  ``color_step`` only adds to the black
-      set, and what it adds does not depend on it, so the blackened
+      hosts' node states) the search runs ``allocate_and_execute`` once, on
+      a state rebuilt from the key, and keeps the chosen license, its node
+      states after the step and the permissions the step blackens; any
+      state with the same hosts' node states steps to itself with that
+      license's node states replaced.  ``color_step`` only adds to the
+      black set, and what it adds does not depend on it, so the blackened
       permissions are computed once from the empty set and joined to each
-      node's own.  Per (state, permission) the successor and blackened
-      permissions are then kept, so a state shared by many nodes takes each
-      step once.  In the same way a license's live permissions depend only
+      node's own.  In the same way a license's live permissions depend only
       on its own node states, so a state's live set is the union of
       per-license sets, each one ``license_rights`` walk per (license, node
       states).
-    * Each distinct (license, node states) and each distinct state is
-      interned as an int once, so the node, step and live-set memos hash
-      small ints.  A state's key is the tuple of its license-state ids, so a
-      step's key picks its hosts' entries out of it, and a successor's key
-      replaces the chosen license's entry.
+    * A state is kept only as its key, the tuple of its licenses' node
+      states, each interned as an int (a license-state id) the first time
+      it is reached.  The node and step memos therefore hash small ints, a
+      step's key picks its hosts' entries out of the state's key, and a
+      successor's key replaces the chosen license's entry.
 
     Permissions are coded as bits, bit ``i`` for the ``i``-th permission of
     the sorted support: the black, live and due sets are int masks and a
@@ -796,67 +799,53 @@ def run_bounded_liveness(
         return sum(bit[p] for p in permissions)
 
     ids: dict = {}  # (license index, its node states) -> license-state id
+    license_nodes: list[tuple] = []  # license-state id -> the license's node states
     license_lives: list[int] = []  # license-state id -> the license's live mask
-    for j, share in enumerate(held):
-        ids[(j, tuple(map(state0.cstate.__getitem__, nodes[j])))] = j
-        license_lives.append(mask(share.keys()))
 
-    def license_state_id(state: AgentState, j: int) -> int:
-        node_states = (j, tuple(map(state.cstate.__getitem__, nodes[j])))
-        nid = ids.get(node_states)
+    def license_state_id(state: AgentState, j: int, held_j=None) -> int:
+        """The id of license ``j``'s node states in ``state``; ``held_j`` is its rights there, if walked."""
+        node_states = tuple(map(state.cstate.__getitem__, nodes[j]))
+        nid = ids.get((j, node_states))
         if nid is None:
-            nid = ids[node_states] = len(license_lives)
-            license_lives.append(mask(license_rights(state, order[j], at).keys()))
+            nid = ids[(j, node_states)] = len(license_nodes)
+            license_nodes.append(node_states)
+            if held_j is None:
+                held_j = license_rights(state, order[j], at)
+            license_lives.append(mask(held_j.keys()))
         return nid
 
-    sids: dict = {}  # state key (its license-state ids, by license) -> state id
-    known: list[tuple[AgentState, tuple[int, ...], int]] = []  # state id -> (state, key, live mask)
+    def take(skey: tuple[int, ...], i: int) -> tuple[int, int, int]:
+        """Run the step for permission ``i`` from the state keyed ``skey``.
 
-    def state_id(state: AgentState, skey: tuple[int, ...]) -> int:
-        sid = sids.get(skey)
-        if sid is None:
-            sid = sids[skey] = len(known)
-            live = 0
-            for nid in skey:
-                live |= license_lives[nid]
-            known.append((state, skey, live))
-        return sid
+        Returns the chosen license's index, its license-state id after the
+        step and the blackened mask.
+        """
+        cstate: dict = {}  # in ``initial_state``'s order: by license, then the license's nodes
+        for j, nid in enumerate(skey):
+            cstate.update(zip(nodes[j], license_nodes[nid]))
+        state, request = AgentState(licenses, cstate), requests[i]
+        decision, successor = allocate_and_execute(state, request, algorithm=algorithm, chooser=min_loss_chooser)
+        assert isinstance(decision, Chosen), "a live permission has a host, and a prompt is chosen"
+        j = position[decision.license_id]
+        return j, license_state_id(successor, j), mask(color_step(frozenset(), state, decision, request))
 
-    steps: dict = {}  # (index, hosts' license-state ids) -> (chosen target, blackened mask)
-
-    def take(sid: int, i: int) -> tuple[int, int]:
-        """The successor's state id and the blackened mask of state ``sid``'s step for permission ``i``."""
-        state, skey, _ = known[sid]
-        request, step_key = requests[i], (i, hosts[i](skey))
-        step = steps.get(step_key)
-        if step is None:
-            decision, successor = allocate_and_execute(
-                state, request, algorithm=algorithm, chooser=min_loss_chooser
-            )
-            assert isinstance(decision, Chosen), "a live permission has a host, and a prompt is chosen"
-            target = (decision.license_id, decision.sublicense_id, decision.cp_id)
-            step = steps[step_key] = (target, mask(color_step(frozenset(), state, decision, request)))
-        else:
-            successor = consume(state, *step[0], request)
-        target, blackened = step
-        j = position[target[0]]
-        return state_id(successor, skey[:j] + (license_state_id(successor, j),) + skey[j + 1 :]), blackened
-
-    moves: dict = {}  # (state id, index) -> take's answer
-    # (state id, black mask, due mask, round, schedule so far as indices)
-    stack = [(state_id(state0, tuple(range(len(order)))), 0, everything, 0, ())]
+    steps: dict = {}  # (index, hosts' license-state ids) -> take's answer
+    # (state key, black mask, due mask, round, schedule so far as indices)
+    stack = [(tuple(license_state_id(state0, j, held_j) for j, held_j in enumerate(held)), 0, everything, 0, ())]
     searched: dict = {}  # node key -> earliest round it was searched from
     states = 0
     while stack:
-        sid, black, due, round_, schedule = stack.pop()
-        key = (sid, black, due)
+        skey, black, due, round_, schedule = stack.pop()
+        key = (skey, black, due)
         if key in searched and searched[key] <= round_:
             continue
         if states == MAX_LIVENESS_STATES:
             return LivenessResult(passed=True, states=states, finished=False)
         searched[key] = round_
         states += 1
-        live = known[sid][2]
+        live = 0
+        for nid in skey:
+            live |= license_lives[nid]
         dead = everything & ~(live | black)
         if dead:
             p = support[(dead & -dead).bit_length() - 1]
@@ -876,20 +865,21 @@ def run_bounded_liveness(
             continue
         due &= live
         if not due:
-            stack.append((sid, black, everything, round_ + 1, schedule))
+            stack.append((skey, black, everything, round_ + 1, schedule))
             continue
         todo = due
         while todo:
             i = todo.bit_length() - 1
             b = 1 << i
             todo ^= b
-            move = moves.get((sid, i))
-            if move is None:
-                move = moves[(sid, i)] = take(sid, i)
-            after, blackened = move
+            step_key = (i, hosts[i](skey))
+            step = steps.get(step_key)
+            if step is None:
+                step = steps[step_key] = take(skey, i)
+            j, nid, blackened = step
             rest = due & ~b
             child = (rest, round_) if rest else (everything, round_ + 1)
-            stack.append((after, black | blackened, *child, schedule + (i,)))
+            stack.append((skey[:j] + (nid,) + skey[j + 1 :], black | blackened, *child, schedule + (i,)))
     return LivenessResult(passed=True, states=states)
 
 

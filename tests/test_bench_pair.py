@@ -69,6 +69,19 @@ def test_a_run_length_or_workload_list_that_cannot_be_measured_is_a_usage_error(
     assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("base", ["nosuchrev", "HEAD:tools"], ids=["unknown", "not-a-commit"])
+def test_a_base_that_names_no_commit_is_a_usage_error(base, monkeypatch, capsys):
+    def export(rev, into):
+        raise AssertionError("the base tree was exported before the base was checked")
+
+    monkeypatch.setattr(bench_pair, "export", export)
+    with pytest.raises(SystemExit) as exit_:
+        bench_pair.main(["--label", "x", "--base", base, "--workload", "fuzz", "--seeds", "100"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "--base" in err and "Traceback" not in err
+
+
 def run(value, failed=0):
     return {"correct": True, "attempted": 10, "failed": failed, "metrics": {"op_p50_us": value, "ops_per_s": 1e6 / value}}
 

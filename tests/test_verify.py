@@ -426,58 +426,51 @@ class TestLivenessSearch:
         assert resolves[True] > 0 and resolves[False] == 0
 
     def test_search_does_each_states_work_once(self, monkeypatch):
-        """Each step, allocation and validity walk is done once for what it depends on.
+        """Each allocation and validity walk is done once for what it depends on.
 
-        One step per (state, permission), one ``allocate`` per (permission,
-        hosts' node states) and one walk per (license, node states).
+        One ``allocate`` per (permission, hosts' node states), one walk per
+        (license, node states), and no ``consume`` outside the allocations:
+        a state that meets a step already taken steps by its key alone.
         """
         verify_module = sys.modules["licalloc.verify"]
-        inner_execute, inner_consume = verify_module.allocate_and_execute, verify_module.consume
-        inner_walk = verify_module.license_rights
-        taken, allocated, walked = Counter(), Counter(), Counter()
-        seen = set()  # keys of every state the search reached
+        inner_execute, inner_walk = verify_module.allocate_and_execute, verify_module.license_rights
+        allocated, walked = Counter(), Counter()
+        seen = set()  # states an allocation saw or made: some of the states the search reached
 
         def node_states(state, license_ids):
             return tuple(s for node, s in state.cstate.items() if node[0] in license_ids)
 
         def counting_execute(state, request, **kwargs):
             hosts = {lic.id for lic in state.licenses.hosts(request.permission)}
-            taken[(tuple(state.cstate.values()), request.permission)] += 1
             allocated[(request.permission, node_states(state, hosts))] += 1
             decision, successor = inner_execute(state, request, **kwargs)
-            seen.add(tuple(successor.cstate.values()))
+            seen.update((tuple(state.cstate.values()), tuple(successor.cstate.values())))
             return decision, successor
 
-        def counting_consume(state, license_id, sublicense_id, cp_id, request):
-            taken[(tuple(state.cstate.values()), request.permission)] += 1
-            successor = inner_consume(state, license_id, sublicense_id, cp_id, request)
-            seen.add(tuple(successor.cstate.values()))
-            return successor
+        def refused_consume(*args):
+            raise AssertionError("the search called consume outside allocate_and_execute")
 
         def counting_walk(state, lic, at):
             walked[(lic.id, node_states(state, {lic.id}))] += 1
             return inner_walk(state, lic, at)
 
         monkeypatch.setattr(verify_module, "allocate_and_execute", counting_execute)
-        monkeypatch.setattr(verify_module, "consume", counting_consume)
+        monkeypatch.setattr(verify_module, "consume", refused_consume)
         monkeypatch.setattr(verify_module, "license_rights", counting_walk)
-        steps = allocations = walks = license_states = 0
+        searched = allocations = walks = license_states = 0
         for licenses in _conforming_instances(seed=0, n=40):
             for algorithm in ("proposed", "oma"):
-                taken.clear()
                 allocated.clear()
                 walked.clear()
                 seen.clear()
                 seen.add(tuple(initial_state(licenses).cstate.values()))
-                run_bounded_liveness(licenses, algorithm=algorithm)
-                assert set(taken.values()) <= {1}
+                searched += run_bounded_liveness(licenses, algorithm=algorithm).states
                 assert set(allocated.values()) <= {1} and set(walked.values()) <= {1}
-                steps += len(taken)
                 allocations += len(allocated)
                 walks += len(walked)
                 license_states += len(seen) * len(licenses)
-        # steps from different states share an allocation, and states share each license's walk
-        assert 0 < allocations < steps
+        # nodes share allocations, and states (fewer than were reached) share each license's walk
+        assert 0 < allocations < searched
         assert 0 < walks < license_states
 
     @pytest.mark.parametrize("caps", [LIVENESS_CAPS, GeneratorCaps()], ids=["liveness-caps", "default-caps"])
@@ -525,6 +518,12 @@ class TestCampaigns:
         monkeypatch.setattr(InstanceGenerator, "document", _generate_nothing)
         with pytest.raises(ValueError, match=f"between 1 and {SEED_STRIDE} trials"):
             start()
+
+    def test_more_actions_than_there_are_is_refused(self):
+        """A cap of 9 actions would draw from the 5 there are while its report said 9."""
+        assert GeneratorCaps(actions=len(Action)).actions == len(Action)
+        with pytest.raises(ValueError, match=f"actions must be <= {len(Action)}, got 9"):
+            GeneratorCaps(actions=9)
 
     def test_filtered_campaign_is_clean(self):
         gen = InstanceGenerator(GeneratorCaps(), seed=11)

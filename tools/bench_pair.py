@@ -4,8 +4,8 @@
         [--workload W2 ...] --seeds 100-109 [--confirm-seeds 9001] [--seconds 30]
 
 ``W`` is one of the workloads ``BENCHMARK.json`` declares, each named once;
-``--seconds`` is finite and above zero.  Arguments are checked before the
-base tree is exported.
+``--seconds`` is finite and above zero; ``--base`` names a commit of the
+repository.  Arguments are checked before the base tree is exported.
 
 For every seed, ``bench/run.py --workload W --seed S --seconds T`` runs once
 on the base commit and once on the working tree, one after the other; which
@@ -34,7 +34,8 @@ summed over the paired runs, recorded per side as ``failed_share``) is no
 higher than the base's.  Runs at the confirming seeds are recorded apart
 from the paired summary.
 
-Exit codes: 0 when every run completed with ``correct`` true, 1 otherwise.
+Exit codes: 0 when every run completed with ``correct`` true and no failed
+operation, 1 otherwise, and 2 for a usage error.
 """
 
 from __future__ import annotations
@@ -188,12 +189,17 @@ def main(argv=None) -> int:
     if repeated:
         parser.error(f"argument --workload: named more than once: {', '.join(repeated)}")
 
+    try:
+        base_commit = git("rev-parse", "--verify", "--quiet", f"{args.base}^{{commit}}").strip()
+    except subprocess.CalledProcessError:
+        parser.error(f"argument --base: not a commit of this repository: {args.base!r}")
+
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
     bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
     status = git("status", "--porcelain", "--untracked-files=no")
     record: dict = {
         "label": args.label,
-        "base": {"commit": git("rev-parse", args.base).strip()},
+        "base": {"commit": base_commit},
         "change": {"commit": git("rev-parse", "HEAD").strip(), "uncommitted_changes": bool(status.strip())},
         "environment": {"python": platform.python_version(), "nproc": os.cpu_count(), "machine": platform.machine()},
         "seconds": args.seconds,
