@@ -11,19 +11,12 @@ instances instead of being trusted:
   remnants;
 * filter neutrality: on instances where no label is once+complex the
   filtered allocator collapses to the baseline;
-* bounded liveness: under every bounded 1-fair request schedule, every
+* liveness: under every 1-fair request schedule, of any length, every
   permission that runs out of valid hosts is black, that is, in the set of
   permissions ``color_step`` has seen lost deliberately; every other
-  permission is white.  One depth-first search over the reachable states
-  (state, black permissions, permissions due this round) tries the due
-  permissions in sorted order, skips a state already searched with at least
-  as many rounds left, and stops after ``MAX_LIVENESS_STATES`` states.  It
-  drops requests no host can serve and keeps a state only as the tuple of
-  its licenses' interned node states.  It runs ``allocate`` once per
-  (permission, node states of its hosts), and every other state with those
-  hosts' node states steps by replacing one entry of its tuple; it walks
-  each license's validity once per (license, node states).
-  ``run_bounded_liveness`` says why each is exact.
+  permission is white.  ``run_bounded_liveness`` searches the schedules
+  depth-first, up to ``MAX_LIVENESS_STATES`` nodes, and says why its
+  verdict is exact.
 
 Every decision is checked against one oracle, which ``run_trial`` builds
 once per decision with ``oracle_losses``: ``{candidate id: loss}``, found by
@@ -712,30 +705,41 @@ class LivenessResult:
 def run_bounded_liveness(
     licenses: LicenseSet, *, algorithm: str = "proposed", at: int = T0
 ) -> LivenessResult:
-    """Search every bounded fair schedule and require black-by-quiescence.
+    """Search every 1-fair schedule, of any length, and require black-by-quiescence.
 
     The schedules are 1-fair: every round requests each initially available
-    permission once, in any order, and there is one round more than the most
-    cps granting any one permission.  After every step, any permission with
-    no valid host left must already be black.  The search is depth-first over the
-    permissions still due this round, tried in sorted order, so a failure is
-    the lexicographically first failing schedule, cut at its failing step.
+    permission once, in any order, and rounds follow one another without
+    end.  After every step, any permission with no valid host left must
+    already be black.  The search is depth-first over the permissions still
+    due this round, tried in sorted order, so a failure is the first failing
+    schedule in that order among those that reach no node twice, cut at its
+    failing step.
 
     A node is the state, the black permissions and the permissions still
-    due this round.  One already searched from the same or an earlier round
-    is skipped: with at least as many rounds left, it covered every
-    continuation from here.  (When it is an ancestor, every step between
-    them changed nothing, since counters and intervals only move one way
-    and the black set only grows, so no continuation changes anything
-    either.)  ``states`` counts the nodes searched; the search stops at
-    ``MAX_LIVENESS_STATES`` and passes on what it searched, unfinished.
+    due this round.  What can follow a node depends on nothing else, so a
+    node already searched is skipped: its continuations are searched from
+    its first visit.  ``states`` counts the nodes searched; the search
+    stops at ``MAX_LIVENESS_STATES`` and passes on what it searched,
+    unfinished.
+
+    The search ends, since there are finitely many nodes (finitely many
+    states, and masks within the support) and none is searched twice; it
+    misses no schedule, however long.  Under the depletion assumption, a
+    request for a live permission depletes a node on a valid cp granting
+    it, so a permission still live at the end of a round has lost a valid
+    grant in that round, and within as many rounds as the most cps
+    granting any one permission nothing is live and no step is left.  The
+    one exception is a use that charges nothing (a timed count whose timer
+    outlasts the use, which its label still reads as once): it leaves the
+    state as it was, so its schedule can come back to a node already
+    searched, and the skip ends it there.
 
     Three reductions leave every verdict as it is:
 
     * A request no host can serve is dropped: after the dead check the due
       permissions are cut to the live ones, and when none of those is left
-      the node of the next round is pushed instead.  Rights only shrink at
-      a fixed ``at``, so a dead permission stays dead, and its request could
+      the next round starts at once.  Rights only shrink at a fixed
+      ``at``, so a dead permission stays dead, and its request could
       only be a NoMatch step that changes neither the state nor the black
       set.  A reported schedule therefore names no such request.
     * A step is memoized on the licenses it touches.  The step taken for a
@@ -782,12 +786,6 @@ def run_bounded_liveness(
         nodes[position[node[0]]].append(node)
     held = [license_rights(state0, lic, at) for lic in order]
     support = tuple(sorted(set().union(*held)))
-    if not support:
-        return LivenessResult(passed=True, states=0)
-    granting = Counter(
-        p for lic in licenses for sl in lic.sublicenses for cp in sl.cps for p in cp.permissions
-    )
-    rounds = max(granting[p] for p in support) + 1
     requests = [Request(p.action, p.content, at=at, usage_duration=USAGE_DURATION) for p in support]
     bit = {p: 1 << i for i, p in enumerate(support)}
     everything = (1 << len(support)) - 1
@@ -830,19 +828,17 @@ def run_bounded_liveness(
         return j, license_state_id(successor, j), mask(color_step(frozenset(), state, decision, request))
 
     steps: dict = {}  # (index, hosts' license-state ids) -> take's answer
-    # (state key, black mask, due mask, round, schedule so far as indices)
-    stack = [(tuple(license_state_id(state0, j, held_j) for j, held_j in enumerate(held)), 0, everything, 0, ())]
-    searched: dict = {}  # node key -> earliest round it was searched from
-    states = 0
+    # (state key, black mask, due mask, schedule so far as indices)
+    stack = [(tuple(license_state_id(state0, j, held_j) for j, held_j in enumerate(held)), 0, everything, ())]
+    searched: set = set()  # (state key, black mask, due mask)
     while stack:
-        skey, black, due, round_, schedule = stack.pop()
+        skey, black, due, schedule = stack.pop()
         key = (skey, black, due)
-        if key in searched and searched[key] <= round_:
+        if key in searched:
             continue
-        if states == MAX_LIVENESS_STATES:
-            return LivenessResult(passed=True, states=states, finished=False)
-        searched[key] = round_
-        states += 1
+        if len(searched) == MAX_LIVENESS_STATES:
+            return LivenessResult(passed=True, states=len(searched), finished=False)
+        searched.add(key)
         live = 0
         for nid in skey:
             live |= license_lives[nid]
@@ -851,7 +847,7 @@ def run_bounded_liveness(
             p = support[(dead & -dead).bit_length() - 1]
             return LivenessResult(
                 passed=False,
-                states=states,
+                states=len(searched),
                 failure={
                     "schedule": [
                         {"action": support[i].action.value, "content": support[i].content}
@@ -861,12 +857,7 @@ def run_bounded_liveness(
                     "permission": {"action": p.action.value, "content": p.content},
                 },
             )
-        if round_ == rounds:
-            continue
-        due &= live
-        if not due:
-            stack.append((skey, black, everything, round_ + 1, schedule))
-            continue
+        due = due & live or live  # a finished round starts the next
         todo = due
         while todo:
             i = todo.bit_length() - 1
@@ -878,9 +869,8 @@ def run_bounded_liveness(
                 step = steps[step_key] = take(skey, i)
             j, nid, blackened = step
             rest = due & ~b
-            child = (rest, round_) if rest else (everything, round_ + 1)
-            stack.append((skey[:j] + (nid,) + skey[j + 1 :], black | blackened, *child, schedule + (i,)))
-    return LivenessResult(passed=True, states=states)
+            stack.append((skey[:j] + (nid,) + skey[j + 1 :], black | blackened, rest or everything, schedule + (i,)))
+    return LivenessResult(passed=True, states=len(searched))
 
 
 LIVENESS_CAPS = GeneratorCaps(
@@ -895,10 +885,12 @@ def run_liveness_campaign(
     *,
     algorithm: str = "proposed",
 ) -> CampaignReport:
-    """Bounded liveness over ``n`` generated depleting instances.
+    """Liveness over every 1-fair schedule of ``n`` generated depleting instances.
 
     The ``depleting`` profile conforms to the depletion assumption by
-    construction, so every instance is searched.
+    construction, so every instance is searched, for schedules of any
+    length (see ``run_bounded_liveness``).  A search that stops at
+    ``MAX_LIVENESS_STATES`` passes vacuously.
     """
 
     def verdicts(index: int, doc: CorpusDocument) -> Iterable[_Verdict]:

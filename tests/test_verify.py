@@ -251,6 +251,25 @@ class TestBoundedLiveness:
         )
         assert run_bounded_liveness(licenses).passed
 
+    def test_a_step_that_changes_nothing_ends_at_the_node_it_left(self):
+        # the label reads the timed count as once, but a use shorter than its
+        # timer charges nothing, so every round returns to the initial node
+        timed = CP("cp", constraints=[TimedCount(1, timer=USAGE_DURATION + 1)], permissions=[perm("play", "a")])
+        licenses = LicenseSet([License("l", [SubLicense("sl", cps=[timed])])])
+        assert conforms_to_depletion_assumption(initial_state(licenses))
+        for algorithm in ("proposed", "oma"):
+            result = run_bounded_liveness(licenses, algorithm=algorithm)
+            assert (result.passed, result.states, result.finished) == (True, 1, True)
+
+    def test_an_instance_with_nothing_left_to_request_passes(self):
+        closed = DateTime(end=T0 - 1)
+        licenses = LicenseSet(
+            [License("l", [SubLicense("sl", constraints=[Count(1), closed], cps=[CP("cp", permissions=[perm("play", "a")])])])]
+        )
+        assert not rights(initial_state(licenses), T0)
+        result = run_bounded_liveness(licenses)
+        assert (result.passed, result.finished) == (True, True)
+
     def test_baseline_algorithm_fails_liveness(self):
         # conforming instance where the baseline burns song-b for nothing:
         # the dated license outranks the plain one but takes b with it
@@ -481,10 +500,10 @@ class TestLivenessSearch:
             assert conforms_to_depletion_assumption(initial_state(generator.licenses(index))), index
 
     def test_a_search_cut_short_is_a_vacuous_pass(self, monkeypatch, capsys):
-        monkeypatch.setattr(sys.modules["licalloc.verify"], "MAX_LIVENESS_STATES", 3)
+        monkeypatch.setattr(sys.modules["licalloc.verify"], "MAX_LIVENESS_STATES", 2)
         licenses = _conforming_instances(seed=0, n=1)[0]
         result = run_bounded_liveness(licenses)
-        assert (result.passed, result.states, result.finished) == (True, 3, False)
+        assert (result.passed, result.states, result.finished) == (True, 2, False)
         report = run_liveness_campaign(n=5, seed=0)
         assert (report.passes["liveness"], report.vacuous["liveness"]) == (5, 5)
         assert main(["verify", "--checks", "liveness", "--trials", "5"]) == 0
