@@ -24,7 +24,6 @@ from .engine import (
     is_depleting,
 )
 from .errors import (
-    AssumptionViolation,
     ChooserContractError,
     InvalidTargetError,
     LicallocError,

@@ -318,7 +318,7 @@ def cmd_simulate(args) -> int:
             "via_prompt": decision.via_prompt,
         }
         entry["depletes"] = decision.pool[decision.license_id].depletion.value
-        black = color_step(black, state, decision, request)
+        black |= color_step(state, decision, request)
         labels_after = state_labels(after)
         entry["label_updates"] = {
             "/".join(k for k in key if k): f"{labels[key]} -> {labels_after[key]}"

@@ -15,7 +15,3 @@ class InvalidTargetError(LicallocError):
 
 class ChooserContractError(LicallocError):
     """A chooser callback returned an id outside the candidate list."""
-
-
-class AssumptionViolation(LicallocError):
-    """An instance does not meet the preconditions of a bounded check."""

@@ -23,9 +23,9 @@ so they can not go stale: relabelling after a consume is the identity.
 The request-free labels of ``state_labels`` decide nothing.  Corpus files
 store them as advisory caches, and ``licalloc simulate`` shows how a step
 changed them; neither has one request to label for.  The neutrality
-precondition and the liveness assumption read them too, but campaign uses
-last ``verify.USAGE_DURATION``, longer than any generated timer, so every
-timed count is charged and both readings agree.
+precondition reads them too, but campaign uses last
+``verify.USAGE_DURATION``, longer than any generated timer, so every timed
+count is charged and both readings agree.
 """
 
 from __future__ import annotations

@@ -12,11 +12,11 @@ instances instead of being trusted:
 * filter neutrality: on instances where no label is once+complex the
   filtered allocator collapses to the baseline;
 * liveness: under every 1-fair request schedule, of any length, every
-  permission that runs out of valid hosts is black, that is, in the set of
-  permissions ``color_step`` has seen lost deliberately; every other
-  permission is white.  ``run_bounded_liveness`` searches the schedules
-  depth-first, up to ``MAX_LIVENESS_STATES`` nodes, and says why its
-  verdict is exact.
+  permission that runs out of valid hosts is black, that is, lost
+  deliberately at some step, as ``color_step`` says; every other
+  permission is white.  ``run_bounded_liveness`` takes any instance,
+  searches the schedules depth-first, up to ``MAX_LIVENESS_STATES`` nodes,
+  and says why its verdict is exact.
 
 Every decision is checked against one oracle, which ``run_trial`` builds
 once per decision with ``oracle_losses``: ``{candidate id: loss}``, found by
@@ -61,8 +61,7 @@ from .allocate import (
 )
 from .corpus import CorpusDocument, document_to_json
 from .engine import AgentState, consume, initial_state
-from .errors import AssumptionViolation
-from .labels import Times, cp_label, state_labels, sublicense_label
+from .labels import cp_label, state_labels, sublicense_label
 from .model import (
     CP,
     Action,
@@ -95,14 +94,14 @@ SEED_STRIDE = 1_000_003
 # --- coloring model ---------------------------------------------------------
 
 
-def color_step(
-    black: frozenset[Permission], state: AgentState, decision: Chosen, request: Request
-) -> frozenset[Permission]:
-    """The black permissions after one executed decision; every other one is white.
+def color_step(state: AgentState, decision: Chosen, request: Request) -> frozenset[Permission]:
+    """The permissions one executed decision blackens; every other one stays as it was.
 
     A permission turns black when it is lost deliberately: because it was
     the request itself, because there was no other candidate, or because
-    every candidate was lossy anyway.  Black never reverts to white.
+    every candidate was lossy anyway.  Black never reverts to white, so a
+    caller joins the answer to its black set, which the answer does not
+    depend on.
 
     ``state`` is the state the decision was made in (before the consume),
     and ``decision`` an allocator's, which carries the pool it was made from.
@@ -110,8 +109,8 @@ def color_step(
     losses = pool_losses(state, request, decision.pool)
     lost = losses[decision.license_id]
     if len(losses) == 1 or _all_lossy(losses.values(), request):
-        return black.union(lost)
-    return black.union(lost.keys() & {request.permission})
+        return frozenset(lost)
+    return frozenset(lost.keys() & {request.permission})
 
 
 # --- per-decision checks ----------------------------------------------------
@@ -683,17 +682,6 @@ def run_neutrality_campaign(
 # --- bounded liveness -------------------------------------------------------
 
 
-def conforms_to_depletion_assumption(state: AgentState) -> bool:
-    """Every node burns on use: a many-labeled sublicense only holds once-labeled cps."""
-    labels = state_labels(state)
-    return all(
-        labels[(lic.id, sl.id, None)].times is not Times.MANY
-        or all(labels[(lic.id, sl.id, cp.id)].times is Times.ONCE for cp in sl.cps)
-        for lic in state.licenses
-        for sl in lic.sublicenses
-    )
-
-
 @dataclass
 class LivenessResult:
     passed: bool
@@ -715,33 +703,34 @@ def run_bounded_liveness(
     schedule in that order among those that reach no node twice, cut at its
     failing step.
 
-    A node is the state, the black permissions and the permissions still
-    due this round.  What can follow a node depends on nothing else, so a
-    node already searched is skipped: its continuations are searched from
-    its first visit.  ``states`` counts the nodes searched; the search
-    stops at ``MAX_LIVENESS_STATES`` and passes on what it searched,
-    unfinished.
+    A node is the state, the black permissions and the live permissions
+    still due this round; when no live one is due, the next round starts at
+    once and every live one is due.  What can follow a node depends on
+    nothing else, so a node already searched is skipped: its continuations
+    are searched from its first visit.  ``states`` counts the nodes
+    searched; the search stops at ``MAX_LIVENESS_STATES`` and passes on
+    what it searched, unfinished.
 
-    The search ends, since there are finitely many nodes (finitely many
-    states, and masks within the support) and none is searched twice; it
-    misses no schedule, however long.  Under the depletion assumption, a
-    request for a live permission depletes a node on a valid cp granting
-    it, so a permission still live at the end of a round has lost a valid
-    grant in that round, and within as many rounds as the most cps
-    granting any one permission nothing is live and no step is left.  The
-    one exception is a use that charges nothing (a timed count whose timer
-    outlasts the use, which its label still reads as once): it leaves the
-    state as it was, so its schedule can come back to a node already
-    searched, and the skip ends it there.
+    The verdict is exact for any instance:
 
-    Three reductions leave every verdict as it is:
+    * A node is a finite value.  At a fixed ``at`` a counter only loses
+      charges and an interval starts once, so there are finitely many
+      states, and the masks lie within the support.  So the search ends,
+      and it has searched every node that some schedule, however long,
+      reaches.
+    * At a fixed ``at``, rights only shrink.  A dead permission stays dead,
+      and a request for it could only be a NoMatch step that changes
+      neither the state nor the black set, so it is cut from the due mask
+      and a reported schedule names no such request.
+    * A step that charges nothing blackens nothing: no node of its target
+      is on a last charge for it, so its loss is empty.  It leaves the black
+      set as it was, and the state too but for the intervals it starts,
+      each of which starts once.  Charges are finite, so past a finite
+      prefix a schedule takes only steps that change neither, and it goes
+      round nodes already searched.
 
-    * A request no host can serve is dropped: after the dead check the due
-      permissions are cut to the live ones, and when none of those is left
-      the next round starts at once.  Rights only shrink at a fixed
-      ``at``, so a dead permission stays dead, and its request could
-      only be a NoMatch step that changes neither the state nor the black
-      set.  A reported schedule therefore names no such request.
+    Two reductions leave every verdict as it is:
+
     * A step is memoized on the licenses it touches.  The step taken for a
       permission depends only on the node states of its hosts
       (``LicenseSet.hosts``): ``allocate`` resolves, labels and prices only
@@ -749,15 +738,13 @@ def run_bounded_liveness(
       ``consume`` writes only the chosen license.  So per (permission,
       hosts' node states) the search runs ``allocate_and_execute`` once, on
       a state rebuilt from the key, and keeps the chosen license, its node
-      states after the step and the permissions the step blackens; any
-      state with the same hosts' node states steps to itself with that
-      license's node states replaced.  ``color_step`` only adds to the
-      black set, and what it adds does not depend on it, so the blackened
-      permissions are computed once from the empty set and joined to each
-      node's own.  In the same way a license's live permissions depend only
-      on its own node states, so a state's live set is the union of
-      per-license sets, each one ``license_rights`` walk per (license, node
-      states).
+      states after the step and the permissions the step blackens, which
+      do not depend on the black set and are joined to each node's own;
+      any state with the same hosts' node states steps to itself with that
+      license's node states replaced.  In the same way a license's live
+      permissions depend only on its own node states, so a state's live set
+      is the union of per-license sets, each one ``license_rights`` walk per
+      (license, node states).
     * A state is kept only as its key, the tuple of its licenses' node
       states, each interned as an int (a license-state id) the first time
       it is reached.  The node and step memos therefore hash small ints, a
@@ -770,15 +757,8 @@ def run_bounded_liveness(
     since rights only shrink.  Due bits are pushed from high to low, so the
     lowest is searched first, and the lowest dead bit is the failure
     reported; only the failure dict names permissions again.
-
-    Raises AssumptionViolation when some node would survive its own
-    selection, which is outside the regime this check covers.
     """
     state0 = initial_state(licenses)
-    if not conforms_to_depletion_assumption(state0):
-        raise AssumptionViolation(
-            "instance has a many-labeled sublicense with a non-once cp"
-        )
     order = licenses.licenses
     position = {lic.id: j for j, lic in enumerate(order)}
     nodes: list[list] = [[] for _ in order]  # per license, its node keys in the state's order
@@ -825,23 +805,24 @@ def run_bounded_liveness(
         decision, successor = allocate_and_execute(state, request, algorithm=algorithm, chooser=min_loss_chooser)
         assert isinstance(decision, Chosen), "a live permission has a host, and a prompt is chosen"
         j = position[decision.license_id]
-        return j, license_state_id(successor, j), mask(color_step(frozenset(), state, decision, request))
+        return j, license_state_id(successor, j), mask(color_step(state, decision, request))
 
     steps: dict = {}  # (index, hosts' license-state ids) -> take's answer
     # (state key, black mask, due mask, schedule so far as indices)
     stack = [(tuple(license_state_id(state0, j, held_j) for j, held_j in enumerate(held)), 0, everything, ())]
-    searched: set = set()  # (state key, black mask, due mask)
+    searched: set = set()  # (state key, black mask, live due mask)
     while stack:
         skey, black, due, schedule = stack.pop()
+        live = 0
+        for nid in skey:
+            live |= license_lives[nid]
+        due = due & live or live  # a finished round starts the next
         key = (skey, black, due)
         if key in searched:
             continue
         if len(searched) == MAX_LIVENESS_STATES:
             return LivenessResult(passed=True, states=len(searched), finished=False)
         searched.add(key)
-        live = 0
-        for nid in skey:
-            live |= license_lives[nid]
         dead = everything & ~(live | black)
         if dead:
             p = support[(dead & -dead).bit_length() - 1]
@@ -857,7 +838,6 @@ def run_bounded_liveness(
                     "permission": {"action": p.action.value, "content": p.content},
                 },
             )
-        due = due & live or live  # a finished round starts the next
         todo = due
         while todo:
             i = todo.bit_length() - 1
@@ -868,8 +848,7 @@ def run_bounded_liveness(
             if step is None:
                 step = steps[step_key] = take(skey, i)
             j, nid, blackened = step
-            rest = due & ~b
-            stack.append((skey[:j] + (nid,) + skey[j + 1 :], black | blackened, rest or everything, schedule + (i,)))
+            stack.append((skey[:j] + (nid,) + skey[j + 1 :], black | blackened, due & ~b, schedule + (i,)))
     return LivenessResult(passed=True, states=len(searched))
 
 
@@ -887,9 +866,9 @@ def run_liveness_campaign(
 ) -> CampaignReport:
     """Liveness over every 1-fair schedule of ``n`` generated depleting instances.
 
-    The ``depleting`` profile conforms to the depletion assumption by
-    construction, so every instance is searched, for schedules of any
-    length (see ``run_bounded_liveness``).  A search that stops at
+    The instances come from the ``depleting`` profile, where every use
+    depletes a node; ``run_bounded_liveness`` itself takes any instance and
+    searches schedules of any length.  A search that stops at
     ``MAX_LIVENESS_STATES`` passes vacuously.
     """
 

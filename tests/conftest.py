@@ -12,8 +12,8 @@ from licalloc.cases import (
     mixed_branch_license,
 )
 from licalloc.engine import constraints_hold, consume, initial_state
-from licalloc.labels import cp_label, label_sort_key, sublicense_label
-from licalloc.model import Action, License, LicenseSet, Permission, Request
+from licalloc.labels import Times, cp_label, label_sort_key, state_labels, sublicense_label
+from licalloc.model import Action, Count, Interval, License, LicenseSet, Permission, Request, TimedCount
 from licalloc.rights import candidates, select_target
 from licalloc.verify import T0, USAGE_DURATION, GeneratorCaps, InstanceGenerator, color_step
 
@@ -154,6 +154,42 @@ def fair_family(licenses, at=T0) -> tuple[list, int]:
     return support, max((granting[p] for p in support), default=0) + 1
 
 
+def conforms_to_depletion_assumption(state) -> bool:
+    """Every node burns on use: a many-labeled sublicense only holds once-labeled cps.
+
+    The ``depleting`` generator profile draws only such instances; the
+    liveness search takes any instance.
+    """
+    labels = state_labels(state)
+    return all(
+        labels[(lic.id, sl.id, None)].times is not Times.MANY
+        or all(labels[(lic.id, sl.id, cp.id)].times is Times.ONCE for cp in sl.cps)
+        for lic in state.licenses
+        for sl in lic.sublicenses
+    )
+
+
+def state_changes_bound(licenses) -> int:
+    """How many steps of a schedule can change the state: every counter charge plus every interval node.
+
+    At a fixed instant a step that changes the state takes a charge or
+    starts the intervals of a node, and neither is undone.  So a 1-fair
+    schedule has at most this many rounds that change the state, and the
+    first round that changes nothing comes within one more.  Every step of
+    that round left the same state as it was, and each live permission was
+    asked once, so from there on no step changes the state or, taking no
+    charge, blackens anything: a failure shows within that many rounds
+    plus one.
+    """
+    nodes = [sl for lic in licenses for sl in lic.sublicenses]
+    nodes += [cp for sl in nodes for cp in sl.cps]
+    return sum(
+        sum(c.initial for c in node.constraints if isinstance(c, (Count, TimedCount)))
+        + any(isinstance(c, Interval) for c in node.constraints)
+        for node in nodes
+    )
+
+
 def replay_fair_schedule(licenses, algorithm, schedule, at=T0):
     """Per step of ``schedule``: the first white permission left without a candidate, or None.
 
@@ -168,7 +204,7 @@ def replay_fair_schedule(licenses, algorithm, schedule, at=T0):
     for p in schedule:
         decision = allocate(state, requests[p], algorithm=algorithm, chooser=min_loss_chooser)
         if isinstance(decision, Chosen):
-            black = color_step(black, state, decision, requests[p])
+            black |= color_step(state, decision, requests[p])
             state = consume(
                 state, decision.license_id, decision.sublicense_id, decision.cp_id, requests[p]
             )
@@ -178,15 +214,19 @@ def replay_fair_schedule(licenses, algorithm, schedule, at=T0):
         )
 
 
-def brute_force_liveness(licenses, algorithm, at=T0) -> tuple[bool, dict | None]:
+def brute_force_liveness(licenses, algorithm, at=T0, *, rounds=None) -> tuple[bool, dict | None]:
     """Replay every fair schedule from the start: the oracle for ``run_bounded_liveness``.
 
     Schedules come in ``itertools.product`` order over each round's
-    permutations of the sorted support.  The first failure is returned as
-    ``(False, failure)`` with the schedule cut at its failing step, and
-    ``(True, None)`` when every schedule passes.
+    permutations of the sorted support, for ``rounds`` rounds: by default
+    ``fair_family``'s, enough for the ``depleting`` profile's instances,
+    and ``state_changes_bound(licenses) + 1`` for any instance.
+    The first failure is returned as ``(False, failure)`` with the schedule
+    cut at its failing step, and ``(True, None)`` when every schedule
+    passes.
     """
-    support, rounds = fair_family(licenses, at)
+    support, default_rounds = fair_family(licenses, at)
+    rounds = default_rounds if rounds is None else rounds
     for combo in itertools.product(itertools.permutations(support), repeat=rounds):
         schedule = [p for chunk in combo for p in chunk]
         for step, starved in enumerate(replay_fair_schedule(licenses, algorithm, schedule, at)):

@@ -2,6 +2,7 @@ import importlib
 import math
 import sys
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 
@@ -16,8 +17,7 @@ from licalloc.allocate import (
 from licalloc.cases import REQUEST_AT, all_lossy_licenses
 from licalloc.cli import main
 from licalloc.corpus import CorpusDocument, parse_corpus, serialize_corpus
-from licalloc.engine import AgentState, initial_state
-from licalloc.errors import AssumptionViolation
+from licalloc.engine import initial_state
 from licalloc.labels import Times, state_labels
 from licalloc.model import (
     CP,
@@ -48,7 +48,6 @@ from licalloc.verify import (
     check_selection_soundness,
     check_weak_minimal_loss,
     color_step,
-    conforms_to_depletion_assumption,
     fuzz_campaign,
     oracle_losses,
     run_bounded_liveness,
@@ -58,7 +57,15 @@ from licalloc.verify import (
     shrink_document,
 )
 
-from conftest import brute_force_liveness, fair_family, perm, replay_fair_schedule, target_of
+from conftest import (
+    brute_force_liveness,
+    conforms_to_depletion_assumption,
+    fair_family,
+    perm,
+    replay_fair_schedule,
+    state_changes_bound,
+    target_of,
+)
 
 # The rights module; the name ``rights`` is bound to its function.
 rights_module = importlib.import_module("licalloc.rights")
@@ -74,7 +81,7 @@ class TestColoring:
         support = rights(deadline_state, play_a.at)
         decision = oma_allocate(deadline_state, play_a)
         assert decision.license_id == "license-1"
-        after = color_step(frozenset(), deadline_state, decision, play_a)
+        after = color_step(deadline_state, decision, play_a)
         # song-b is collateral damage while a harmless candidate existed: the
         # coloring model refuses to bless it
         assert perm("play", "song-b") in support and perm("play", "song-b") not in after
@@ -82,24 +89,17 @@ class TestColoring:
 
     def test_lossless_choice_changes_nothing(self, deadline_state, play_a):
         decision = proposed_allocate(deadline_state, play_a)
-        after = color_step(frozenset(), deadline_state, decision, play_a)
+        after = color_step(deadline_state, decision, play_a)
         assert after == frozenset()
 
     def test_prompted_all_lossy_blackens_whole_loss(self, all_lossy_state):
         request = Request(Action.PLAY, "song-a", at=REQUEST_AT)
         support = rights(all_lossy_state, request.at)
         decision = proposed_allocate(all_lossy_state, request, chooser=min_loss_chooser)
-        after = color_step(frozenset(), all_lossy_state, decision, request)
+        after = color_step(all_lossy_state, decision, request)
         assert perm("play", "song-b") in after
         assert perm("play", "song-a") in after
         assert perm("play", "song-c") in support and perm("play", "song-c") not in after
-
-    def test_monotone_no_black_back_to_white(self, all_lossy_state):
-        request = Request(Action.PLAY, "song-a", at=REQUEST_AT)
-        decision = proposed_allocate(all_lossy_state, request, chooser=min_loss_chooser)
-        once = color_step(frozenset(), all_lossy_state, decision, request)
-        twice = color_step(once, all_lossy_state, decision, request)
-        assert once and twice >= once
 
 
 class TestSelectionSoundness:
@@ -239,11 +239,19 @@ class TestBoundedLiveness:
         assert result.passed
         assert result.states > 0
 
-    def test_gate_rejects_surviving_nodes(self, deadline_case):
-        # the ten-use license survives its own selections, which the bounded
-        # argument does not cover
-        with pytest.raises(AssumptionViolation):
-            run_bounded_liveness(deadline_case.licenses, at=REQUEST_AT)
+    def test_an_instance_with_a_surviving_node_gets_a_finished_verdict(self, deadline_case):
+        # the ten-use license survives its own selections, outside the
+        # depletion assumption; the baseline burns song-b with its first use
+        assert not conforms_to_depletion_assumption(initial_state(deadline_case.licenses))
+        filtered = run_bounded_liveness(deadline_case.licenses, at=REQUEST_AT)
+        assert (filtered.passed, filtered.finished) == (True, True)
+        baseline = run_bounded_liveness(deadline_case.licenses, algorithm="oma", at=REQUEST_AT)
+        assert (baseline.passed, baseline.finished) == (False, True)
+        assert baseline.failure == {
+            "schedule": [{"action": "play", "content": "song-a"}],
+            "step": 0,
+            "permission": {"action": "play", "content": "song-b"},
+        }
 
     def test_single_permission_single_charge(self):
         licenses = LicenseSet(
@@ -301,34 +309,6 @@ class TestBoundedLiveness:
         assert filtered.passed
 
 
-def test_depletion_assumption_labels_the_nodes_it_walks(monkeypatch):
-    """The check gives the verdict of the state's labels without looking any node up."""
-
-    def by_labels(state):
-        labels = state_labels(state)
-        return all(
-            labels[(lic.id, sl.id, None)].times is not Times.MANY
-            or all(labels[(lic.id, sl.id, cp.id)].times is Times.ONCE for cp in sl.cps)
-            for lic in state.licenses
-            for sl in lic.sublicenses
-        )
-
-    states = [
-        initial_state(InstanceGenerator(LIVENESS_CAPS, seed=0, profile=profile).document(index).licenses)
-        for profile in ("depleting", "general")
-        for index in range(40)
-    ]
-    expected = [by_labels(state) for state in states]
-    assert True in expected and False in expected
-
-    def tree_lookup(*args):
-        raise AssertionError(f"tree lookup by id {args[1:]}")
-
-    for name in ("license", "sublicense", "cp"):
-        monkeypatch.setattr(AgentState, name, tree_lookup)
-    assert [conforms_to_depletion_assumption(state) for state in states] == expected
-
-
 def _conforming_instances(seed, n):
     """The ``n`` instances the liveness campaign checks at ``seed``."""
     generator = InstanceGenerator(LIVENESS_CAPS, seed=seed, profile="depleting")
@@ -358,6 +338,36 @@ class TestLivenessSearch:
                 if not result.passed:
                     _assert_replays(licenses, algorithm, result.failure)
         assert verdicts[True] and verdicts[False]
+
+    def test_search_matches_full_enumeration_outside_the_depletion_assumption(self):
+        """``general`` instances, where a node can survive its use, against ``state_changes_bound + 1`` rounds."""
+        generator = InstanceGenerator(LIVENESS_CAPS, seed=0, profile="general")
+        verdicts, outside = Counter(), 0
+        for index in range(200):
+            licenses = generator.document(index).licenses
+            support, _ = fair_family(licenses)
+            rounds = state_changes_bound(licenses) + 1
+            if math.factorial(len(support)) ** rounds > 256:
+                continue
+            outside += not conforms_to_depletion_assumption(initial_state(licenses))
+            for algorithm in ("proposed", "oma"):
+                result = run_bounded_liveness(licenses, algorithm=algorithm)
+                assert result.finished
+                assert (result.passed, result.failure) == brute_force_liveness(licenses, algorithm, rounds=rounds)
+                verdicts[algorithm, result.passed] += 1
+        assert outside and verdicts["oma", True]
+        assert verdicts["proposed", True] and not verdicts["proposed", False]
+
+    def test_baseline_fails_outside_the_depletion_assumption(self):
+        """The first ``general`` instance at seed 0 where ``oma`` fails and the brute force has at most 2,048 schedules."""
+        licenses = InstanceGenerator(LIVENESS_CAPS, seed=0, profile="general").document(434).licenses
+        assert not conforms_to_depletion_assumption(initial_state(licenses))
+        baseline = run_bounded_liveness(licenses, algorithm="oma")
+        assert not baseline.passed and baseline.finished
+        rounds = state_changes_bound(licenses) + 1
+        assert (False, baseline.failure) == brute_force_liveness(licenses, "oma", rounds=rounds)
+        _assert_replays(licenses, "oma", baseline.failure)
+        assert run_bounded_liveness(licenses, algorithm="proposed").passed
 
     @pytest.mark.parametrize(
         "seed, index, step",
@@ -450,10 +460,13 @@ class TestLivenessSearch:
         One ``allocate`` per (permission, hosts' node states), one walk per
         (license, node states), and no ``consume`` outside the allocations:
         a state that meets a step already taken steps by its key alone.
+        Every step the search takes picks its hosts' ids out of a state key
+        once, with a getter built by ``itemgetter``, which counts the steps.
         """
         verify_module = sys.modules["licalloc.verify"]
         inner_execute, inner_walk = verify_module.allocate_and_execute, verify_module.license_rights
         allocated, walked = Counter(), Counter()
+        steps = [0]
         seen = set()  # states an allocation saw or made: some of the states the search reached
 
         def node_states(state, license_ids):
@@ -466,6 +479,15 @@ class TestLivenessSearch:
             seen.update((tuple(state.cstate.values()), tuple(successor.cstate.values())))
             return decision, successor
 
+        def counting_getter(*items):
+            inner = itemgetter(*items)
+
+            def get(skey):
+                steps[0] += 1
+                return inner(skey)
+
+            return get
+
         def refused_consume(*args):
             raise AssertionError("the search called consume outside allocate_and_execute")
 
@@ -476,20 +498,21 @@ class TestLivenessSearch:
         monkeypatch.setattr(verify_module, "allocate_and_execute", counting_execute)
         monkeypatch.setattr(verify_module, "consume", refused_consume)
         monkeypatch.setattr(verify_module, "license_rights", counting_walk)
-        searched = allocations = walks = license_states = 0
+        monkeypatch.setattr(verify_module, "itemgetter", counting_getter)
+        allocations = walks = license_states = 0
         for licenses in _conforming_instances(seed=0, n=40):
             for algorithm in ("proposed", "oma"):
                 allocated.clear()
                 walked.clear()
                 seen.clear()
                 seen.add(tuple(initial_state(licenses).cstate.values()))
-                searched += run_bounded_liveness(licenses, algorithm=algorithm).states
+                run_bounded_liveness(licenses, algorithm=algorithm)
                 assert set(allocated.values()) <= {1} and set(walked.values()) <= {1}
                 allocations += len(allocated)
                 walks += len(walked)
                 license_states += len(seen) * len(licenses)
-        # nodes share allocations, and states (fewer than were reached) share each license's walk
-        assert 0 < allocations < searched
+        # steps share allocations, and states (fewer than were reached) share each license's walk
+        assert 0 < allocations < steps[0]
         assert 0 < walks < license_states
 
     @pytest.mark.parametrize("caps", [LIVENESS_CAPS, GeneratorCaps()], ids=["liveness-caps", "default-caps"])
@@ -500,10 +523,11 @@ class TestLivenessSearch:
             assert conforms_to_depletion_assumption(initial_state(generator.licenses(index))), index
 
     def test_a_search_cut_short_is_a_vacuous_pass(self, monkeypatch, capsys):
-        monkeypatch.setattr(sys.modules["licalloc.verify"], "MAX_LIVENESS_STATES", 2)
+        # each of the first five instances searches at least two nodes
+        monkeypatch.setattr(sys.modules["licalloc.verify"], "MAX_LIVENESS_STATES", 1)
         licenses = _conforming_instances(seed=0, n=1)[0]
         result = run_bounded_liveness(licenses)
-        assert (result.passed, result.states, result.finished) == (True, 2, False)
+        assert (result.passed, result.states, result.finished) == (True, 1, False)
         report = run_liveness_campaign(n=5, seed=0)
         assert (report.passes["liveness"], report.vacuous["liveness"]) == (5, 5)
         assert main(["verify", "--checks", "liveness", "--trials", "5"]) == 0
@@ -719,7 +743,7 @@ class TestEachPoolIsPricedOnce:
     def test_color_step(self, all_lossy_state, counts):
         decision = proposed_allocate(all_lossy_state, self.request, chooser=min_loss_chooser)
         counts.clear()
-        color_step(frozenset(), all_lossy_state, decision, self.request)
+        color_step(all_lossy_state, decision, self.request)
         assert counts["consume"] == 0 and counts["rights"] <= 1
 
     def test_color_step_walks_no_license(self, all_lossy_state, monkeypatch):
@@ -731,7 +755,7 @@ class TestEachPoolIsPricedOnce:
 
         for name in ("select_target", "candidates", "_valid_pairs"):
             monkeypatch.setattr(rights_module, name, second_walk)
-        after = color_step(frozenset(), all_lossy_state, decision, self.request)
+        after = color_step(all_lossy_state, decision, self.request)
         assert perm("play", "song-b") in after
 
     def test_prompted_soundness(self, all_lossy_state, counts):
