@@ -3,7 +3,8 @@
 ``rights`` counts one occurrence per permission per currently valid cp (a cp
 grants each permission once), so it measures availability, not remaining
 charges (a cp with ten charges left contributes each of its permissions
-once).
+once).  It is the sum of ``sublicense_rights``: a sublicense's share reads
+only its own node and its cps' nodes.
 
 Target resolution is one walk of a license (``select_target``), which also
 labels both target nodes.  The ``verify`` checks do not trust the allocator
@@ -46,16 +47,14 @@ RightsMultiset = Counter  # Permission -> multiplicity
 Target = tuple[str, str]  # (sublicense id, cp id) a selection would consume
 
 
-def _valid_pairs(
-    state: AgentState, lic: License, at: Timestamp
-) -> Iterator[tuple[SubLicense, ConstraintPermissionSet]]:
-    """(sublicense, cp) pairs of the license whose constraints all hold at ``at``."""
-    for sl in lic.sublicenses:
-        if not constraints_hold(sl.constraints, state.sublicense_states(lic.id, sl.id), at):
-            continue
+def _valid_cps(
+    state: AgentState, license_id: str, sl: SubLicense, at: Timestamp
+) -> Iterator[ConstraintPermissionSet]:
+    """The sublicense's cps whose constraints, and the sublicense's own, all hold at ``at``."""
+    if constraints_hold(sl.constraints, state.sublicense_states(license_id, sl.id), at):
         for cp in sl.cps:
-            if constraints_hold(cp.constraints, state.cp_states(lic.id, sl.id, cp.id), at):
-                yield sl, cp
+            if constraints_hold(cp.constraints, state.cp_states(license_id, sl.id, cp.id), at):
+                yield cp
 
 
 class Resolved(NamedTuple):
@@ -158,26 +157,28 @@ def resolve_candidates(state: AgentState, request: Request) -> dict[str, Resolve
 
 def candidates(state: AgentState, request: Request) -> list[str]:
     """Ids of licenses that can satisfy the request at its timestamp."""
+    permission, at = request.permission, request.at
     return [
         lic.id
-        for lic in state.licenses.hosts(request.permission)
-        if any(request.permission in cp.permissions for _, cp in _valid_pairs(state, lic, request.at))
+        for lic in state.licenses.hosts(permission)
+        if any(permission in cp.permissions for sl in lic.sublicenses for cp in _valid_cps(state, lic.id, sl, at))
     ]
 
 
-def license_rights(state: AgentState, lic: License, at: Timestamp) -> RightsMultiset:
-    """The license's share of ``rights``: it reads only the license's own node states."""
+def sublicense_rights(state: AgentState, lic: License, sl: SubLicense, at: Timestamp) -> RightsMultiset:
+    """The sublicense's share of ``rights``: it reads only the nodes of ``sl`` and its cps."""
     out: RightsMultiset = Counter()
-    for _, cp in _valid_pairs(state, lic, at):
+    for cp in _valid_cps(state, lic.id, sl, at):
         out.update(cp.permissions)
     return out
 
 
 def rights(state: AgentState, at: Timestamp) -> RightsMultiset:
-    """Multiset of exercisable permissions, one occurrence per valid cp."""
+    """Multiset of exercisable permissions, one occurrence per valid cp: the sum of every sublicense's share."""
     out: RightsMultiset = Counter()
     for lic in state.licenses:
-        out.update(license_rights(state, lic, at))
+        for sl in lic.sublicenses:
+            out.update(sublicense_rights(state, lic, sl, at))
     return out
 
 

@@ -16,7 +16,11 @@ instances instead of being trusted:
   deliberately at some step, as ``color_step`` says; every other
   permission is white.  ``run_bounded_liveness`` takes any instance,
   searches the schedules depth-first, up to ``MAX_LIVENESS_STATES`` nodes,
-  and says why its verdict is exact.
+  and says why its verdict is exact.  It slots each state by sublicense and
+  takes a step once per (permission, node states of the sublicenses with a
+  cp granting it), since the step reads no other node.
+  ``run_liveness_campaign`` draws its instances from the ``depleting``
+  profile unless given another.
 
 Every decision is checked against one oracle, which ``run_trial`` builds
 once per decision with ``oracle_losses``: ``{candidate id: loss}``, found by
@@ -76,7 +80,7 @@ from .model import (
     TimedCount,
 )
 # ``rights`` is re-exported: ``bench/workloads.py`` reads ``verify.rights``.
-from .rights import RightsMultiset, candidates, license_rights, loss, pool_losses, rights
+from .rights import RightsMultiset, candidates, loss, pool_losses, rights, sublicense_rights
 
 T0 = 1000
 TIMER_MAX = 60
@@ -729,27 +733,42 @@ def run_bounded_liveness(
       prefix a schedule takes only steps that change neither, and it goes
       round nodes already searched.
 
-    Two reductions leave every verdict as it is:
+    Two reductions leave every verdict as it is.  Both slot the state by
+    sublicense: a slot is one sublicense's node and its cps' nodes.
 
-    * A step is memoized on the licenses it touches.  The step taken for a
-      permission depends only on the node states of its hosts
-      (``LicenseSet.hosts``): ``allocate`` resolves, labels and prices only
-      the hosts, ``color_step`` reads only the decision's pool, and
-      ``consume`` writes only the chosen license.  So per (permission,
-      hosts' node states) the search runs ``allocate_and_execute`` once, on
-      a state rebuilt from the key, and keeps the chosen license, its node
-      states after the step and the permissions the step blackens, which
-      do not depend on the black set and are joined to each node's own;
-      any state with the same hosts' node states steps to itself with that
-      license's node states replaced.  In the same way a license's live
-      permissions depend only on its own node states, so a state's live set
-      is the union of per-license sets, each one ``license_rights`` walk per
-      (license, node states).
-    * A state is kept only as its key, the tuple of its licenses' node
-      states, each interned as an int (a license-state id) the first time
-      it is reached.  The node and step memos therefore hash small ints, a
-      step's key picks its hosts' entries out of the state's key, and a
-      successor's key replaces the chosen license's entry.
+    * A step is memoized on the slots it reads.  The step taken for a
+      permission depends only on the node states of the sublicenses with a
+      cp granting it (its granting slots), because of what each part of the
+      step reads and writes:
+
+      - ``select_target`` skips a sublicense with no granting cp before it
+        reads any of its states, so ``allocate`` resolves only granting
+        slots;
+      - ``sublicense_label`` reads its node and all of its cps, all in the
+        slot;
+      - ``_target_loss``, which prices a prompt's pool, reads only the
+        chosen sublicense's cps;
+      - ``color_step`` reads only the decision's pool;
+      - ``consume`` writes only the chosen sublicense's node and cp.
+
+      So per (permission, granting slots' node states) the search runs
+      ``allocate_and_execute`` once, on a state built from those slots'
+      nodes only, where a read of any other node would raise KeyError.  It
+      keeps the chosen slot, that slot's node states after the step and
+      the permissions the step blackens, which do not depend on the black
+      set and are joined to each node's own.  Any state with the same
+      granting slots' node states steps to itself with the chosen slot's
+      node states replaced.  In the same way a slot's live permissions
+      depend only on its own node states, so a state's live set is the
+      union of per-slot sets, each one ``sublicense_rights`` walk per
+      (slot, node states).
+    * A state is kept only as its key, the tuple of its slots' node states,
+      in ``initial_state``'s order, each interned as an int (a
+      sublicense-state id) the first time it is reached.  The key maps one
+      to one to the state, so the nodes searched are the ones a search of
+      whole states would search.  The node and step memos hash small ints,
+      a step's key picks its granting slots' entries out of the state's
+      key, and a successor's key replaces the chosen slot's entry.
 
     Permissions are coded as bits, bit ``i`` for the ``i``-th permission of
     the sorted support: the black, live and due sets are int masks and a
@@ -759,63 +778,68 @@ def run_bounded_liveness(
     reported; only the failure dict names permissions again.
     """
     state0 = initial_state(licenses)
-    order = licenses.licenses
-    position = {lic.id: j for j, lic in enumerate(order)}
-    nodes: list[list] = [[] for _ in order]  # per license, its node keys in the state's order
-    for node in state0.cstate:
-        nodes[position[node[0]]].append(node)
-    held = [license_rights(state0, lic, at) for lic in order]
+    # One slot per sublicense, in ``initial_state``'s order: its license, itself and its node keys.
+    slots = [(lic, sl) for lic in licenses for sl in lic.sublicenses]
+    nodes = [[(lic.id, sl.id, None), *((lic.id, sl.id, cp.id) for cp in sl.cps)] for lic, sl in slots]
+    slot_of = {(lic.id, sl.id): k for k, (lic, sl) in enumerate(slots)}
+    held = [sublicense_rights(state0, lic, sl, at) for lic, sl in slots]
     support = tuple(sorted(set().union(*held)))
     requests = [Request(p.action, p.content, at=at, usage_duration=USAGE_DURATION) for p in support]
     bit = {p: 1 << i for i, p in enumerate(support)}
     everything = (1 << len(support)) - 1
-    # Per permission index, picks its hosts' entries out of a state key.
-    hosts = [itemgetter(*(position[lic.id] for lic in licenses.hosts(p))) for p in support]
+    # Per permission index, the slots of the sublicenses with a cp granting it, and a
+    # getter that picks their entries out of a state key.
+    granting = [
+        [k for k, (_, sl) in enumerate(slots) if any(p in cp.permissions for cp in sl.cps)] for p in support
+    ]
+    pick_granting = [itemgetter(*ks) for ks in granting]
 
-    def mask(permissions) -> int:
+    def mask(permissions: Iterable[Permission]) -> int:
+        permissions = set(permissions)
         assert bit.keys() >= permissions, "a permission outside the support"
         return sum(bit[p] for p in permissions)
 
-    ids: dict = {}  # (license index, its node states) -> license-state id
-    license_nodes: list[tuple] = []  # license-state id -> the license's node states
-    license_lives: list[int] = []  # license-state id -> the license's live mask
+    ids: dict = {}  # (slot, its node states) -> sublicense-state id
+    slot_nodes: list[tuple] = []  # sublicense-state id -> the slot's node states
+    slot_lives: list[int] = []  # sublicense-state id -> the slot's live mask
 
-    def license_state_id(state: AgentState, j: int, held_j=None) -> int:
-        """The id of license ``j``'s node states in ``state``; ``held_j`` is its rights there, if walked."""
-        node_states = tuple(map(state.cstate.__getitem__, nodes[j]))
-        nid = ids.get((j, node_states))
-        if nid is None:
-            nid = ids[(j, node_states)] = len(license_nodes)
-            license_nodes.append(node_states)
-            if held_j is None:
-                held_j = license_rights(state, order[j], at)
-            license_lives.append(mask(held_j.keys()))
-        return nid
+    def sublicense_state_id(state: AgentState, k: int, held_k=None) -> int:
+        """The id of slot ``k``'s node states in ``state``; ``held_k`` is its rights there, if walked."""
+        node_states = tuple(map(state.cstate.__getitem__, nodes[k]))
+        sid = ids.get((k, node_states))
+        if sid is None:
+            sid = ids[(k, node_states)] = len(slot_nodes)
+            slot_nodes.append(node_states)
+            if held_k is None:
+                held_k = sublicense_rights(state, *slots[k], at)
+            slot_lives.append(mask(held_k))
+        return sid
 
     def take(skey: tuple[int, ...], i: int) -> tuple[int, int, int]:
         """Run the step for permission ``i`` from the state keyed ``skey``.
 
-        Returns the chosen license's index, its license-state id after the
-        step and the blackened mask.
+        The step sees a state of the granting slots' nodes only, so a read
+        of any other node raises KeyError.  Returns the chosen slot, its
+        sublicense-state id after the step and the blackened mask.
         """
-        cstate: dict = {}  # in ``initial_state``'s order: by license, then the license's nodes
-        for j, nid in enumerate(skey):
-            cstate.update(zip(nodes[j], license_nodes[nid]))
+        cstate: dict = {}
+        for k in granting[i]:
+            cstate.update(zip(nodes[k], slot_nodes[skey[k]]))
         state, request = AgentState(licenses, cstate), requests[i]
         decision, successor = allocate_and_execute(state, request, algorithm=algorithm, chooser=min_loss_chooser)
         assert isinstance(decision, Chosen), "a live permission has a host, and a prompt is chosen"
-        j = position[decision.license_id]
-        return j, license_state_id(successor, j), mask(color_step(state, decision, request))
+        k = slot_of[decision.license_id, decision.sublicense_id]
+        return k, sublicense_state_id(successor, k), mask(color_step(state, decision, request))
 
-    steps: dict = {}  # (index, hosts' license-state ids) -> take's answer
+    steps: dict = {}  # (index, granting slots' sublicense-state ids) -> take's answer
     # (state key, black mask, due mask, schedule so far as indices)
-    stack = [(tuple(license_state_id(state0, j, held_j) for j, held_j in enumerate(held)), 0, everything, ())]
+    stack = [(tuple(sublicense_state_id(state0, k, held_k) for k, held_k in enumerate(held)), 0, everything, ())]
     searched: set = set()  # (state key, black mask, live due mask)
     while stack:
         skey, black, due, schedule = stack.pop()
         live = 0
-        for nid in skey:
-            live |= license_lives[nid]
+        for sid in skey:
+            live |= slot_lives[sid]
         due = due & live or live  # a finished round starts the next
         key = (skey, black, due)
         if key in searched:
@@ -843,12 +867,12 @@ def run_bounded_liveness(
             i = todo.bit_length() - 1
             b = 1 << i
             todo ^= b
-            step_key = (i, hosts[i](skey))
+            step_key = (i, pick_granting[i](skey))
             step = steps.get(step_key)
             if step is None:
                 step = steps[step_key] = take(skey, i)
-            j, nid, blackened = step
-            stack.append((skey[:j] + (nid,) + skey[j + 1 :], black | blackened, due & ~b, schedule + (i,)))
+            k, sid, blackened = step
+            stack.append((skey[:k] + (sid,) + skey[k + 1 :], black | blackened, due & ~b, schedule + (i,)))
     return LivenessResult(passed=True, states=len(searched))
 
 
@@ -863,13 +887,15 @@ def run_liveness_campaign(
     seed: int = 0,
     *,
     algorithm: str = "proposed",
+    profile: str = "depleting",
 ) -> CampaignReport:
-    """Liveness over every 1-fair schedule of ``n`` generated depleting instances.
+    """Liveness over every 1-fair schedule of ``n`` instances generated from ``profile``.
 
-    The instances come from the ``depleting`` profile, where every use
-    depletes a node; ``run_bounded_liveness`` itself takes any instance and
-    searches schedules of any length.  A search that stops at
-    ``MAX_LIVENESS_STATES`` passes vacuously.
+    The default ``depleting`` profile is the regime the paper's proof
+    assumes, where every use depletes a node; ``run_bounded_liveness``
+    itself takes any instance, from any profile, and searches schedules of
+    any length.  A search that stops at ``MAX_LIVENESS_STATES`` passes
+    vacuously.
     """
 
     def verdicts(index: int, doc: CorpusDocument) -> Iterable[_Verdict]:
@@ -877,5 +903,5 @@ def run_liveness_campaign(
         result = CheckResult(outcome.passed, "white_after_quiescence", vacuous=not outcome.finished, detail=outcome.failure)
         yield "liveness", result, lambda: Counterexample.of(index, outcome.failure["step"], "liveness", result, doc)
 
-    generator = InstanceGenerator(caps, seed=seed, profile="depleting")
+    generator = InstanceGenerator(caps, seed=seed, profile=profile)
     return _run_campaign("liveness", algorithm, generator, n, ("liveness",), verdicts)

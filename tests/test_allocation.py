@@ -259,7 +259,7 @@ def test_one_target_resolution_per_candidate(allocator, monkeypatch):
         raise AssertionError("the allocator walked a license outside its pool resolution")
 
     monkeypatch.setattr(rights_module, "select_target", counting_resolve)
-    for name in ("candidates", "_valid_pairs"):
+    for name in ("candidates", "_valid_cps"):
         monkeypatch.setattr(rights_module, name, second_walk)
 
     def stranger(lid):

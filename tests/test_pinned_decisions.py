@@ -6,11 +6,13 @@ validity walk or the selection code that alters a decision, a check verdict,
 a counterexample or a remnant multiset fails here.  The benchmark's
 reference digests cover only ``proposed`` on the ``general`` profile; these
 add ``oma``, the ``depleting`` profile, ``pair_discipline``, each check run
-alone, neutrality, liveness under both algorithms, the ``furthest`` tiebreak
-and the CLI's ``simulate``/``allocate`` output on the bundled fixtures.
+alone, neutrality, liveness under both algorithms (the reports and, per
+search, the nodes searched), the ``furthest`` tiebreak and the CLI's
+``simulate``/``allocate`` output on the bundled fixtures.
 """
 
 import hashlib
+import json
 
 from licalloc.allocate import Chosen, NoMatch, min_loss_chooser, oma_allocate, proposed_allocate
 from licalloc.cli import main
@@ -19,11 +21,13 @@ from licalloc.engine import consume, initial_state
 from licalloc.model import License, LicenseSet, Request
 from licalloc.rights import candidates, remnants, rights
 from licalloc.verify import (
+    LIVENESS_CAPS,
     T0,
     USAGE_DURATION,
     GeneratorCaps,
     InstanceGenerator,
     fuzz_campaign,
+    run_bounded_liveness,
     run_liveness_campaign,
     run_neutrality_campaign,
 )
@@ -160,6 +164,28 @@ def test_proposed_liveness_reports_are_pinned():
 def test_oma_liveness_reports_are_pinned():
     digest = _sha256(_liveness_reports("oma"))
     assert digest == "35eda72e843e173e2840365f6feec780dc4ead041869889e42981fa09f980631"
+
+
+def _liveness_searches():
+    """Per search: its verdict, the nodes it searched, whether it finished and its failure.
+
+    Campaign reports omit the node count, so this is the digest that moves
+    when the search reaches more or fewer nodes.
+    """
+    for profile in ("depleting", "general"):
+        for seed in range(3):
+            generator = InstanceGenerator(LIVENESS_CAPS, seed=seed, profile=profile)
+            for index in range(40):
+                licenses = generator.licenses(index)
+                for algorithm in ("proposed", "oma"):
+                    r = run_bounded_liveness(licenses, algorithm=algorithm)
+                    failure = json.dumps(r.failure, sort_keys=True)
+                    yield f"{profile} {seed} {index} {algorithm}: {r.passed} {r.states} {r.finished} {failure}\n".encode()
+
+
+def test_liveness_search_node_counts_are_pinned():
+    digest = _sha256(_liveness_searches())
+    assert digest == "4a145f7abafd9f01f296dfaf26b12b76365355b78a331c398f62506ec4e419d9"
 
 
 def _cli_transcript(corpus_dir, capsys):

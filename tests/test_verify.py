@@ -315,6 +315,11 @@ def _conforming_instances(seed, n):
     return [generator.document(index).licenses for index in range(n)]
 
 
+def _sublicense_node_states(state, lic, sl):
+    """The states of ``sl``'s node, then of its cps' nodes."""
+    return (state.sublicense_states(lic.id, sl.id), *(state.cp_states(lic.id, sl.id, cp.id) for cp in sl.cps))
+
+
 def _assert_replays(licenses, algorithm, failure):
     """Replaying the reported schedule starves the reported permission at its step, not before."""
     schedule = [perm(e["action"], e["content"]) for e in failure["schedule"]]
@@ -457,33 +462,36 @@ class TestLivenessSearch:
     def test_search_does_each_states_work_once(self, monkeypatch):
         """Each allocation and validity walk is done once for what it depends on.
 
-        One ``allocate`` per (permission, hosts' node states), one walk per
-        (license, node states), and no ``consume`` outside the allocations:
-        a state that meets a step already taken steps by its key alone.
-        Every step the search takes picks its hosts' ids out of a state key
-        once, with a getter built by ``itemgetter``, which counts the steps.
+        One ``allocate`` per (permission, node states of the sublicenses
+        with a cp granting it), one walk per (sublicense, node states), and
+        no ``consume`` outside the allocations: a state that meets a step
+        already taken steps by its key alone.  Every step the search takes
+        picks its granting sublicenses' ids out of a state key once, with a
+        getter built by ``itemgetter``, which counts the steps and collects
+        the keys of the states they are taken from.
         """
         verify_module = sys.modules["licalloc.verify"]
-        inner_execute, inner_walk = verify_module.allocate_and_execute, verify_module.license_rights
+        inner_execute, inner_walk = verify_module.allocate_and_execute, verify_module.sublicense_rights
         allocated, walked = Counter(), Counter()
         steps = [0]
-        seen = set()  # states an allocation saw or made: some of the states the search reached
-
-        def node_states(state, license_ids):
-            return tuple(s for node, s in state.cstate.items() if node[0] in license_ids)
+        keys = set()  # keys of the states a step was taken from
 
         def counting_execute(state, request, **kwargs):
-            hosts = {lic.id for lic in state.licenses.hosts(request.permission)}
-            allocated[(request.permission, node_states(state, hosts))] += 1
-            decision, successor = inner_execute(state, request, **kwargs)
-            seen.update((tuple(state.cstate.values()), tuple(successor.cstate.values())))
-            return decision, successor
+            granting = tuple(
+                _sublicense_node_states(state, lic, sl)
+                for lic in state.licenses
+                for sl in lic.sublicenses
+                if any(request.permission in cp.permissions for cp in sl.cps)
+            )
+            allocated[(request.permission, granting)] += 1
+            return inner_execute(state, request, **kwargs)
 
         def counting_getter(*items):
             inner = itemgetter(*items)
 
             def get(skey):
                 steps[0] += 1
+                keys.add(skey)
                 return inner(skey)
 
             return get
@@ -491,29 +499,93 @@ class TestLivenessSearch:
         def refused_consume(*args):
             raise AssertionError("the search called consume outside allocate_and_execute")
 
-        def counting_walk(state, lic, at):
-            walked[(lic.id, node_states(state, {lic.id}))] += 1
-            return inner_walk(state, lic, at)
+        def counting_walk(state, lic, sl, at):
+            walked[(lic.id, sl.id, _sublicense_node_states(state, lic, sl))] += 1
+            return inner_walk(state, lic, sl, at)
 
         monkeypatch.setattr(verify_module, "allocate_and_execute", counting_execute)
         monkeypatch.setattr(verify_module, "consume", refused_consume)
-        monkeypatch.setattr(verify_module, "license_rights", counting_walk)
+        monkeypatch.setattr(verify_module, "sublicense_rights", counting_walk)
         monkeypatch.setattr(verify_module, "itemgetter", counting_getter)
-        allocations = walks = license_states = 0
+        allocations = walks = sublicense_states = 0
         for licenses in _conforming_instances(seed=0, n=40):
             for algorithm in ("proposed", "oma"):
                 allocated.clear()
                 walked.clear()
-                seen.clear()
-                seen.add(tuple(initial_state(licenses).cstate.values()))
+                keys.clear()
                 run_bounded_liveness(licenses, algorithm=algorithm)
                 assert set(allocated.values()) <= {1} and set(walked.values()) <= {1}
                 allocations += len(allocated)
                 walks += len(walked)
-                license_states += len(seen) * len(licenses)
-        # steps share allocations, and states (fewer than were reached) share each license's walk
+                sublicense_states += len(keys) * sum(len(lic.sublicenses) for lic in licenses)
+        # steps share allocations, and states (fewer than were reached) share each sublicense's walk
         assert 0 < allocations < steps[0]
-        assert 0 < walks < license_states
+        assert 0 < walks < sublicense_states
+
+    def test_a_sublicense_that_grants_nothing_asked_takes_no_part_in_its_step(self, monkeypatch):
+        """Using ``sl-b`` causes no second allocation for ``play a``, which only ``sl-a`` grants.
+
+        Both sublicenses of the one license start with two charges.  Fair
+        rounds request ``play a`` with the two at (2, 2), (2, 1), (1, 1) and
+        (1, 0) charges, four states of the license, but at only two states of
+        ``sl-a``, so it is allocated twice; ``play b`` alike.
+        """
+        licenses = LicenseSet(
+            [
+                License(
+                    "l",
+                    [
+                        SubLicense("sl-a", constraints=[Count(2)], cps=[CP("cp", permissions=[perm("play", "a")])]),
+                        SubLicense("sl-b", constraints=[Count(2)], cps=[CP("cp", permissions=[perm("play", "b")])]),
+                    ],
+                )
+            ]
+        )
+        verify_module = sys.modules["licalloc.verify"]
+        inner = verify_module.allocate_and_execute
+        allocated = Counter()
+
+        def counting_execute(state, request, **kwargs):
+            allocated[request.content] += 1
+            return inner(state, request, **kwargs)
+
+        monkeypatch.setattr(verify_module, "allocate_and_execute", counting_execute)
+        for algorithm in ("proposed", "oma"):
+            allocated.clear()
+            result = run_bounded_liveness(licenses, algorithm=algorithm)
+            assert (result.passed, result.states, result.finished) == (True, 7, True)
+            assert allocated == {"a": 2, "b": 2}
+
+    def test_a_step_reads_only_the_sublicenses_granting_its_permission(self, monkeypatch):
+        """The state a step is taken in holds the nodes of the granting sublicenses only.
+
+        Reading them answers; reading any other node, of a host or of
+        another license, raises KeyError rather than answering silently.
+        """
+        verify_module = sys.modules["licalloc.verify"]
+        inner = verify_module.allocate_and_execute
+        reads = Counter()
+
+        def checked_execute(state, request, **kwargs):
+            for lic in state.licenses:
+                for sl in lic.sublicenses:
+                    if any(request.permission in cp.permissions for cp in sl.cps):
+                        _sublicense_node_states(state, lic, sl)
+                        reads["inside"] += 1
+                        continue
+                    with pytest.raises(KeyError):
+                        state.sublicense_states(lic.id, sl.id)
+                    for cp in sl.cps:
+                        with pytest.raises(KeyError):
+                            state.cp_states(lic.id, sl.id, cp.id)
+                    reads["outside"] += 1
+            return inner(state, request, **kwargs)
+
+        monkeypatch.setattr(verify_module, "allocate_and_execute", checked_execute)
+        for licenses in _conforming_instances(seed=0, n=20):
+            for algorithm in ("proposed", "oma"):
+                run_bounded_liveness(licenses, algorithm=algorithm)
+        assert reads["inside"] and reads["outside"]
 
     @pytest.mark.parametrize("caps", [LIVENESS_CAPS, GeneratorCaps()], ids=["liveness-caps", "default-caps"])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -615,6 +687,15 @@ class TestCampaigns:
         report = run_liveness_campaign(n=60, seed=3)
         assert not report.failed
         assert report.trials == 60
+
+    def test_liveness_campaign_on_the_general_profile(self):
+        """Outside the depletion assumption ``proposed`` stays live and ``oma`` does not."""
+        verdicts = {}
+        for algorithm in ("proposed", "oma"):
+            report = run_liveness_campaign(n=300, seed=0, algorithm=algorithm, profile="general")
+            assert (report.profile, report.trials, report.vacuous["liveness"]) == ("general", 300, 0)
+            verdicts[algorithm] = report.passes["liveness"], report.failures["liveness"]
+        assert verdicts == {"proposed": (300, 0), "oma": (269, 31)}
 
     def test_record_keeps_counterexamples_up_to_the_cap(self):
         report = CampaignReport("fuzz", "proposed", 0, GeneratorCaps(), "general", 1, ("soundness",))
@@ -753,7 +834,7 @@ class TestEachPoolIsPricedOnce:
         def second_walk(*args):
             raise AssertionError("color_step walked a license its decision had resolved")
 
-        for name in ("select_target", "candidates", "_valid_pairs"):
+        for name in ("select_target", "candidates", "_valid_cps"):
             monkeypatch.setattr(rights_module, name, second_walk)
         after = color_step(all_lossy_state, decision, self.request)
         assert perm("play", "song-b") in after
