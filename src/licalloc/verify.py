@@ -19,8 +19,6 @@ instances instead of being trusted:
   and says why its verdict is exact.  It slots each state by sublicense and
   takes a step once per (permission, node states of the sublicenses with a
   cp granting it), since the step reads no other node.
-  ``run_liveness_campaign`` draws its instances from the ``depleting``
-  profile unless given another.
 
 Every decision is checked against one oracle, which ``run_trial`` builds
 once per decision with ``oracle_losses``: ``{candidate id: loss}``, found by
@@ -794,8 +792,7 @@ def run_bounded_liveness(
     ]
     pick_granting = [itemgetter(*ks) for ks in granting]
 
-    def mask(permissions: Iterable[Permission]) -> int:
-        permissions = set(permissions)
+    def mask(permissions) -> int:
         assert bit.keys() >= permissions, "a permission outside the support"
         return sum(bit[p] for p in permissions)
 
@@ -812,7 +809,7 @@ def run_bounded_liveness(
             slot_nodes.append(node_states)
             if held_k is None:
                 held_k = sublicense_rights(state, *slots[k], at)
-            slot_lives.append(mask(held_k))
+            slot_lives.append(mask(held_k.keys()))
         return sid
 
     def take(skey: tuple[int, ...], i: int) -> tuple[int, int, int]:
@@ -887,15 +884,13 @@ def run_liveness_campaign(
     seed: int = 0,
     *,
     algorithm: str = "proposed",
-    profile: str = "depleting",
 ) -> CampaignReport:
-    """Liveness over every 1-fair schedule of ``n`` instances generated from ``profile``.
+    """Liveness over every 1-fair schedule of ``n`` generated depleting instances.
 
-    The default ``depleting`` profile is the regime the paper's proof
-    assumes, where every use depletes a node; ``run_bounded_liveness``
-    itself takes any instance, from any profile, and searches schedules of
-    any length.  A search that stops at ``MAX_LIVENESS_STATES`` passes
-    vacuously.
+    The instances come from the ``depleting`` profile, where every use
+    depletes a node; ``run_bounded_liveness`` itself takes any instance and
+    searches schedules of any length.  A search that stops at
+    ``MAX_LIVENESS_STATES`` passes vacuously.
     """
 
     def verdicts(index: int, doc: CorpusDocument) -> Iterable[_Verdict]:
@@ -903,5 +898,5 @@ def run_liveness_campaign(
         result = CheckResult(outcome.passed, "white_after_quiescence", vacuous=not outcome.finished, detail=outcome.failure)
         yield "liveness", result, lambda: Counterexample.of(index, outcome.failure["step"], "liveness", result, doc)
 
-    generator = InstanceGenerator(caps, seed=seed, profile=profile)
+    generator = InstanceGenerator(caps, seed=seed, profile="depleting")
     return _run_campaign("liveness", algorithm, generator, n, ("liveness",), verdicts)

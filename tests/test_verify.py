@@ -688,15 +688,6 @@ class TestCampaigns:
         assert not report.failed
         assert report.trials == 60
 
-    def test_liveness_campaign_on_the_general_profile(self):
-        """Outside the depletion assumption ``proposed`` stays live and ``oma`` does not."""
-        verdicts = {}
-        for algorithm in ("proposed", "oma"):
-            report = run_liveness_campaign(n=300, seed=0, algorithm=algorithm, profile="general")
-            assert (report.profile, report.trials, report.vacuous["liveness"]) == ("general", 300, 0)
-            verdicts[algorithm] = report.passes["liveness"], report.failures["liveness"]
-        assert verdicts == {"proposed": (300, 0), "oma": (269, 31)}
-
     def test_record_keeps_counterexamples_up_to_the_cap(self):
         report = CampaignReport("fuzz", "proposed", 0, GeneratorCaps(), "general", 1, ("soundness",))
         built = []
