@@ -34,7 +34,7 @@ from typing import Any, Optional, Union
 
 from .engine import initial_state
 from .errors import LicallocError
-from .labels import Label, state_labels
+from .labels import Complexity, ConstraintName, Label, Times, state_labels
 from .model import (
     CP,
     Action,
@@ -160,8 +160,6 @@ def _parse_permission(obj: Any, where: str, interned: dict) -> Permission:
 
 
 def _parse_label(obj: Any, where: str) -> Label:
-    from .labels import Complexity, ConstraintName, Times
-
     _expect_keys(obj, {"complexity", "times", "constraint"}, {"complexity", "times", "constraint"}, where)
     try:
         return Label(

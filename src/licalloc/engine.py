@@ -1,10 +1,10 @@
 """Constraint evaluation and consumption.
 
 The static license tree never changes; everything that can change lives in an
-``AgentState``: for every node of the tree, keyed by ``NodeKey`` (license id,
-sublicense id, cp id or None), the tuple of its constraints' states in
-declaration order.  A ``None`` cp slot keys the sublicense itself, so reading
-a node's states is one dict lookup, with no walk of the tree.
+``AgentState``: per sublicense, keyed by (license id, sublicense id), a slot
+of its node's constraint states and its cps' (aligned with ``sl.cps``), each
+node's a tuple in declaration order.  Whatever is asked of a sublicense reads
+one slot, so it is one dict lookup, with no walk of the tree.
 
 A constraint's state is one ``Optional[int]``: a counter's remaining charges,
 a started interval's start time, and None otherwise.  This module is the only
@@ -45,6 +45,8 @@ NodeKey = tuple[str, str, Optional[str]]
 
 
 ConstraintState = Optional[int]
+# A sublicense's node states, then its cps' node states aligned with ``sl.cps``.
+Slot = tuple[tuple[ConstraintState, ...], tuple[tuple[ConstraintState, ...], ...]]
 _COUNTERS = (Count, TimedCount)
 
 
@@ -82,6 +84,7 @@ def constraints_hold(
 class AgentState:
     """Installed licenses plus the consumption state of every constraint.
 
+    ``cstate`` maps (license id, sublicense id) to the sublicense's ``Slot``.
     Treat instances as immutable: ``consume`` returns a new state and never
     mutates its input.  ``resolutions`` is ``rights.select_target``'s memo
     (see there); it takes no part in equality or repr, and every new state,
@@ -90,7 +93,7 @@ class AgentState:
     """
 
     licenses: LicenseSet
-    cstate: dict[NodeKey, tuple[ConstraintState, ...]]
+    cstate: dict[tuple[str, str], Slot]
     resolutions: dict[tuple[str, Permission, Timestamp, int], Optional[Resolved]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -104,21 +107,21 @@ class AgentState:
     def cp(self, license_id: str, sublicense_id: str, cp_id: str) -> ConstraintPermissionSet:
         return self.sublicense(license_id, sublicense_id).cp(cp_id)
 
-    def sublicense_states(self, license_id: str, sublicense_id: str) -> tuple[ConstraintState, ...]:
-        return self.cstate[(license_id, sublicense_id, None)]
-
-    def cp_states(self, license_id: str, sublicense_id: str, cp_id: str) -> tuple[ConstraintState, ...]:
-        return self.cstate[(license_id, sublicense_id, cp_id)]
+    def slot(self, license_id: str, sublicense_id: str) -> Slot:
+        """The sublicense's node states and its cps' node states, aligned with ``sl.cps``."""
+        return self.cstate[(license_id, sublicense_id)]
 
 
 def initial_state(licenses: LicenseSet) -> AgentState:
     """Fresh agent state: full counters, unstarted intervals, nothing depleted."""
-    cstate: dict[NodeKey, tuple[ConstraintState, ...]] = {}
-    for lic in licenses:
-        for sl in lic.sublicenses:
-            cstate[(lic.id, sl.id, None)] = tuple(map(fresh_state, sl.constraints))
-            for cp in sl.cps:
-                cstate[(lic.id, sl.id, cp.id)] = tuple(map(fresh_state, cp.constraints))
+    cstate = {
+        (lic.id, sl.id): (
+            tuple(map(fresh_state, sl.constraints)),
+            tuple(tuple(map(fresh_state, cp.constraints)) for cp in sl.cps),
+        )
+        for lic in licenses
+        for sl in lic.sublicenses
+    }
     return AgentState(licenses=licenses, cstate=cstate)
 
 
@@ -126,9 +129,10 @@ def cp_valid(
     state: AgentState, license_id: str, sublicense: SubLicense, cp: ConstraintPermissionSet, at: Timestamp
 ) -> bool:
     """True iff the full governing conjunction (sublicense and cp level) holds."""
-    return constraints_hold(
-        sublicense.constraints, state.sublicense_states(license_id, sublicense.id), at
-    ) and constraints_hold(cp.constraints, state.cp_states(license_id, sublicense.id, cp.id), at)
+    sl_states, cp_states = state.slot(license_id, sublicense.id)
+    return constraints_hold(sublicense.constraints, sl_states, at) and constraints_hold(
+        cp.constraints, cp_states[sublicense.cps.index(cp)], at
+    )
 
 
 class Depletion(enum.Enum):
@@ -148,13 +152,14 @@ def _charged(constraint: Constraint, request: Optional[Request]) -> bool:
     return isinstance(constraint, Count)
 
 
-def _advance(constraint: Constraint, state: ConstraintState, request: Request) -> ConstraintState:
-    """State of one constraint after a successful use."""
-    if _charged(constraint, request):
-        return state - 1
-    if isinstance(constraint, Interval) and state is None:
-        return request.at
-    return state
+def _advanced(
+    constraints: Sequence[Constraint], states: Sequence[ConstraintState], request: Request
+) -> tuple[ConstraintState, ...]:
+    """States of one node's constraints after a successful use."""
+    return tuple(
+        s - 1 if _charged(c, request) else request.at if s is None and isinstance(c, Interval) else s
+        for c, s in zip(constraints, states)
+    )
 
 
 # The labels ask this and ``on_last_charge`` of every node they walk; the membership
@@ -183,8 +188,8 @@ def on_last_charge(
 
 def _checked_target(
     state: AgentState, license_id: str, sublicense_id: str, cp_id: str, request: Request
-) -> tuple[SubLicense, ConstraintPermissionSet]:
-    """The target's sublicense and cp, once they are shown to match and hold now."""
+) -> tuple[SubLicense, int]:
+    """The target's sublicense and its cp's index, once they are shown to match and hold now."""
     sl = state.sublicense(license_id, sublicense_id)
     cp = sl.cp(cp_id)
     if request.permission not in cp.permissions:
@@ -195,7 +200,7 @@ def _checked_target(
         raise InvalidTargetError(
             f"constraints of {license_id}/{sublicense_id}/{cp_id} do not hold at t={request.at}"
         )
-    return sl, cp
+    return sl, sl.cps.index(cp)
 
 
 def consume(
@@ -207,19 +212,17 @@ def consume(
     only when the use lasts at least their timer, and unstarted intervals
     start now.  A counter reaching zero depletes its node, which permanently
     invalidates the owning cp (cp level) or the whole sublicense (sublicense
-    level).
+    level).  Only the target sublicense's slot is replaced: the successor
+    shares every other slot, and the slot's other cps' states, with ``state``.
 
     Raises InvalidTargetError (leaving ``state`` untouched) when the cp does
     not match the request or its governing constraints do not hold.
     """
-    sl, cp = _checked_target(state, license_id, sublicense_id, cp_id, request)
-    cstate = dict(state.cstate)
-    for key, constraints in (
-        ((license_id, sublicense_id, None), sl.constraints),
-        ((license_id, sublicense_id, cp_id), cp.constraints),
-    ):
-        cstate[key] = tuple(_advance(c, s, request) for c, s in zip(constraints, cstate[key]))
-    return AgentState(licenses=state.licenses, cstate=cstate)
+    sl, j = _checked_target(state, license_id, sublicense_id, cp_id, request)
+    sl_states, cp_states = state.slot(license_id, sublicense_id)
+    cp_states = (*cp_states[:j], _advanced(sl.cps[j].constraints, cp_states[j], request), *cp_states[j + 1 :])
+    slot = (_advanced(sl.constraints, sl_states, request), cp_states)
+    return AgentState(licenses=state.licenses, cstate={**state.cstate, (license_id, sublicense_id): slot})
 
 
 def is_depleting(
@@ -230,9 +233,10 @@ def is_depleting(
     The target is looked up by id and checked as ``consume`` checks it; its
     nodes are then read as ``rights.Resolved.depletion`` reads its labels.
     """
-    sl, cp = _checked_target(state, license_id, sublicense_id, cp_id, request)
-    if on_last_charge(sl.constraints, state.sublicense_states(license_id, sublicense_id), request):
+    sl, j = _checked_target(state, license_id, sublicense_id, cp_id, request)
+    sl_states, cp_states = state.slot(license_id, sublicense_id)
+    if on_last_charge(sl.constraints, sl_states, request):
         return Depletion.SUBLICENSE_DEPLETES
-    if on_last_charge(cp.constraints, state.cp_states(license_id, sublicense_id, cp_id), request):
+    if on_last_charge(sl.cps[j].constraints, cp_states[j], request):
         return Depletion.CP_DEPLETES
     return Depletion.NONE

@@ -146,10 +146,8 @@ def state_labels(state: AgentState) -> dict[NodeKey, Label]:
     out: dict[NodeKey, Label] = {}
     for lic in state.licenses:
         for sl in lic.sublicenses:
-            cp_states = [state.cp_states(lic.id, sl.id, cp.id) for cp in sl.cps]
-            out[(lic.id, sl.id, None)] = sublicense_label(
-                sl, state.sublicense_states(lic.id, sl.id), cp_states
-            )
+            sl_states, cp_states = state.slot(lic.id, sl.id)
+            out[(lic.id, sl.id, None)] = sublicense_label(sl, sl_states, cp_states)
             for cp, states in zip(sl.cps, cp_states):
                 out[(lic.id, sl.id, cp.id)] = cp_label(cp, states)
     return out

@@ -149,6 +149,15 @@ def _require_id(value: str, what: str) -> None:
         raise ValueError(f"{what} id must be a non-empty string")
 
 
+def _require_unique_ids(items, what: str, within: str = "") -> None:
+    """Raise ValueError naming the first of ``items`` whose id an earlier one has."""
+    seen = set()
+    for item in items:
+        if item.id in seen:
+            raise ValueError(f"duplicate {what} id {item.id!r}{within}")
+        seen.add(item.id)
+
+
 @dataclass(frozen=True, slots=True)
 class ConstraintPermissionSet:
     """Constraints that, when met, authorise a set of permissions, each granted once."""
@@ -184,11 +193,7 @@ class SubLicense:
         object.__setattr__(self, "cps", tuple(cps))
         if not self.cps:
             raise ValueError(f"sublicense {id!r} must contain at least one cp")
-        seen = set()
-        for cp in self.cps:
-            if cp.id in seen:
-                raise ValueError(f"duplicate cp id {cp.id!r} in sublicense {id!r}")
-            seen.add(cp.id)
+        _require_unique_ids(self.cps, "cp", f" in sublicense {id!r}")
 
     def cp(self, cp_id: str) -> ConstraintPermissionSet:
         for cp in self.cps:
@@ -208,11 +213,7 @@ class License:
         object.__setattr__(self, "sublicenses", tuple(sublicenses))
         if not self.sublicenses:
             raise ValueError(f"license {id!r} must contain at least one sublicense")
-        seen = set()
-        for sl in self.sublicenses:
-            if sl.id in seen:
-                raise ValueError(f"duplicate sublicense id {sl.id!r} in license {id!r}")
-            seen.add(sl.id)
+        _require_unique_ids(self.sublicenses, "sublicense", f" in license {id!r}")
 
     def sublicense(self, sl_id: str) -> SubLicense:
         for sl in self.sublicenses:
@@ -236,11 +237,7 @@ class LicenseSet:
     def __init__(self, licenses=()):
         object.__setattr__(self, "licenses", tuple(licenses))
         object.__setattr__(self, "_hosts", None)
-        seen = set()
-        for lic in self.licenses:
-            if lic.id in seen:
-                raise ValueError(f"duplicate license id {lic.id!r}")
-            seen.add(lic.id)
+        _require_unique_ids(self.licenses, "license")
 
     def __iter__(self):
         return iter(self.licenses)

@@ -51,9 +51,10 @@ def _valid_cps(
     state: AgentState, license_id: str, sl: SubLicense, at: Timestamp
 ) -> Iterator[ConstraintPermissionSet]:
     """The sublicense's cps whose constraints, and the sublicense's own, all hold at ``at``."""
-    if constraints_hold(sl.constraints, state.sublicense_states(license_id, sl.id), at):
-        for cp in sl.cps:
-            if constraints_hold(cp.constraints, state.cp_states(license_id, sl.id, cp.id), at):
+    sl_states, cp_states = state.slot(license_id, sl.id)
+    if constraints_hold(sl.constraints, sl_states, at):
+        for cp, states in zip(sl.cps, cp_states):
+            if constraints_hold(cp.constraints, states, at):
                 yield cp
 
 
@@ -124,10 +125,9 @@ def select_target(state: AgentState, lic: License, request: Request) -> Optional
         granting = [i for i, cp in enumerate(sl.cps) if permission in cp.permissions]
         if not granting:
             continue
-        sl_states = state.sublicense_states(lic.id, sl.id)
+        sl_states, cp_states = state.slot(lic.id, sl.id)
         if not constraints_hold(sl.constraints, sl_states, request.at):
             continue
-        cp_states = [state.cp_states(lic.id, sl.id, cp.id) for cp in sl.cps]
         matching = [
             (sl.cps[i], cp_states[i])
             for i in granting
@@ -196,8 +196,8 @@ def _target_loss(
     if depletion is Depletion.CP_DEPLETES:
         return Counter(resolved.cp.permissions)
     lost: RightsMultiset = Counter()
-    for other in sl.cps:
-        if constraints_hold(other.constraints, state.cp_states(license_id, sl.id, other.id), request.at):
+    for other, states in zip(sl.cps, state.slot(license_id, sl.id)[1]):
+        if constraints_hold(other.constraints, states, request.at):
             lost.update(other.permissions)
     return lost
 

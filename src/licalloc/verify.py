@@ -62,7 +62,7 @@ from .allocate import (
     proposed_allocate,
 )
 from .corpus import CorpusDocument, document_to_json
-from .engine import AgentState, consume, initial_state
+from .engine import AgentState, Slot, consume, initial_state
 from .labels import cp_label, state_labels, sublicense_label
 from .model import (
     CP,
@@ -216,11 +216,11 @@ def check_pair_discipline(
         return CheckResult(True, "pair_discipline", vacuous=True)
     if (stray := _stray_choice(decision, losses)) is not None:
         return stray
-    lid, sl = decision.license_id, state.sublicense(decision.license_id, decision.sublicense_id)
-    cp_states = [state.cp_states(lid, sl.id, cp.id) for cp in sl.cps]
-    sl_label = sublicense_label(sl, state.sublicense_states(lid, sl.id), cp_states, request)
+    sl = state.sublicense(decision.license_id, decision.sublicense_id)
+    sl_states, cp_states = state.slot(decision.license_id, sl.id)
+    sl_label = sublicense_label(sl, sl_states, cp_states, request)
     cp = sl.cp(decision.cp_id)
-    cp_lbl = cp_label(cp, state.cp_states(lid, sl.id, cp.id), request)
+    cp_lbl = cp_label(cp, cp_states[sl.cps.index(cp)], request)
     ok = not sl_label.depleting_and_complex and not cp_lbl.depleting_and_complex
     return CheckResult(
         ok, "pair_discipline", detail=None if ok else {"labels": [str(sl_label), str(cp_lbl)]}
@@ -731,8 +731,8 @@ def run_bounded_liveness(
       prefix a schedule takes only steps that change neither, and it goes
       round nodes already searched.
 
-    Two reductions leave every verdict as it is.  Both slot the state by
-    sublicense: a slot is one sublicense's node and its cps' nodes.
+    Two reductions leave every verdict as it is.  Both read the state by
+    ``AgentState``'s slots: a slot is one sublicense's node and its cps' nodes.
 
     * A step is memoized on the slots it reads.  The step taken for a
       permission depends only on the node states of the sublicenses with a
@@ -750,23 +750,23 @@ def run_bounded_liveness(
       - ``consume`` writes only the chosen sublicense's node and cp.
 
       So per (permission, granting slots' node states) the search runs
-      ``allocate_and_execute`` once, on a state built from those slots'
-      nodes only, where a read of any other node would raise KeyError.  It
-      keeps the chosen slot, that slot's node states after the step and
-      the permissions the step blackens, which do not depend on the black
-      set and are joined to each node's own.  Any state with the same
-      granting slots' node states steps to itself with the chosen slot's
-      node states replaced.  In the same way a slot's live permissions
-      depend only on its own node states, so a state's live set is the
-      union of per-slot sets, each one ``sublicense_rights`` walk per
-      (slot, node states).
-    * A state is kept only as its key, the tuple of its slots' node states,
-      in ``initial_state``'s order, each interned as an int (a
-      sublicense-state id) the first time it is reached.  The key maps one
-      to one to the state, so the nodes searched are the ones a search of
-      whole states would search.  The node and step memos hash small ints,
-      a step's key picks its granting slots' entries out of the state's
-      key, and a successor's key replaces the chosen slot's entry.
+      ``allocate_and_execute`` once, on a state of those slots only, where
+      a read of any other slot would raise KeyError.  It keeps the chosen
+      slot, that slot's node states after the step and the permissions the
+      step blackens, which do not depend on the black set and are joined to
+      each node's own.  Any state with the same granting slots' node states
+      steps to itself with the chosen slot's node states replaced.  In the
+      same way a slot's live permissions depend only on its own node states,
+      so a state's live set is the union of per-slot sets, each one
+      ``sublicense_rights`` walk per (slot, node states).
+    * A state is kept only as its key: per slot, in ``initial_state``'s
+      order, its value in ``AgentState.cstate``, read with one lookup and
+      interned as is as an int (a sublicense-state id) the first time it is
+      reached.  The key maps one to one to the state, so the nodes searched
+      are the ones a search of whole states would search.  The node and step
+      memos hash small ints, a step's key picks its granting slots' entries
+      out of the state's key, and a successor's key replaces the chosen
+      slot's entry.
 
     Permissions are coded as bits, bit ``i`` for the ``i``-th permission of
     the sorted support: the black, live and due sets are int masks and a
@@ -776,10 +776,10 @@ def run_bounded_liveness(
     reported; only the failure dict names permissions again.
     """
     state0 = initial_state(licenses)
-    # One slot per sublicense, in ``initial_state``'s order: its license, itself and its node keys.
+    # One slot per sublicense, in ``initial_state``'s order: its license and itself, and its key.
     slots = [(lic, sl) for lic in licenses for sl in lic.sublicenses]
-    nodes = [[(lic.id, sl.id, None), *((lic.id, sl.id, cp.id) for cp in sl.cps)] for lic, sl in slots]
-    slot_of = {(lic.id, sl.id): k for k, (lic, sl) in enumerate(slots)}
+    slot_keys = [(lic.id, sl.id) for lic, sl in slots]
+    slot_of = {key: k for k, key in enumerate(slot_keys)}
     held = [sublicense_rights(state0, lic, sl, at) for lic, sl in slots]
     support = tuple(sorted(set().union(*held)))
     requests = [Request(p.action, p.content, at=at, usage_duration=USAGE_DURATION) for p in support]
@@ -797,12 +797,12 @@ def run_bounded_liveness(
         return sum(bit[p] for p in permissions)
 
     ids: dict = {}  # (slot, its node states) -> sublicense-state id
-    slot_nodes: list[tuple] = []  # sublicense-state id -> the slot's node states
+    slot_nodes: list[Slot] = []  # sublicense-state id -> the slot's node states
     slot_lives: list[int] = []  # sublicense-state id -> the slot's live mask
 
     def sublicense_state_id(state: AgentState, k: int, held_k=None) -> int:
         """The id of slot ``k``'s node states in ``state``; ``held_k`` is its rights there, if walked."""
-        node_states = tuple(map(state.cstate.__getitem__, nodes[k]))
+        node_states = state.cstate[slot_keys[k]]
         sid = ids.get((k, node_states))
         if sid is None:
             sid = ids[(k, node_states)] = len(slot_nodes)
@@ -819,9 +819,7 @@ def run_bounded_liveness(
         of any other node raises KeyError.  Returns the chosen slot, its
         sublicense-state id after the step and the blackened mask.
         """
-        cstate: dict = {}
-        for k in granting[i]:
-            cstate.update(zip(nodes[k], slot_nodes[skey[k]]))
+        cstate = {slot_keys[k]: slot_nodes[skey[k]] for k in granting[i]}
         state, request = AgentState(licenses, cstate), requests[i]
         decision, successor = allocate_and_execute(state, request, algorithm=algorithm, chooser=min_loss_chooser)
         assert isinstance(decision, Chosen), "a live permission has a host, and a prompt is chosen"

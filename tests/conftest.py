@@ -54,10 +54,11 @@ def brute_force_rights(state, at) -> Counter:
     found = Counter()
     for lic in state.licenses:
         for sl in lic.sublicenses:
-            if not constraints_hold(sl.constraints, state.cstate[(lic.id, sl.id, None)], at):
+            sl_states, cp_states = state.slot(lic.id, sl.id)
+            if not constraints_hold(sl.constraints, sl_states, at):
                 continue
-            for cp in sl.cps:
-                if constraints_hold(cp.constraints, state.cstate[(lic.id, sl.id, cp.id)], at):
+            for cp, states in zip(sl.cps, cp_states):
+                if constraints_hold(cp.constraints, states, at):
                     for p in cp.permissions:
                         found[p] += 1
     return found
@@ -83,10 +84,10 @@ def full_walk_candidates(state, request) -> list[str]:
 
     def can_serve(lic):
         for sl in lic.sublicenses:
-            if not constraints_hold(sl.constraints, state.cstate[(lic.id, sl.id, None)], request.at):
+            sl_states, cp_states = state.slot(lic.id, sl.id)
+            if not constraints_hold(sl.constraints, sl_states, request.at):
                 continue
-            for cp in sl.cps:
-                states = state.cstate[(lic.id, sl.id, cp.id)]
+            for cp, states in zip(sl.cps, cp_states):
                 if request.permission in cp.permissions and constraints_hold(cp.constraints, states, request.at):
                     return True
         return False
@@ -106,8 +107,7 @@ def full_walk_resolution(state, request) -> dict:
     for lic in state.licenses:
         options = []  # (sublicense label, sublicense, [(cp, cp label)])
         for sl in lic.sublicenses:
-            sl_states = state.cstate[(lic.id, sl.id, None)]
-            cp_states = [state.cstate[(lic.id, sl.id, cp.id)] for cp in sl.cps]
+            sl_states, cp_states = state.slot(lic.id, sl.id)
             sl_label = sublicense_label(sl, sl_states, cp_states, request)
             matching = [
                 (cp, cp_label(cp, states, request))

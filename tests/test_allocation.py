@@ -182,7 +182,7 @@ class TestAllocateAndExecute:
     def test_proposed_keeps_song_b(self, deadline_state, play_a):
         decision, after = allocate_and_execute(deadline_state, play_a, algorithm="proposed")
         assert decision == Chosen("license-2", "sl-1", "cp-1")
-        assert after.cstate[("license-2", "sl-1", None)][0] == 9
+        assert after.slot("license-2", "sl-1")[0][0] == 9
         assert rights(after, play_a.at)[perm("play", "song-b")] == 1
 
     def test_oma_burns_song_b(self, deadline_state, play_a):

@@ -120,6 +120,27 @@ class TestLabel:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert err.rstrip("\n").endswith(".constraints: constraints must be an array")
 
+    @pytest.mark.parametrize(
+        "level, where, message",
+        [
+            ("license", "$.licenses", "duplicate license id 'license-1'"),
+            ("sublicense", "$.licenses[0]", "duplicate sublicense id 'sl-1' in license 'license-1'"),
+            ("cp", "$.licenses[0].sublicenses[0]", "duplicate cp id 'cp-1' in sublicense 'sl-1'"),
+        ],
+    )
+    def test_a_duplicate_id_exits_1_with_one_located_line(self, level, where, message, tmp_path, deadline_path, capsys):
+        payload = json.load(open(deadline_path))
+        siblings = payload["licenses"]
+        if level != "license":
+            siblings = siblings[0]["sublicenses"]
+        if level == "cp":
+            siblings = siblings[0]["cps"]
+        siblings.append(siblings[0])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["label", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {where}: {message}\n"
+
     def test_missing_file_exits_1(self, capsys):
         assert main(["label", "/nonexistent/corpus.json"]) == 1
 

@@ -28,7 +28,7 @@ from licalloc.model import (
     TimedCount,
 )
 
-from conftest import perm
+from conftest import perm, wide_licenses
 
 
 def single_license(sl_constraints=(), cp_constraints=(), perms=(("play", "a"),)):
@@ -67,7 +67,7 @@ class TestConstraintHolds:
     def test_count_exhausted_after_single_consume(self):
         licenses = single_license(cp_constraints=[Count(1)])
         state = consume(initial_state(licenses), "l-1", "sl-1", "cp-1", Request(Action.PLAY, "a", at=0))
-        st_ = state.cstate[("l-1", "sl-1", "cp-1")][0]
+        st_ = state.slot("l-1", "sl-1")[1][0][0]
         assert not constraint_holds(Count(1), st_, at=0)
         assert depleted([Count(1)], [st_])
 
@@ -116,7 +116,7 @@ class TestConsume:
 
     def test_count_decrements_without_depleting(self, deadline_state, play_a):
         after = consume(deadline_state, "license-2", "sl-1", "cp-1", play_a)
-        assert after.cstate[("license-2", "sl-1", None)][0] == 9
+        assert after.slot("license-2", "sl-1")[0][0] == 9
         assert valid(after, "license-2", "sl-1", "cp-1", play_a.at)
 
     def test_timed_count_ignores_short_use(self):
@@ -124,28 +124,28 @@ class TestConsume:
         state = initial_state(licenses)
         short = Request(Action.PLAY, "a", at=0, usage_duration=10)
         after = consume(state, "l-1", "sl-1", "cp-1", short)
-        assert after.cstate[("l-1", "sl-1", "cp-1")][0] == 3
+        assert after.slot("l-1", "sl-1")[1][0][0] == 3
 
     def test_timed_count_charges_long_use(self):
         licenses = single_license(cp_constraints=[TimedCount(3, timer=30)])
         state = initial_state(licenses)
         long_use = Request(Action.PLAY, "a", at=0, usage_duration=30)
         after = consume(state, "l-1", "sl-1", "cp-1", long_use)
-        assert after.cstate[("l-1", "sl-1", "cp-1")][0] == 2
+        assert after.slot("l-1", "sl-1")[1][0][0] == 2
 
     def test_interval_starts_once(self):
         licenses = single_license(sl_constraints=[Interval(1000)], cp_constraints=[], perms=(("play", "a"),))
         state = initial_state(licenses)
         after = consume(state, "l-1", "sl-1", "cp-1", Request(Action.PLAY, "a", at=50))
-        assert after.cstate[("l-1", "sl-1", None)][0] == 50
+        assert after.slot("l-1", "sl-1")[0][0] == 50
         again = consume(after, "l-1", "sl-1", "cp-1", Request(Action.PLAY, "a", at=200))
-        assert again.cstate[("l-1", "sl-1", None)][0] == 50
+        assert again.slot("l-1", "sl-1")[0][0] == 50
 
     def test_datetime_state_untouched(self):
         licenses = single_license(cp_constraints=[DateTime(end=10_000)])
         state = initial_state(licenses)
         after = consume(state, "l-1", "sl-1", "cp-1", Request(Action.PLAY, "a", at=5))
-        assert after.cstate[("l-1", "sl-1", "cp-1")][0] is None
+        assert after.slot("l-1", "sl-1")[1][0][0] is None
 
     def test_invalid_target_raises_and_leaves_state_alone(self, deadline_state):
         play_z = Request(Action.PLAY, "song-z", at=0)
@@ -187,7 +187,7 @@ class TestIsDepleting:
         assert not valid(after, "l-1", "sl-1", "cp-1", 0)
         assert constraints_hold(
             state.sublicense("l-1", "sl-1").constraints,
-            after.sublicense_states("l-1", "sl-1"),
+            after.slot("l-1", "sl-1")[0],
             0,
         )
         assert is_depleting(state, "l-1", "sl-1", "cp-1", request) is Depletion.CP_DEPLETES
@@ -232,3 +232,38 @@ def test_sublicense_depletion_matches_post_state(deadline_state, play_a):
         not cp_valid(after, "license-1", sl, cp, play_a.at) for cp in sl.cps
     )
     assert (verdict is Depletion.SUBLICENSE_DEPLETES) == all_dead
+
+
+def test_initial_state_has_one_slot_per_sublicense_aligned_with_its_cps():
+    licenses = wide_licenses(0)
+    state = initial_state(licenses)
+    assert list(state.cstate) == [(lic.id, sl.id) for lic in licenses for sl in lic.sublicenses]
+    for lic in licenses:
+        for sl in lic.sublicenses:
+            sl_states, cp_states = state.slot(lic.id, sl.id)
+            assert sl_states == tuple(map(fresh_state, sl.constraints))
+            assert cp_states == tuple(tuple(map(fresh_state, cp.constraints)) for cp in sl.cps)
+
+
+def test_consume_replaces_only_the_target_slot_at_the_target_cp():
+    """Every other slot of the successor is its parent's object, and so is every other cp's states."""
+    licenses = LicenseSet(
+        [
+            License(
+                "l-1",
+                [
+                    SubLicense("sl-1", [Count(5)], [CP(f"cp-{i}", [Count(3)], [perm("play", "a")]) for i in (1, 2, 3)]),
+                    SubLicense("sl-2", cps=[CP("cp-1", [Count(2)], [perm("play", "a")])]),
+                ],
+            ),
+            License("l-2", [SubLicense("sl-1", cps=[CP("cp-1", [Count(2)], [perm("play", "a")])])]),
+        ]
+    )
+    state = initial_state(licenses)
+    after = consume(state, "l-1", "sl-1", "cp-2", Request(Action.PLAY, "a", at=0))
+    assert after.slot("l-1", "sl-1") == ((4,), ((3,), (2,), (3,)))
+    cps_before, cps_after = state.slot("l-1", "sl-1")[1], after.slot("l-1", "sl-1")[1]
+    assert cps_after[0] is cps_before[0] and cps_after[2] is cps_before[2]
+    assert list(after.cstate) == list(state.cstate)
+    assert all(after.cstate[key] is slot for key, slot in state.cstate.items() if key != ("l-1", "sl-1"))
+

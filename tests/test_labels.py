@@ -128,7 +128,7 @@ def test_a_started_interval_is_no_counter(started):
         ]
     )
     after = consume(initial_state(licenses), "l", "sl", "cp-a", Request(Action.PLAY, "a", at=started))
-    assert after.cstate[("l", "sl", "cp-a")] == (started,)
+    assert after.slot("l", "sl")[1][0] == (started,)
     labels = state_labels(after)
     assert labels[("l", "sl", "cp-a")].times is Times.MANY
     assert labels[("l", "sl", None)] == Label(Complexity.COMPLEX, Times.MANY, ConstraintName.INTERVAL)
@@ -229,12 +229,12 @@ def test_request_label_predicts_depletion_for_any_use(constraints, duration, lev
     sl = SubLicense("sl", constraints=[] if on_cp else constraints, cps=[cp])
     state = initial_state(LicenseSet([License("l", [sl])]))
     request = Request(Action.PLAY, "a", at=100, usage_duration=duration)
-    cp_states = state.cp_states("l", "sl", "cp")
+    sl_states, cp_states = state.slot("l", "sl")
     if on_cp:
-        label, key, depletes = cp_label(cp, cp_states, request), ("l", "sl", "cp"), Depletion.CP_DEPLETES
+        label, depletes = cp_label(cp, cp_states[0], request), Depletion.CP_DEPLETES
     else:
-        label = sublicense_label(sl, state.sublicense_states("l", "sl"), [cp_states], request)
-        key, depletes = ("l", "sl", None), Depletion.SUBLICENSE_DEPLETES
+        label, depletes = sublicense_label(sl, sl_states, cp_states, request), Depletion.SUBLICENSE_DEPLETES
     once = label.times is Times.ONCE
     assert is_depleting(state, "l", "sl", "cp", request) is (depletes if once else Depletion.NONE)
-    assert once == depleted(constraints, consume(state, "l", "sl", "cp", request).cstate[key])
+    sl_after, cps_after = consume(state, "l", "sl", "cp", request).slot("l", "sl")
+    assert once == depleted(constraints, cps_after[0] if on_cp else sl_after)

@@ -121,3 +121,23 @@ def test_a_permission_hashes_sorts_and_prints_as_it_did_and_is_its_tuple():
     assert (action, content) == (p.action, p.content) == (Action.PLAY, "a")
     with pytest.raises(AttributeError):
         p.content = "b"
+
+
+_CP = CP("cp", permissions=[perm("play", "a")])
+_SL = SubLicense("sl", cps=[_CP])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SubLicense("sl", cps=[_CP, CP("cp", permissions=[perm("play", "b")])]), "duplicate cp id 'cp' in sublicense 'sl'"),
+        (lambda: License("l", [_SL, _SL]), "duplicate sublicense id 'sl' in license 'l'"),
+        (lambda: LicenseSet([License("l", [_SL]), License("l", [_SL])]), "duplicate license id 'l'"),
+    ],
+    ids=["cp", "sublicense", "license"],
+)
+def test_a_duplicate_id_is_refused(build, message):
+    """Ids are unique among siblings, so (license id, sublicense id) names one sublicense."""
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message

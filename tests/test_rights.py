@@ -186,17 +186,17 @@ def test_resolution_reads_only_sublicenses_granting_the_request(monkeypatch):
     licenses = wide_licenses(0)
     state = initial_state(licenses)
     read, labelled = set(), set()
-    sublicense_states = AgentState.sublicense_states
+    slot = AgentState.slot
 
     def reading(self, license_id, sublicense_id):
         read.add((license_id, sublicense_id))
-        return sublicense_states(self, license_id, sublicense_id)
+        return slot(self, license_id, sublicense_id)
 
     def labelling(sl, *states):
         labelled.add(id(sl))
         return sublicense_label(sl, *states)
 
-    monkeypatch.setattr(AgentState, "sublicense_states", reading)
+    monkeypatch.setattr(AgentState, "slot", reading)
     monkeypatch.setattr(rights_module, "sublicense_label", labelling)
     installed = sorted({p for lic in licenses for sl in lic.sublicenses for cp in sl.cps for p in cp.permissions})
     for p in installed:
@@ -397,12 +397,9 @@ def _path(state, lid, target):
     """(constraint, state) pairs on the path from a license to its target cp."""
     sl_id, cp_id = target
     sl = state.sublicense(lid, sl_id)
-    return list(
-        zip(
-            sl.constraints + sl.cp(cp_id).constraints,
-            state.sublicense_states(lid, sl_id) + state.cp_states(lid, sl_id, cp_id),
-        )
-    )
+    cp = sl.cp(cp_id)
+    sl_states, cp_states = state.slot(lid, sl_id)
+    return list(zip(sl.constraints + cp.constraints, sl_states + cp_states[sl.cps.index(cp)]))
 
 
 def test_local_loss_matches_copy_consume_recount():

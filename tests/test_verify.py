@@ -315,11 +315,6 @@ def _conforming_instances(seed, n):
     return [generator.document(index).licenses for index in range(n)]
 
 
-def _sublicense_node_states(state, lic, sl):
-    """The states of ``sl``'s node, then of its cps' nodes."""
-    return (state.sublicense_states(lic.id, sl.id), *(state.cp_states(lic.id, sl.id, cp.id) for cp in sl.cps))
-
-
 def _assert_replays(licenses, algorithm, failure):
     """Replaying the reported schedule starves the reported permission at its step, not before."""
     schedule = [perm(e["action"], e["content"]) for e in failure["schedule"]]
@@ -478,7 +473,7 @@ class TestLivenessSearch:
 
         def counting_execute(state, request, **kwargs):
             granting = tuple(
-                _sublicense_node_states(state, lic, sl)
+                state.slot(lic.id, sl.id)
                 for lic in state.licenses
                 for sl in lic.sublicenses
                 if any(request.permission in cp.permissions for cp in sl.cps)
@@ -500,7 +495,7 @@ class TestLivenessSearch:
             raise AssertionError("the search called consume outside allocate_and_execute")
 
         def counting_walk(state, lic, sl, at):
-            walked[(lic.id, sl.id, _sublicense_node_states(state, lic, sl))] += 1
+            walked[(lic.id, sl.id, state.slot(lic.id, sl.id))] += 1
             return inner_walk(state, lic, sl, at)
 
         monkeypatch.setattr(verify_module, "allocate_and_execute", counting_execute)
@@ -570,14 +565,11 @@ class TestLivenessSearch:
             for lic in state.licenses:
                 for sl in lic.sublicenses:
                     if any(request.permission in cp.permissions for cp in sl.cps):
-                        _sublicense_node_states(state, lic, sl)
+                        state.slot(lic.id, sl.id)
                         reads["inside"] += 1
                         continue
                     with pytest.raises(KeyError):
-                        state.sublicense_states(lic.id, sl.id)
-                    for cp in sl.cps:
-                        with pytest.raises(KeyError):
-                            state.cp_states(lic.id, sl.id, cp.id)
+                        state.slot(lic.id, sl.id)
                     reads["outside"] += 1
             return inner(state, request, **kwargs)
 
