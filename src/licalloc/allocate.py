@@ -15,9 +15,12 @@ knows which rights they value.
 Each allocator resolves its candidates once, and its decision keeps that
 ``resolve_candidates`` pool (``pool``: every candidate's resolved target),
 so whoever acts on the decision walks no license again; a prompt becomes a
-choice through ``PromptRequired.choose``.  The pool takes no part in
-equality, hashing or repr; a prompt's losses (a dict) take part in equality
-but not in its hash.
+choice through ``PromptRequired.choose``, which hands the choice the losses
+the prompt priced (``Chosen.losses``), so they are not priced again.  The
+pool and a choice's losses take no part in equality, hashing or repr; a
+prompt's losses (a dict) take part in equality but not in its hash.
+``allocate_and_execute`` executes a choice from its pool: the chosen
+target's nodes go to ``engine.execute``, with no lookup by id.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .engine import AgentState, consume
+from .engine import AgentState, execute
 from .errors import ChooserContractError
 from .labels import Times
 from .model import Constraint, DateTime, Request, constraint_rank
@@ -42,6 +45,8 @@ class Chosen:
     cp_id: str
     via_prompt: bool = False
     pool: Mapping[str, Resolved] = field(default_factory=dict, compare=False, repr=False)
+    # Each candidate's loss, when a prompt priced the pool (None otherwise).
+    losses: Optional[Mapping[str, RightsMultiset]] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,9 @@ class PromptRequired:
         """The decision the user (or a chooser) makes by picking ``license_id``."""
         if license_id not in self.candidates:
             raise ChooserContractError(f"chooser returned {license_id!r}, not a candidate")
-        return Chosen(license_id, *self.pool[license_id].target, via_prompt=True, pool=self.pool)
+        return Chosen(
+            license_id, *self.pool[license_id].target, via_prompt=True, pool=self.pool, losses=self.losses
+        )
 
 
 @dataclass(frozen=True)
@@ -204,8 +211,12 @@ def allocate_and_execute(
     chooser: Optional[Chooser] = None,
     datetime_tiebreak: str = "earliest",
 ) -> tuple[AllocationDecision, AgentState]:
-    """Allocate and, on a definite choice, consume it.
+    """Allocate and, on a definite choice, execute it.
 
+    The chosen target was resolved at ``state`` for ``request``, so it
+    matches and holds: its nodes, read from the decision's pool, go to
+    ``engine.execute`` with no lookup by id and no second check.  The
+    successor equals what ``consume`` by the decision's ids would return.
     NoMatch and an unresolved prompt leave the state unchanged.
     """
     decision = allocate(
@@ -216,7 +227,8 @@ def allocate_and_execute(
         datetime_tiebreak=datetime_tiebreak,
     )
     if isinstance(decision, Chosen):
-        state = consume(state, decision.license_id, decision.sublicense_id, decision.cp_id, request)
+        target = decision.pool[decision.license_id]
+        state = execute(state, decision.license_id, target.sublicense, target.cp_index, request)
     return decision, state
 
 

@@ -34,7 +34,7 @@ from typing import Any, Optional, Union
 
 from .engine import initial_state
 from .errors import LicallocError
-from .labels import Complexity, ConstraintName, Label, Times, state_labels
+from .labels import Complexity, ConstraintName, Label, Times, state_labels, table_label
 from .model import (
     CP,
     Action,
@@ -134,11 +134,13 @@ def _parse_constraint(obj: Any, where: str) -> Constraint:
     raise CorpusSchemaError(f"unknown constraint tag {tag!r}", where)
 
 
-def _parse_constraints(obj: dict, where: str) -> list[Constraint]:
-    """The node's optional ``constraints`` array, empty when absent."""
+def _parse_constraints(obj: dict, where: str, interned: dict) -> tuple[Constraint, ...]:
+    """The node's optional ``constraints`` array, empty when absent, as the document's one equal tuple."""
     raw = obj.get("constraints", [])
     _expect(isinstance(raw, list), "constraints must be an array", f"{where}.constraints")
-    return [_parse_constraint(c, f"{where}.constraints[{i}]") for i, c in enumerate(raw)]
+    parsed = (_parse_constraint(c, f"{where}.constraints[{i}]") for i, c in enumerate(raw))
+    constraints = tuple(interned.setdefault(c, c) for c in parsed)
+    return interned.setdefault(constraints, constraints)
 
 
 def _parse_action(value: Any, where: str) -> Action:
@@ -162,23 +164,24 @@ def _parse_permission(obj: Any, where: str, interned: dict) -> Permission:
 def _parse_label(obj: Any, where: str) -> Label:
     _expect_keys(obj, {"complexity", "times", "constraint"}, {"complexity", "times", "constraint"}, where)
     try:
-        return Label(
+        return table_label(
             Complexity(obj["complexity"]), Times(obj["times"]), ConstraintName(obj["constraint"])
         )
     except ValueError as exc:
         raise CorpusSchemaError(f"bad label: {exc}", where) from exc
 
 
-def _parse_id(obj: dict, where: str) -> str:
+def _parse_id(obj: dict, where: str, interned: dict) -> str:
+    """The node's id, as the document's one string with that value."""
     value = obj.get("id")
     _expect(isinstance(value, str) and value != "", "id must be a non-empty string", where)
-    return value
+    return interned.setdefault(value, value)
 
 
 def _parse_cp(obj: Any, where: str, interned: dict) -> tuple[CP, Optional[Label]]:
     _expect_keys(obj, {"id", "constraints", "permissions", "label"}, {"id", "permissions"}, where)
-    cp_id = _parse_id(obj, where)
-    constraints = _parse_constraints(obj, where)
+    cp_id = _parse_id(obj, where, interned)
+    constraints = _parse_constraints(obj, where, interned)
     perms_raw = obj["permissions"]
     _expect(isinstance(perms_raw, list) and perms_raw, "permissions must be a non-empty array", where)
     permissions = [
@@ -193,8 +196,8 @@ def _parse_cp(obj: Any, where: str, interned: dict) -> tuple[CP, Optional[Label]
 
 def _parse_sublicense(obj: Any, where: str, interned: dict):
     _expect_keys(obj, {"id", "constraints", "cps", "label"}, {"id", "cps"}, where)
-    sl_id = _parse_id(obj, where)
-    constraints = _parse_constraints(obj, where)
+    sl_id = _parse_id(obj, where, interned)
+    constraints = _parse_constraints(obj, where, interned)
     cps_raw = obj["cps"]
     _expect(isinstance(cps_raw, list) and cps_raw, "cps must be a non-empty array", where)
     parsed = [_parse_cp(c, f"{where}.cps[{i}]", interned) for i, c in enumerate(cps_raw)]
@@ -209,7 +212,7 @@ def _parse_sublicense(obj: Any, where: str, interned: dict):
 
 def _parse_license(obj: Any, where: str, interned: dict):
     _expect_keys(obj, {"id", "sublicenses"}, {"id", "sublicenses"}, where)
-    lic_id = _parse_id(obj, where)
+    lic_id = _parse_id(obj, where, interned)
     subs_raw = obj["sublicenses"]
     _expect(isinstance(subs_raw, list) and subs_raw, "sublicenses must be a non-empty array", where)
     parsed = [_parse_sublicense(s, f"{where}.sublicenses[{i}]", interned) for i, s in enumerate(subs_raw)]
@@ -239,8 +242,8 @@ def parse_corpus(data: Union[bytes, str], *, strict_labels: bool = True) -> Corp
     """Parse and validate a corpus document.
 
     Labels are recomputed from the parsed structure; in strict mode a stored
-    label that disagrees raises LabelMismatchError.  Equal permissions within
-    the document are one shared ``Permission`` object.
+    label that disagrees raises LabelMismatchError.  Equal permissions,
+    constraints and ids within the document are each one shared object.
     """
     if isinstance(data, bytes):
         try:
@@ -261,7 +264,7 @@ def parse_corpus(data: Union[bytes, str], *, strict_labels: bool = True) -> Corp
     _expect(version == SCHEMA_VERSION, f"unsupported schema_version {version!r}", "$.schema_version")
     lic_raw = raw["licenses"]
     _expect(isinstance(lic_raw, list) and lic_raw, "licenses must be a non-empty array", "$.licenses")
-    interned: dict[Permission, Permission] = {}
+    interned: dict = {}  # each permission, constraint and id of the document, by value
     parsed = [_parse_license(l, f"$.licenses[{i}]", interned) for i, l in enumerate(lic_raw)]
     try:
         licenses = LicenseSet([lic for lic, _ in parsed])

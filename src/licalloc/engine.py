@@ -10,9 +10,14 @@ A constraint's state is one ``Optional[int]``: a counter's remaining charges,
 a started interval's start time, and None otherwise.  This module is the only
 one that reads it; the labels ask ``depleted`` and ``on_last_charge``.
 
-``consume`` is the only state transition.  It returns a fresh state; a failed
-precondition raises and leaves the input untouched, so replaying a request
-log always reproduces the same final state.
+``execute`` is the only state transition: it takes the target's nodes (the
+sublicense and its cp's index, as ``rights.Resolved`` holds them) and returns
+a fresh state, with no lookup and no check; ``allocate_and_execute`` hands it
+the target its allocator resolved at this state.  ``consume`` is the checked
+entry point by ids, for callers that must not trust an allocator (the CLI,
+a replayed request log, the ``verify`` oracle): it looks the target up,
+checks it and then executes it.  A failed check raises and leaves the input
+untouched, so replaying a request log always reproduces the same final state.
 """
 
 from __future__ import annotations
@@ -85,11 +90,11 @@ class AgentState:
     """Installed licenses plus the consumption state of every constraint.
 
     ``cstate`` maps (license id, sublicense id) to the sublicense's ``Slot``.
-    Treat instances as immutable: ``consume`` returns a new state and never
-    mutates its input.  ``resolutions`` is ``rights.select_target``'s memo
-    (see there); it takes no part in equality or repr, and every new state,
-    ``consume``'s successor and a ``dataclasses.replace`` copy included,
-    starts with it empty.
+    Treat instances as immutable: ``execute``, and ``consume`` through it,
+    returns a new state and never mutates its input.  ``resolutions`` is
+    ``rights.select_target``'s memo (see there); it takes no part in equality
+    or repr, and every new state, a successor and a ``dataclasses.replace``
+    copy included, starts with it empty.
     """
 
     licenses: LicenseSet
@@ -113,12 +118,20 @@ class AgentState:
 
 
 def initial_state(licenses: LicenseSet) -> AgentState:
-    """Fresh agent state: full counters, unstarted intervals, nothing depleted."""
+    """Fresh agent state: full counters, unstarted intervals, nothing depleted.
+
+    Equal node states, and equal slots, are one shared tuple.
+    """
+    shared: dict = {}
+
+    def share(value: tuple) -> tuple:
+        return shared.setdefault(value, value)
+
+    def fresh(constraints: tuple[Constraint, ...]) -> tuple[ConstraintState, ...]:
+        return share(tuple(map(fresh_state, constraints)))
+
     cstate = {
-        (lic.id, sl.id): (
-            tuple(map(fresh_state, sl.constraints)),
-            tuple(tuple(map(fresh_state, cp.constraints)) for cp in sl.cps),
-        )
+        (lic.id, sl.id): share((fresh(sl.constraints), share(tuple(fresh(cp.constraints) for cp in sl.cps))))
         for lic in licenses
         for sl in lic.sublicenses
     }
@@ -203,10 +216,10 @@ def _checked_target(
     return sl, sl.cps.index(cp)
 
 
-def consume(
-    state: AgentState, license_id: str, sublicense_id: str, cp_id: str, request: Request
+def execute(
+    state: AgentState, license_id: str, sublicense: SubLicense, cp_index: int, request: Request
 ) -> AgentState:
-    """Exercise a permission of the given cp and return the successor state.
+    """Exercise a permission of ``sublicense.cps[cp_index]`` and return the successor state.
 
     Every count at the sublicense and cp level loses one charge, timed counts
     only when the use lasts at least their timer, and unstarted intervals
@@ -215,14 +228,27 @@ def consume(
     level).  Only the target sublicense's slot is replaced: the successor
     shares every other slot, and the slot's other cps' states, with ``state``.
 
+    Nothing is checked: the cp must grant the request's permission and its
+    governing constraints must hold, as they do for a target
+    ``rights.select_target`` resolved at ``state`` for ``request``.
+    """
+    sl_states, cp_states = state.slot(license_id, sublicense.id)
+    j = cp_index
+    cp_states = (*cp_states[:j], _advanced(sublicense.cps[j].constraints, cp_states[j], request), *cp_states[j + 1 :])
+    slot = (_advanced(sublicense.constraints, sl_states, request), cp_states)
+    return AgentState(licenses=state.licenses, cstate={**state.cstate, (license_id, sublicense.id): slot})
+
+
+def consume(
+    state: AgentState, license_id: str, sublicense_id: str, cp_id: str, request: Request
+) -> AgentState:
+    """Look the target up by ids, check it, then ``execute`` it.
+
     Raises InvalidTargetError (leaving ``state`` untouched) when the cp does
     not match the request or its governing constraints do not hold.
     """
     sl, j = _checked_target(state, license_id, sublicense_id, cp_id, request)
-    sl_states, cp_states = state.slot(license_id, sublicense_id)
-    cp_states = (*cp_states[:j], _advanced(sl.cps[j].constraints, cp_states[j], request), *cp_states[j + 1 :])
-    slot = (_advanced(sl.constraints, sl_states, request), cp_states)
-    return AgentState(licenses=state.licenses, cstate={**state.cstate, (license_id, sublicense_id): slot})
+    return execute(state, license_id, sl, j, request)
 
 
 def is_depleting(

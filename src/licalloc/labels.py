@@ -15,10 +15,16 @@ A label is a (complexity, times, constraint) triple:
   occurrences of its not-yet-depleted cps: depleting the sublicense kills all
   of those at once.
 * ``constraint`` names the best-ranked constraint present at the node itself
-  (``true`` when the node has no constraints).
+  (``true`` when the node has no constraints): the node's ``rank``, fixed
+  when the node is built.
 
-Labels are always derived from the current constraint states, never stored,
-so they can not go stale: relabelling after a consume is the identity.
+There are only 20 labels, and each is built once, at import, with its
+``label_sort_key`` fixed on it.  ``cp_label`` and ``sublicense_label`` pick
+one out of the table, so a call reads only ``times`` and complexity off the
+current constraint states; ``table_label`` gives the entry for given fields,
+which is how a corpus file's labels are read.  Labels are always derived from
+the current constraint states, never stored with them, so they can not go
+stale: relabelling after a consume is the identity.
 
 The request-free labels of ``state_labels`` decide nothing.  Corpus files
 store them as advisory caches, and ``licalloc simulate`` shows how a step
@@ -30,13 +36,12 @@ count is charged and both readings agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
 from .engine import AgentState, ConstraintState, NodeKey, depleted, on_last_charge
 from .model import (
-    Constraint,
     ConstraintPermissionSet,
     Count,
     DateTime,
@@ -46,7 +51,6 @@ from .model import (
     TimedCount,
     Unconstrained,
     _RANK,
-    constraint_rank,
 )
 
 
@@ -77,6 +81,8 @@ _NAME_BY_TYPE = {
 }
 
 _NAME_RANK = {name: _RANK[kind] for kind, name in _NAME_BY_TYPE.items()}
+# The constraint name a node's ``rank`` stands for, indexed by rank.
+_NAME_BY_RANK = tuple(sorted(_NAME_RANK, key=_NAME_RANK.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,16 @@ class Label:
     complexity: Complexity
     times: Times
     constraint: ConstraintName
+    # ``label_sort_key``'s answer, fixed when the label is built.
+    key: tuple[int, int, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        key = (
+            0 if self.times is Times.MANY else 1,
+            0 if self.complexity is Complexity.SIMPLE else 1,
+            _NAME_RANK[self.constraint],
+        )
+        object.__setattr__(self, "key", key)
 
     def __str__(self) -> str:
         return f"{self.complexity.value}.{self.times.value}.{self.constraint.value}"
@@ -94,12 +110,17 @@ class Label:
         return self.times is Times.ONCE and self.complexity is Complexity.COMPLEX
 
 
-def dominant_constraint(constraints: Sequence[Constraint]) -> ConstraintName:
-    """Name of the best-ranked constraint in the list, ``true`` when empty."""
-    if not constraints:
-        return ConstraintName.TRUE
-    best = min(constraints, key=constraint_rank)
-    return _NAME_BY_TYPE[type(best)]
+# Every label, built once: ``_TABLE[complex][once][rank]``, where ``complex`` and
+# ``once`` are bools (0 or 1) and ``rank`` indexes ``_NAME_BY_RANK``.
+_TABLE = tuple(
+    tuple(tuple(Label(complexity, times, name) for name in _NAME_BY_RANK) for times in (Times.MANY, Times.ONCE))
+    for complexity in (Complexity.SIMPLE, Complexity.COMPLEX)
+)
+
+
+def table_label(complexity: Complexity, times: Times, constraint: ConstraintName) -> Label:
+    """The table's one label with these fields."""
+    return _TABLE[complexity is Complexity.COMPLEX][times is Times.ONCE][_NAME_RANK[constraint]]
 
 
 def cp_label(
@@ -112,9 +133,7 @@ def cp_label(
     ``times`` is read for a use serving ``request``; without one it is the
     pessimistic reading.
     """
-    complexity = Complexity.SIMPLE if len(cp.permissions) == 1 else Complexity.COMPLEX
-    times = Times.ONCE if on_last_charge(cp.constraints, cp_states, request) else Times.MANY
-    return Label(complexity, times, dominant_constraint(cp.constraints))
+    return _TABLE[len(cp.permissions) != 1][on_last_charge(cp.constraints, cp_states, request)][cp.rank]
 
 
 def sublicense_label(
@@ -132,9 +151,7 @@ def sublicense_label(
         for cp, states in zip(sl.cps, cp_states)
         if not depleted(cp.constraints, states)
     )
-    complexity = Complexity.SIMPLE if live_permissions <= 1 else Complexity.COMPLEX
-    times = Times.ONCE if on_last_charge(sl.constraints, sl_states, request) else Times.MANY
-    return Label(complexity, times, dominant_constraint(sl.constraints))
+    return _TABLE[live_permissions > 1][on_last_charge(sl.constraints, sl_states, request)][sl.rank]
 
 
 def state_labels(state: AgentState) -> dict[NodeKey, Label]:
@@ -159,9 +176,6 @@ def label_sort_key(label: Label) -> tuple[int, int, int]:
     A node that survives the use (many) beats one that depletes (once); among
     depleting nodes a simple one loses only the requested permission, so
     simple beats complex; remaining ties go to the better-ranked constraint.
+    The key is fixed when the label is built, so this only reads it.
     """
-    return (
-        0 if label.times is Times.MANY else 1,
-        0 if label.complexity is Complexity.SIMPLE else 1,
-        _NAME_RANK[label.constraint],
-    )
+    return label.key

@@ -141,6 +141,11 @@ def constraint_rank(constraint: Constraint) -> int:
     return _RANK[type(constraint)]
 
 
+def _dominant_rank(constraints: tuple[Constraint, ...]) -> int:
+    """Rank of the best-ranked constraint of a node; an empty list ranks as unconstrained."""
+    return min(map(constraint_rank, constraints), default=_RANK[Unconstrained])
+
+
 # --- license tree ----------------------------------------------------------
 
 
@@ -160,17 +165,23 @@ def _require_unique_ids(items, what: str, within: str = "") -> None:
 
 @dataclass(frozen=True, slots=True)
 class ConstraintPermissionSet:
-    """Constraints that, when met, authorise a set of permissions, each granted once."""
+    """Constraints that, when met, authorise a set of permissions, each granted once.
+
+    ``rank`` is the rank of the node's best-ranked constraint, fixed with
+    the constraints; it takes no part in equality, hashing or repr.
+    """
 
     id: str
     constraints: tuple[Constraint, ...]
     permissions: tuple[Permission, ...]
+    rank: int = field(init=False, compare=False, repr=False)
 
     def __init__(self, id, constraints=(), permissions=()):
         _require_id(id, "cp")
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "constraints", tuple(constraints))
         object.__setattr__(self, "permissions", tuple(dict.fromkeys(permissions)))
+        object.__setattr__(self, "rank", _dominant_rank(self.constraints))
         if not self.permissions:
             raise ValueError(f"cp {id!r} must grant at least one permission")
 
@@ -180,17 +191,22 @@ CP = ConstraintPermissionSet
 
 @dataclass(frozen=True, slots=True)
 class SubLicense:
-    """Constraints governing a list of constraint-permission sets."""
+    """Constraints governing a list of constraint-permission sets.
+
+    ``rank`` is as on ``ConstraintPermissionSet``.
+    """
 
     id: str
     constraints: tuple[Constraint, ...]
     cps: tuple[ConstraintPermissionSet, ...]
+    rank: int = field(init=False, compare=False, repr=False)
 
     def __init__(self, id, constraints=(), cps=()):
         _require_id(id, "sublicense")
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "constraints", tuple(constraints))
         object.__setattr__(self, "cps", tuple(cps))
+        object.__setattr__(self, "rank", _dominant_rank(self.constraints))
         if not self.cps:
             raise ValueError(f"sublicense {id!r} must contain at least one cp")
         _require_unique_ids(self.cps, "cp", f" in sublicense {id!r}")

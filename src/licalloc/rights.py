@@ -40,7 +40,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .engine import AgentState, Depletion, constraints_hold
 from .errors import NotFoundError
-from .labels import Label, Times, cp_label, label_sort_key, sublicense_label
+from .labels import Label, Times, cp_label, sublicense_label
 from .model import ConstraintPermissionSet, License, Request, SubLicense, Timestamp
 
 RightsMultiset = Counter  # Permission -> multiplicity
@@ -59,12 +59,17 @@ def _valid_cps(
 
 
 class Resolved(NamedTuple):
-    """A license's target for a request, with the current labels of both nodes."""
+    """A license's target for a request, with the current labels of both nodes.
+
+    ``cp_index`` is the cp's index in ``sublicense.cps``, so that
+    ``engine.execute`` can take the target without looking it up.
+    """
 
     sublicense: SubLicense
     cp: ConstraintPermissionSet
     sublicense_label: Label
     cp_label: Label
+    cp_index: int
 
     @property
     def target(self) -> Target:
@@ -120,7 +125,7 @@ def select_target(state: AgentState, lic: License, request: Request) -> Optional
     if answer is not _UNRESOLVED:
         return answer
     permission = request.permission
-    options = []  # (sublicense label, sublicense, [(matching cp, its states)])
+    options = []  # (sublicense label, sublicense, [(matching cp's index, its states)])
     for sl in lic.sublicenses:
         granting = [i for i, cp in enumerate(sl.cps) if permission in cp.permissions]
         if not granting:
@@ -129,19 +134,18 @@ def select_target(state: AgentState, lic: License, request: Request) -> Optional
         if not constraints_hold(sl.constraints, sl_states, request.at):
             continue
         matching = [
-            (sl.cps[i], cp_states[i])
-            for i in granting
-            if constraints_hold(sl.cps[i].constraints, cp_states[i], request.at)
+            (i, cp_states[i]) for i in granting if constraints_hold(sl.cps[i].constraints, cp_states[i], request.at)
         ]
         if matching:
             options.append((sublicense_label(sl, sl_states, cp_states, request), sl, matching))
     if not options:
         memo[key] = None
         return None
-    sl_label, sl, matching = min(options, key=lambda option: label_sort_key(option[0]))
-    labelled = ((cp, cp_label(cp, states, request)) for cp, states in matching)
-    cp, cp_lbl = min(labelled, key=lambda pair: label_sort_key(pair[1]))
-    answer = memo[key] = Resolved(sl, cp, sl_label, cp_lbl)
+    # A label's ``key`` is ``label_sort_key``'s answer, read without the call.
+    sl_label, sl, matching = min(options, key=lambda option: option[0].key)
+    labelled = ((i, cp_label(sl.cps[i], states, request)) for i, states in matching)
+    i, cp_lbl = min(labelled, key=lambda pair: pair[1].key)
+    answer = memo[key] = Resolved(sl, sl.cps[i], sl_label, cp_lbl, i)
     return answer
 
 

@@ -106,9 +106,10 @@ def color_step(state: AgentState, decision: Chosen, request: Request) -> frozens
     depend on.
 
     ``state`` is the state the decision was made in (before the consume),
-    and ``decision`` an allocator's, which carries the pool it was made from.
+    and ``decision`` an allocator's, which carries the pool it was made from
+    and, when a prompt priced that pool, its losses.
     """
-    losses = pool_losses(state, request, decision.pool)
+    losses = decision.losses if decision.losses is not None else pool_losses(state, request, decision.pool)
     lost = losses[decision.license_id]
     if len(losses) == 1 or _all_lossy(losses.values(), request):
         return frozenset(lost)
@@ -747,7 +748,7 @@ def run_bounded_liveness(
       - ``_target_loss``, which prices a prompt's pool, reads only the
         chosen sublicense's cps;
       - ``color_step`` reads only the decision's pool;
-      - ``consume`` writes only the chosen sublicense's node and cp.
+      - ``engine.execute`` writes only the chosen sublicense's node and cp.
 
       So per (permission, granting slots' node states) the search runs
       ``allocate_and_execute`` once, on a state of those slots only, where

@@ -15,9 +15,9 @@ from licalloc.allocate import (
 )
 from licalloc.cases import REQUEST_AT, all_lossy_licenses, case_studies
 from licalloc.corpus import parse_corpus
-from licalloc.engine import consume, initial_state
+from licalloc.engine import consume, fresh_state, initial_state
 from licalloc.errors import ChooserContractError
-from licalloc.labels import Complexity, ConstraintName, Label, Times, dominant_constraint, label_sort_key
+from licalloc.labels import Complexity, ConstraintName, Label, Times, cp_label, label_sort_key, sublicense_label
 from licalloc.model import (
     CP,
     Action,
@@ -33,7 +33,7 @@ from licalloc.model import (
     constraint_rank,
 )
 from licalloc.rights import rights
-from licalloc.verify import T0
+from licalloc.verify import LIVENESS_CAPS, T0, USAGE_DURATION, GeneratorCaps, InstanceGenerator
 
 from conftest import duplicate_listing_corpus, perm, wide_licenses
 
@@ -68,10 +68,14 @@ class TestCompareLabels:
         assert label_sort_key(a) < label_sort_key(b)
 
     def test_constraint_names_follow_constraint_rank(self):
+        """The constraint a node's label names sorts by that constraint's rank, at either level."""
         constraints = [Count(3), TimedCount(3, timer=5), Interval(10), DateTime(end=10), Unconstrained()]
         for c in constraints:
-            label = Label(Complexity.SIMPLE, Times.MANY, dominant_constraint([c]))
-            assert label_sort_key(label)[2] == constraint_rank(c)
+            cp = CP("cp", constraints=[c], permissions=[perm("play", "a")])
+            sl = SubLicense("sl", constraints=[c], cps=[cp])
+            states = (fresh_state(c),)
+            for label in (cp_label(cp, states), sublicense_label(sl, states, (states,))):
+                assert label_sort_key(label)[2] == constraint_rank(c)
 
 
 @pytest.mark.parametrize("case", case_studies(), ids=lambda c: c.id)
@@ -201,6 +205,36 @@ class TestAllocateAndExecute:
         decision, after = allocate_and_execute(all_lossy_state, request)
         assert isinstance(decision, PromptRequired)
         assert after.cstate == all_lossy_state.cstate
+
+    @pytest.mark.parametrize("algorithm", ["oma", "proposed"])
+    @pytest.mark.parametrize(
+        "caps, profile", [(GeneratorCaps(), "general"), (LIVENESS_CAPS, "depleting")], ids=["fuzz", "liveness"]
+    )
+    def test_the_node_path_matches_the_checked_path(self, algorithm, caps, profile):
+        """Executing a decision from its pool gives the successor ``consume`` by its ids gives.
+
+        Each instance serves its own requests, then three rounds over every
+        permission it holds at ``T0`` with uses as long as the liveness
+        search's, so that depleting steps are taken too.
+        """
+        generator = InstanceGenerator(caps, seed=11, profile=profile)
+        executed = 0
+        for index in range(400):
+            doc = generator.document(index)
+            state = initial_state(doc.licenses)
+            rounds = [
+                Request(p.action, p.content, at=T0, usage_duration=USAGE_DURATION) for p in sorted(rights(state, T0))
+            ]
+            for request in (*doc.requests, *rounds * 3):
+                decision, after = allocate_and_execute(state, request, algorithm=algorithm, chooser=min_loss_chooser)
+                if isinstance(decision, Chosen):
+                    checked = consume(state, decision.license_id, decision.sublicense_id, decision.cp_id, request)
+                    assert after.cstate == checked.cstate
+                    executed += 1
+                else:
+                    assert after is state
+                state = after
+        assert executed > 500
 
 
 def _two_dated_licenses(end_1, end_2):

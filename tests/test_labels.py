@@ -3,15 +3,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from licalloc.engine import Depletion, consume, depleted, initial_state, is_depleting, on_last_charge
+from licalloc.allocate import allocate_and_execute, min_loss_chooser
+from licalloc import corpus as corpus_module
+from licalloc.corpus import CorpusDocument, parse_corpus, serialize_corpus
 from licalloc.labels import (
     Complexity,
     ConstraintName,
     Label,
     Times,
     cp_label,
-    dominant_constraint,
+    label_sort_key,
     state_labels,
     sublicense_label,
+    table_label,
 )
 from licalloc.model import (
     CP,
@@ -24,10 +28,13 @@ from licalloc.model import (
     Request,
     SubLicense,
     TimedCount,
+    Unconstrained,
+    constraint_rank,
 )
 from licalloc.engine import fresh_state
+from licalloc.verify import PROFILES, InstanceGenerator
 
-from conftest import perm
+from conftest import perm, wide_licenses
 
 
 def states_for(constraints):
@@ -47,16 +54,13 @@ def test_unconstrained_print_cp():
 
 
 def test_dominant_constraint_prefers_datetime_over_count():
-    cp = CP(
-        "cp",
-        constraints=[Count(10), DateTime(end=10_000)],
-        permissions=[perm("play", "a")],
-    )
-    # rank check: the dated constraint outranks the counter
-    assert dominant_constraint(cp.constraints) is ConstraintName.DATETIME
-    assert cp_label(cp, states_for(cp.constraints)) == Label(
-        Complexity.SIMPLE, Times.MANY, ConstraintName.DATETIME
-    )
+    """A node's label names its best-ranked constraint: the dated one outranks the counter."""
+    constraints = [Count(10), DateTime(end=10_000)]
+    cp = CP("cp", constraints=constraints, permissions=[perm("play", "a")])
+    sl = SubLicense("sl", constraints=constraints, cps=[cp])
+    states = states_for(constraints)
+    assert cp_label(cp, states) == Label(Complexity.SIMPLE, Times.MANY, ConstraintName.DATETIME)
+    assert sublicense_label(sl, states, [states]) == Label(Complexity.SIMPLE, Times.MANY, ConstraintName.DATETIME)
 
 
 def test_mixed_branch_sublicense(mixed_branch_state):
@@ -238,3 +242,96 @@ def test_request_label_predicts_depletion_for_any_use(constraints, duration, lev
     assert is_depleting(state, "l", "sl", "cp", request) is (depletes if once else Depletion.NONE)
     sl_after, cps_after = consume(state, "l", "sl", "cp", request).slot("l", "sl")
     assert once == depleted(constraints, cps_after[0] if on_cp else sl_after)
+
+
+
+# --- the label table ----------------------------------------------------------
+
+ALL_LABELS = [
+    table_label(complexity, times, name) for complexity in Complexity for times in Times for name in ConstraintName
+]
+# One constraint of each kind, by the name a label gives it.
+SAMPLE_CONSTRAINT = {
+    ConstraintName.TRUE: Unconstrained(),
+    ConstraintName.DATETIME: DateTime(end=10),
+    ConstraintName.INTERVAL: Interval(10),
+    ConstraintName.TIMED_COUNT: TimedCount(3, timer=5),
+    ConstraintName.COUNT: Count(3),
+}
+
+
+def named_constraint(constraints) -> ConstraintName:
+    """The name of a node's best-ranked constraint, ``true`` for none: what a label's ``constraint`` says."""
+    if not constraints:
+        return ConstraintName.TRUE
+    best = min(constraints, key=constraint_rank)
+    return next(name for name, sample in SAMPLE_CONSTRAINT.items() if type(sample) is type(best))
+
+
+def is_table_entry(label) -> bool:
+    return label is table_label(label.complexity, label.times, label.constraint)
+
+
+def test_the_table_holds_each_of_the_twenty_labels_once():
+    assert len({id(label) for label in ALL_LABELS}) == 20
+    assert len(set(ALL_LABELS)) == 20
+    assert all(is_table_entry(label) for label in ALL_LABELS)
+
+
+def test_label_sort_key_is_the_three_part_preference():
+    for label in ALL_LABELS:
+        assert label_sort_key(label) == (
+            0 if label.times is Times.MANY else 1,
+            0 if label.complexity is Complexity.SIMPLE else 1,
+            constraint_rank(SAMPLE_CONSTRAINT[label.constraint]),
+        )
+        # A label built anywhere else carries the same key.
+        assert label_sort_key(Label(label.complexity, label.times, label.constraint)) == label_sort_key(label)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_campaign_labels_come_from_the_table(profile):
+    """Every label of every state a seeded campaign reaches is the table's entry, and names the node's rank."""
+    generator = InstanceGenerator(seed=5, profile=profile)
+    for index in range(60):
+        doc = generator.document(index)
+        state = initial_state(doc.licenses)
+        nodes = {
+            (lic.id, sl.id, node.id if node is not sl else None): node
+            for lic in doc.licenses
+            for sl in lic.sublicenses
+            for node in (sl, *sl.cps)
+        }
+        for request in doc.requests:
+            labels = state_labels(state)
+            assert labels.keys() == nodes.keys()
+            for key, label in labels.items():
+                assert is_table_entry(label)
+                assert label.constraint is named_constraint(nodes[key].constraints)
+            decision, state = allocate_and_execute(state, request, chooser=min_loss_chooser)
+            for resolved in getattr(decision, "pool", {}).values():
+                assert is_table_entry(resolved.sublicense_label) and is_table_entry(resolved.cp_label)
+
+
+def test_parsed_corpus_labels_come_from_the_table(monkeypatch):
+    """Every label a corpus file stores is read as the table's entry."""
+    read, parse_label = [], corpus_module._parse_label
+
+    def recorded(obj, where):
+        read.append(parse_label(obj, where))
+        return read[-1]
+
+    monkeypatch.setattr(corpus_module, "_parse_label", recorded)
+    doc = parse_corpus(serialize_corpus(CorpusDocument(wide_licenses(0))))
+    assert len(read) == sum(1 + len(sl.cps) for lic in doc.licenses for sl in lic.sublicenses)
+    assert all(is_table_entry(label) for label in read)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_every_generated_node_ranks_its_best_constraint(profile):
+    generator = InstanceGenerator(seed=7, profile=profile)
+    for index in range(200):
+        for lic in generator.licenses(index):
+            for sl in lic.sublicenses:
+                for node in (sl, *sl.cps):
+                    assert node.rank == constraint_rank(SAMPLE_CONSTRAINT[named_constraint(node.constraints)])

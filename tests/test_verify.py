@@ -822,6 +822,19 @@ class TestEachPoolIsPricedOnce:
         after = color_step(all_lossy_state, decision, self.request)
         assert perm("play", "song-b") in after
 
+    def test_a_chosen_prompt_is_priced_once(self, all_lossy_state, monkeypatch):
+        """A prompt hands its losses to the choice, and ``color_step`` reads them instead of pricing again."""
+        prompt = proposed_allocate(all_lossy_state, self.request)
+        decision = proposed_allocate(all_lossy_state, self.request, chooser=min_loss_chooser)
+        assert decision.via_prompt and decision.losses == prompt.losses
+        assert prompt.choose(decision.license_id).losses is prompt.losses
+
+        def second_pricing(*args):
+            raise AssertionError("color_step priced a pool its prompt had priced")
+
+        monkeypatch.setattr(sys.modules["licalloc.verify"], "pool_losses", second_pricing)
+        assert color_step(all_lossy_state, decision, self.request) == frozenset(prompt.losses[decision.license_id])
+
     def test_prompted_soundness(self, all_lossy_state, counts):
         decision = proposed_allocate(all_lossy_state, self.request)
         assert isinstance(decision, PromptRequired)
