@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from licalloc.cases import REQUEST_AT, case_studies, mixed_branch_license
 from licalloc.corpus import (
     CorpusDocument,
+    CorpusError,
     CorpusSchemaError,
     CorpusSyntaxError,
     LabelMismatchError,
@@ -84,17 +85,29 @@ def test_serialized_labels_match_label_module(deadline_doc):
 
 
 def test_parse_shares_one_permission_per_document():
-    """Equal permissions are one object within a parsed document, never across two."""
+    """Equal permissions, ids, constraints and constraint tuples are each one object
+    within a parsed document, and never one object across two documents."""
     data = serialize_corpus(CorpusDocument(wide_licenses(0)))
     first, second = parse_corpus(data), parse_corpus(data)
     assert first.licenses == second.licenses == parse_corpus(serialize_corpus(first)).licenses
 
-    def permissions(doc):
-        return [p for lic in doc.licenses for sl in lic.sublicenses for cp in sl.cps for p in cp.permissions]
+    def values(doc):
+        sublicenses = [sl for lic in doc.licenses for sl in lic.sublicenses]
+        cps = [cp for sl in sublicenses for cp in sl.cps]
+        nodes = [*doc.licenses, *sublicenses, *cps]
+        tuples = [node.constraints for node in sublicenses + cps if node.constraints]
+        return {
+            "permission": [p for cp in cps for p in cp.permissions],
+            "id": [node.id for node in nodes],
+            "constraint": [c for constraints in tuples for c in constraints],
+            "constraint tuple": tuples,
+        }
 
-    occurrences = permissions(first)
-    assert len({id(p) for p in occurrences}) == len(set(occurrences)) < len(occurrences)
-    assert not {id(p) for p in occurrences} & {id(p) for p in permissions(second)}
+    theirs = values(second)
+    for kind, occurrences in values(first).items():
+        ids = {id(v) for v in occurrences}
+        assert len(ids) == len(set(occurrences)) < len(occurrences), kind
+        assert not ids & {id(v) for v in theirs[kind]}, kind
 
 
 def test_strict_parse_labels_the_nodes_it_walks(monkeypatch):
@@ -305,3 +318,219 @@ def test_serialize_writes_what_json_dumps_writes():
     for doc in _bundled_documents():
         expected = json.dumps(document_to_json(doc), indent=2, ensure_ascii=False) + "\n"
         assert serialize_corpus(doc) == expected.encode("utf-8")
+
+
+# --- every raise site of the parser, with its exact message ------------------
+
+
+def _valid_document() -> dict:
+    """Two licenses, two cps, constraints at both levels and two requests; it parses."""
+    return {
+        "schema_version": "1",
+        "licenses": [
+            {
+                "id": "l",
+                "sublicenses": [
+                    {
+                        "id": "sl",
+                        "constraints": [{"count": 2}, {"interval": 60}],
+                        "cps": [
+                            {
+                                "id": "cp",
+                                "constraints": [{"datetime": {"start": 0, "end": 9}}],
+                                "permissions": [
+                                    {"action": "play", "content": "a"},
+                                    {"action": "print", "content": "b"},
+                                ],
+                            },
+                            {"id": "cp2", "permissions": [{"action": "play", "content": "b"}]},
+                        ],
+                    }
+                ],
+            },
+            {"id": "m", "sublicenses": [{"id": "sl", "cps": [{"id": "cp", "permissions": [{"action": "display", "content": "a"}]}]}]},
+        ],
+        "requests": [
+            {"action": "play", "content": "a", "at": 0},
+            {"action": "print", "content": "b", "at": 5, "usage_duration": 3},
+        ],
+    }
+
+
+_DELETE = object()
+
+
+def _with(path: tuple, value=_DELETE) -> str:
+    """The valid document with the value at ``path`` replaced, or deleted."""
+    doc = _valid_document()
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return json.dumps(doc)
+
+
+_L1 = ("licenses", 1)
+_SL = ("licenses", 0, "sublicenses", 0)
+_CP = _SL + ("cps", 0)
+_CP2 = _SL + ("cps", 1)
+_PERM = _CP + ("permissions", 1)
+_SLC = _SL + ("constraints", 1)
+_CPC = _CP + ("constraints", 0)
+_REQ = ("requests", 1)
+_LABEL = {"complexity": "simple", "times": "many", "constraint": "true"}
+
+PARSE_ERRORS = [
+    # top
+    ("top-utf8", b'{"schema_version": "\xff"}', CorpusSyntaxError, "byte stream: not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 20: invalid start byte"),
+    ("top-json", b'{"schema_version": "1", "licenses": [', CorpusSyntaxError, "line 1 column 38: Expecting value"),
+    ("top-depth", "[" * 100_000, CorpusSyntaxError, "document: nested too deeply"),
+    ("top-digits", "1" * 5000, CorpusSyntaxError, "document: Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    ("top-not-object", "[]", CorpusSchemaError, "$: expected an object"),
+    ("top-unknown-key", _with(("extra",), 1), CorpusSchemaError, "$: unknown keys ['extra']"),
+    ("top-missing-key", _with(("licenses",)), CorpusSchemaError, "$: missing keys ['licenses']"),
+    ("top-version", _with(("schema_version",), 1), CorpusSchemaError, "$.schema_version: unsupported schema_version 1"),
+    ("top-licenses-empty", _with(("licenses",), []), CorpusSchemaError, "$.licenses: licenses must be a non-empty array"),
+    ("top-licenses-not-array", _with(("licenses",), {}), CorpusSchemaError, "$.licenses: licenses must be a non-empty array"),
+    ("top-duplicate-license", _with(_L1 + ("id",), "l"), CorpusSchemaError, "$.licenses: duplicate license id 'l'"),
+    ("top-requests-not-array", _with(("requests",), {}), CorpusSchemaError, "$.requests: requests must be an array"),
+    ("top-sublicense-label-mismatch", _with(_SL + ("label",), {"complexity": "simple", "times": "many", "constraint": "count"}), LabelMismatchError, "l/sl: stored label simple.many.count does not match computed complex.many.interval"),
+    ("top-cp-label-mismatch", _with(_CP2 + ("label",), dict(_LABEL, complexity="complex")), LabelMismatchError, "l/sl/cp2: stored label complex.many.true does not match computed simple.many.true"),
+    # license
+    ("license-not-object", _with(_L1, 3), CorpusSchemaError, "$.licenses[1]: expected an object"),
+    ("license-unknown-key", _with(_L1 + ("label",), _LABEL), CorpusSchemaError, "$.licenses[1]: unknown keys ['label']"),
+    ("license-missing-key", _with(_L1 + ("sublicenses",)), CorpusSchemaError, "$.licenses[1]: missing keys ['sublicenses']"),
+    ("license-id-empty", _with(_L1 + ("id",), ""), CorpusSchemaError, "$.licenses[1]: id must be a non-empty string"),
+    ("license-sublicenses-empty", _with(_L1 + ("sublicenses",), []), CorpusSchemaError, "$.licenses[1]: sublicenses must be a non-empty array"),
+    ("license-duplicate-sublicense", _with(_L1 + ("sublicenses",), [{"id": "sl", "cps": [{"id": "cp", "permissions": [{"action": "play", "content": "a"}]}]}] * 2), CorpusSchemaError, "$.licenses[1]: duplicate sublicense id 'sl' in license 'm'"),
+    # sublicense
+    ("sublicense-not-object", _with(_SL, "sl"), CorpusSchemaError, "$.licenses[0].sublicenses[0]: expected an object"),
+    ("sublicense-unknown-key", _with(_SL + ("permissions",), []), CorpusSchemaError, "$.licenses[0].sublicenses[0]: unknown keys ['permissions']"),
+    ("sublicense-missing-key", _with(_SL + ("cps",)), CorpusSchemaError, "$.licenses[0].sublicenses[0]: missing keys ['cps']"),
+    ("sublicense-id-not-string", _with(_SL + ("id",), 5), CorpusSchemaError, "$.licenses[0].sublicenses[0]: id must be a non-empty string"),
+    ("sublicense-constraints-not-array", _with(_SL + ("constraints",), {"count": 2}), CorpusSchemaError, "$.licenses[0].sublicenses[0].constraints: constraints must be an array"),
+    ("sublicense-cps-empty", _with(_SL + ("cps",), []), CorpusSchemaError, "$.licenses[0].sublicenses[0]: cps must be a non-empty array"),
+    ("sublicense-duplicate-cp", _with(_CP2 + ("id",), "cp"), CorpusSchemaError, "$.licenses[0].sublicenses[0]: duplicate cp id 'cp' in sublicense 'sl'"),
+    ("sublicense-label-not-object", _with(_SL + ("label",), "simple"), CorpusSchemaError, "$.licenses[0].sublicenses[0].label: expected an object"),
+    ("sublicense-label-missing-key", _with(_SL + ("label",), {"complexity": "simple", "constraint": "true"}), CorpusSchemaError, "$.licenses[0].sublicenses[0].label: missing keys ['times']"),
+    ("sublicense-label-complexity", _with(_SL + ("label",), dict(_LABEL, complexity="odd")), CorpusSchemaError, "$.licenses[0].sublicenses[0].label: bad label: 'odd' is not a valid Complexity"),
+    ("sublicense-label-times", _with(_SL + ("label",), dict(_LABEL, times=["many"])), CorpusSchemaError, "$.licenses[0].sublicenses[0].label: bad label: ['many'] is not a valid Times"),
+    ("sublicense-label-constraint", _with(_SL + ("label",), dict(_LABEL, constraint=None)), CorpusSchemaError, "$.licenses[0].sublicenses[0].label: bad label: None is not a valid ConstraintName"),
+    # cp
+    ("cp-not-object", _with(_CP2, []), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[1]: expected an object"),
+    ("cp-unknown-key", _with(_CP2 + ("cps",), []), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[1]: unknown keys ['cps']"),
+    ("cp-missing-key", _with(_CP2 + ("id",)), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[1]: missing keys ['id']"),
+    ("cp-id-empty", _with(_CP2 + ("id",), ""), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[1]: id must be a non-empty string"),
+    ("cp-constraints-not-array", _with(_CP + ("constraints",), None), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].constraints: constraints must be an array"),
+    ("cp-permissions-empty", _with(_CP2 + ("permissions",), []), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[1]: permissions must be a non-empty array"),
+    ("cp-permissions-not-array", _with(_CP2 + ("permissions",), {"action": "play", "content": "a"}), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[1]: permissions must be a non-empty array"),
+    ("cp-label-unknown-key", _with(_CP2 + ("label",), dict(_LABEL, key=1)), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[1].label: unknown keys ['key']"),
+    ("cp-label-complexity", _with(_CP2 + ("label",), dict(_LABEL, complexity=1)), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[1].label: bad label: 1 is not a valid Complexity"),
+    # permission
+    ("permission-not-object", _with(_PERM, "play"), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].permissions[1]: expected an object"),
+    ("permission-unknown-key", _with(_PERM + ("at",), 0), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].permissions[1]: unknown keys ['at']"),
+    ("permission-missing-key", _with(_PERM + ("content",)), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].permissions[1]: missing keys ['content']"),
+    ("permission-content-empty", _with(_PERM + ("content",), ""), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].permissions[1]: content must be a non-empty string"),
+    ("permission-content-not-string", _with(_PERM + ("content",), ["b"]), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].permissions[1]: content must be a non-empty string"),
+    ("permission-action-unknown", _with(_PERM + ("action",), "teleport"), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].permissions[1]: unknown action 'teleport' (expected one of ['play', 'display', 'print', 'execute', 'export'])"),
+    ("permission-action-unhashable", _with(_PERM + ("action",), ["play"]), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].permissions[1]: unknown action ['play'] (expected one of ['play', 'display', 'print', 'execute', 'export'])"),
+    # constraint
+    ("constraint-not-object", _with(_SLC, "count"), CorpusSchemaError, "$.licenses[0].sublicenses[0].constraints[1]: constraint must be a one-key object"),
+    ("constraint-two-keys", _with(_SLC, {"count": 1, "interval": 2}), CorpusSchemaError, "$.licenses[0].sublicenses[0].constraints[1]: constraint must be a one-key object"),
+    ("constraint-unknown-tag", _with(_SLC, {"weekly": 3}), CorpusSchemaError, "$.licenses[0].sublicenses[0].constraints[1]: unknown constraint tag 'weekly'"),
+    ("constraint-count-not-integer", _with(_SLC, {"count": True}), CorpusSchemaError, "$.licenses[0].sublicenses[0].constraints[1]: count must be an integer"),
+    ("constraint-count-zero", _with(_SLC, {"count": 0}), CorpusSchemaError, "$.licenses[0].sublicenses[0].constraints[1]: count must be >= 1"),
+    ("constraint-timed-count-not-object", _with(_SLC, {"timed_count": 5}), CorpusSchemaError, "$.licenses[0].sublicenses[0].constraints[1]: expected an object"),
+    ("constraint-timed-count-missing-key", _with(_SLC, {"timed_count": {"n": 1}}), CorpusSchemaError, "$.licenses[0].sublicenses[0].constraints[1]: missing keys ['timer']"),
+    ("constraint-timed-count-unknown-key", _with(_SLC, {"timed_count": {"n": 1, "timer": 2, "t": 3}}), CorpusSchemaError, "$.licenses[0].sublicenses[0].constraints[1]: unknown keys ['t']"),
+    ("constraint-timed-count-n", _with(_SLC, {"timed_count": {"n": 1.5, "timer": 2}}), CorpusSchemaError, "$.licenses[0].sublicenses[0].constraints[1]: n must be an integer"),
+    ("constraint-timed-count-timer", _with(_SLC, {"timed_count": {"n": 1, "timer": "2"}}), CorpusSchemaError, "$.licenses[0].sublicenses[0].constraints[1]: timer must be an integer"),
+    ("constraint-timed-count-n-zero", _with(_SLC, {"timed_count": {"n": 0, "timer": 2}}), CorpusSchemaError, "$.licenses[0].sublicenses[0].constraints[1]: timed count must be >= 1"),
+    ("constraint-timed-count-timer-zero", _with(_SLC, {"timed_count": {"n": 1, "timer": 0}}), CorpusSchemaError, "$.licenses[0].sublicenses[0].constraints[1]: timer must be >= 1"),
+    ("constraint-datetime-not-object", _with(_CPC, {"datetime": []}), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].constraints[0]: expected an object"),
+    ("constraint-datetime-unknown-key", _with(_CPC, {"datetime": {"begin": 1}}), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].constraints[0]: unknown keys ['begin']"),
+    ("constraint-datetime-empty", _with(_CPC, {"datetime": {}}), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].constraints[0]: datetime constraint needs a start or an end"),
+    ("constraint-datetime-start", _with(_CPC, {"datetime": {"start": "0"}}), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].constraints[0]: start must be an integer"),
+    ("constraint-datetime-start-negative", _with(_CPC, {"datetime": {"start": -1}}), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].constraints[0]: start must be >= 0"),
+    ("constraint-datetime-end", _with(_CPC, {"datetime": {"end": None}}), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].constraints[0]: end must be an integer"),
+    ("constraint-datetime-end-negative", _with(_CPC, {"datetime": {"end": -1}}), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].constraints[0]: end must be >= 0"),
+    ("constraint-datetime-reversed", _with(_CPC, {"datetime": {"start": 5, "end": 3}}), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].constraints[0]: datetime start must not be after end"),
+    ("constraint-interval-not-integer", _with(_CPC, {"interval": "60"}), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].constraints[0]: interval must be an integer"),
+    ("constraint-interval-zero", _with(_CPC, {"interval": 0}), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].constraints[0]: interval duration must be >= 1"),
+    ("constraint-true-not-null", _with(_CPC, {"true": 1}), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].constraints[0]: the true constraint takes null"),
+    # request
+    ("request-not-object", _with(_REQ, 1), CorpusSchemaError, "$.requests[1]: expected an object"),
+    ("request-unknown-key", _with(_REQ + ("id",), "r"), CorpusSchemaError, "$.requests[1]: unknown keys ['id']"),
+    ("request-missing-key", _with(_REQ + ("at",)), CorpusSchemaError, "$.requests[1]: missing keys ['at']"),
+    ("request-content-empty", _with(_REQ + ("content",), ""), CorpusSchemaError, "$.requests[1]: content must be a non-empty string"),
+    ("request-at-not-integer", _with(_REQ + ("at",), "5"), CorpusSchemaError, "$.requests[1]: at must be an integer"),
+    ("request-at-negative", _with(_REQ + ("at",), -1), CorpusSchemaError, "$.requests[1]: at must be >= 0"),
+    ("request-duration-not-integer", _with(_REQ + ("usage_duration",), 1.5), CorpusSchemaError, "$.requests[1]: usage_duration must be an integer"),
+    ("request-duration-negative", _with(_REQ + ("usage_duration",), -3), CorpusSchemaError, "$.requests[1]: usage_duration must be >= 0"),
+    ("request-action-unknown", _with(_REQ + ("action",), "fly"), CorpusSchemaError, "$.requests[1]: unknown action 'fly' (expected one of ['play', 'display', 'print', 'execute', 'export'])"),
+]
+
+
+def test_the_valid_document_parses():
+    """Each row below breaks this document in one place; unbroken, it parses."""
+    doc = parse_corpus(json.dumps(_valid_document()))
+    assert [lic.id for lic in doc.licenses] == ["l", "m"]
+    assert len(doc.requests) == 2
+
+
+@pytest.mark.parametrize(
+    "data, error, message", [row[1:] for row in PARSE_ERRORS], ids=[row[0] for row in PARSE_ERRORS]
+)
+def test_parse_error_class_and_message(data, error, message):
+    with pytest.raises(CorpusError) as err:
+        parse_corpus(data)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+# Values that each take the place of one JSON value of a valid document.
+REPLACEMENTS = (None, True, 0, -1, 1.5, "", [], {}, [1], {"a": 1}, 2**70, float("nan"))
+
+
+def _paths(value, path=()):
+    """The path of ``value`` and of every JSON value inside it, containers first."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _paths(item, path + (i,))
+
+
+def _replaced(doc, path: tuple, value):
+    if not path:
+        return value
+    copy = json.loads(json.dumps(doc))
+    node = copy
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return copy
+
+
+def test_one_bad_value_anywhere_is_a_corpus_error():
+    """Replacing any one value of a bundled document parses or raises a CorpusError, nothing else."""
+    documents = [json.loads(serialize_corpus(CorpusDocument(c.licenses, [c.request]))) for c in case_studies()]
+    documents.append(_valid_document())
+    tried = 0
+    for doc in documents:
+        for path in _paths(doc):
+            for value in REPLACEMENTS:
+                data = json.dumps(_replaced(doc, path, value))
+                try:
+                    parse_corpus(data)
+                except CorpusError:
+                    pass
+                except Exception as exc:  # pragma: no cover - the failure message names the input
+                    raise AssertionError(f"{type(exc).__name__} escaped for {path} := {value!r}") from exc
+                tried += 1
+    assert tried > 2000
