@@ -265,6 +265,16 @@ class GeneratorCaps:
 PROFILES = ("general", "many_only", "depleting")
 
 
+@functools.lru_cache(maxsize=16)
+def _permission_grid(actions: int, contents: int) -> tuple[tuple[Permission, ...], ...]:
+    """One permission per (action, content), one row per action, over contents ``c1``.. ``c<contents>``.
+
+    Built once per shape and shared by every generator of that shape.
+    """
+    names = [f"c{i}" for i in range(1, contents + 1)]
+    return tuple(tuple(Permission(a, c) for c in names) for a in list(Action)[:actions])
+
+
 class InstanceGenerator:
     """Seed-deterministic stream of small corpus documents.
 
@@ -301,10 +311,8 @@ class InstanceGenerator:
         self.caps = caps
         self.seed = seed
         self.profile = profile
-        contents = [f"c{i}" for i in range(1, caps.contents + 1)]
-        # One interned permission per (action, content), one row per action.
-        self._grid = tuple(tuple(Permission(a, c) for c in contents) for a in list(Action)[: caps.actions])
-        self._universe = len(self._grid) * len(contents)
+        self._grid = _permission_grid(caps.actions, caps.contents)
+        self._universe = caps.actions * caps.contents
 
     def _rng(self, index: int) -> random.Random:
         if not 0 <= index < SEED_STRIDE:

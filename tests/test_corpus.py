@@ -461,6 +461,10 @@ PARSE_ERRORS = [
     ("constraint-interval-not-integer", _with(_CPC, {"interval": "60"}), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].constraints[0]: interval must be an integer"),
     ("constraint-interval-zero", _with(_CPC, {"interval": 0}), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].constraints[0]: interval duration must be >= 1"),
     ("constraint-true-not-null", _with(_CPC, {"true": 1}), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].constraints[0]: the true constraint takes null"),
+    # a value equal to one parsed before it, but not a JSON integer
+    ("constraint-count-float-after-equal-int", _with(_SLC, {"count": 2.0}), CorpusSchemaError, "$.licenses[0].sublicenses[0].constraints[1]: count must be an integer"),
+    ("constraint-interval-float-after-equal-int", _with(_CPC, {"interval": 60.0}), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[0].constraints[0]: interval must be an integer"),
+    ("constraint-datetime-false-after-zero", _with(_CP2 + ("constraints",), [{"datetime": {"start": False, "end": 9}}]), CorpusSchemaError, "$.licenses[0].sublicenses[0].cps[1].constraints[0]: start must be an integer"),
     # request
     ("request-not-object", _with(_REQ, 1), CorpusSchemaError, "$.requests[1]: expected an object"),
     ("request-unknown-key", _with(_REQ + ("id",), "r"), CorpusSchemaError, "$.requests[1]: unknown keys ['id']"),

@@ -317,8 +317,8 @@ def test_parsed_corpus_labels_come_from_the_table(monkeypatch):
     """Every label a corpus file stores is read as the table's entry."""
     read, parse_label = [], corpus_module._parse_label
 
-    def recorded(obj, where):
-        read.append(parse_label(obj, where))
+    def recorded(*args):
+        read.append(parse_label(*args))
         return read[-1]
 
     monkeypatch.setattr(corpus_module, "_parse_label", recorded)

@@ -774,6 +774,16 @@ def test_a_variant_that_would_drop_an_only_child_counts_as_an_attempt(budget, ca
     assert [cp.id for cp in shrunk.licenses.licenses[0].sublicenses[0].cps] == kept
 
 
+def test_generators_of_one_shape_share_one_permission_grid():
+    """The (action, content) grid is built once per shape, not per generator."""
+    wide = GeneratorCaps(max_licenses=1, contents=16)
+    first, second = InstanceGenerator(wide, seed=1), InstanceGenerator(wide, seed=2, profile="depleting")
+    assert first._grid is second._grid
+    assert InstanceGenerator(GeneratorCaps(), seed=1)._grid is not first._grid
+    permissions = [p for row in first._grid for p in row]
+    assert len(set(permissions)) == len(permissions) == first._universe == wide.actions * 16
+
+
 def test_checks_registry_contains_documented_names():
     assert {"soundness", "minimal_loss", "pair_discipline"} <= set(CHECKS)
 
