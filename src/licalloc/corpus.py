@@ -267,8 +267,7 @@ def _parse_permission(obj: Any, interned: dict) -> Permission:
     return permission
 
 
-_LABEL_FIELDS = (("complexity", Complexity), ("times", Times), ("constraint", ConstraintName))
-_LABEL_KEYS = frozenset(key for key, _ in _LABEL_FIELDS)
+_LABEL_KEYS = frozenset({"complexity", "times", "constraint"})
 # Every label, by the raw strings of its three fields.
 _LABELS = {(c.value, t.value, n.value): table_label(c, t, n) for c in Complexity for t in Times for n in ConstraintName}
 
@@ -278,14 +277,12 @@ def _parse_label(obj: Any) -> Label:
         raise _keys_fault(obj, _LABEL_KEYS, _LABEL_KEYS, ".label")
     try:
         return _LABELS[obj["complexity"], obj["times"], obj["constraint"]]
-    except (KeyError, TypeError):
+    except (KeyError, TypeError):  # some field holds no value of its kind: the enums name the first
         pass
-    for key, kind in _LABEL_FIELDS:  # name the first field with no such value
-        try:
-            kind(obj[key])
-        except ValueError as exc:
-            raise _Fault(f"bad label: {exc}", ".label") from None
-    raise AssertionError("every valid label is in _LABELS")
+    try:
+        return table_label(Complexity(obj["complexity"]), Times(obj["times"]), ConstraintName(obj["constraint"]))
+    except ValueError as exc:
+        raise _Fault(f"bad label: {exc}", ".label") from None
 
 
 def _parse_id(obj: dict, interned: dict) -> str:
