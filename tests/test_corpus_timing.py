@@ -10,24 +10,15 @@ corpus_timing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(corpus_timing)
 
 
-@pytest.mark.parametrize(
-    "argv, named",
-    [
-        (["--corpora", "0"], "--corpora"),
-        (["--rounds", "-1"], "--rounds"),
-        (["--seed", "-1"], "--seed"),
-        (["--base", "no-such-revision"], "--base"),
-    ],
-)
-def test_bad_arguments_are_a_usage_error_before_any_export(argv, named, monkeypatch, capsys):
+def test_a_base_that_is_not_a_commit_is_a_usage_error_before_any_export(monkeypatch, capsys):
     def export_package(rev, into):
-        raise AssertionError("the base was exported before the arguments were checked")
+        raise AssertionError("the base was exported before it was checked")
 
     monkeypatch.setattr(corpus_timing, "export_package", export_package)
     with pytest.raises(SystemExit) as exit_:
-        corpus_timing.main(argv)
+        corpus_timing.main(["--base", "no-such-revision"])
     assert exit_.value.code == 2
-    assert named in capsys.readouterr().err
+    assert "--base" in capsys.readouterr().err
 
 
 def test_a_package_that_imports_itself_by_name_is_recognised(tmp_path):

@@ -1,23 +1,23 @@
 """Time ``parse_corpus`` and ``serialize_corpus`` of a base commit against the working tree.
 
-    python3 tools/corpus_timing.py [--base REV] [--corpora N] [--rounds R] [--seed S]
+    python3 tools/corpus_timing.py [--base REV]
 
-Both sides run in one interpreter on the same bytes: ``N`` 64-license
+Both sides run in one interpreter on the same bytes: ``CORPORA`` 64-license
 ``stream_wide`` corpora (``bench/workloads.wide_licenses`` at
-``chunk_seed(S, 0)`` .. ``chunk_seed(S, N - 1)``), written by the working
-tree.  The base commit's ``src/licalloc`` is exported with ``git archive``
+``chunk_seed(SEED, j)``), written by the working tree.  The base commit's ``src/licalloc`` is exported with ``git archive``
 into a temporary directory and imported as the package ``licalloc_base``;
 that works because the package imports its own modules only relatively, and
 a base that imports ``licalloc`` by name is refused.  Each round times every
 call once per corpus, base then change, so a drift in machine speed reaches
-both sides alike; per corpus and call the fastest of ``R`` rounds counts.
+both sides alike; per corpus and call the fastest of ``ROUNDS`` rounds
+counts.
 
 Prints one JSON object: the base commit, the working tree's ``HEAD`` and
 whether the tree differs from it, Python version and ``nproc``; per side
 and call, the mean over the corpora of the fastest time in ms; each call's
 change-to-base ratio; and each corpus's size in bytes.  Exit codes: 0, 1 when
 the base does not write the working tree's bytes back unchanged, and 2 for a
-usage error.  Defaults: ``HEAD``, 5 corpora, 30 rounds, seed 100.
+usage error.  ``--base`` defaults to ``HEAD``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CALLS = ("parse_corpus", "serialize_corpus")
 SIDES = ("base", "change")
+CORPORA, ROUNDS, SEED = 5, 30, 100
 
 
 def git(*args: str) -> str:
@@ -63,22 +64,10 @@ def seconds(call, arg) -> float:
     return time.perf_counter() - start
 
 
-def positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not a count of at least 1: {text!r}")
-    return value
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", default="HEAD")
-    parser.add_argument("--corpora", type=positive, default=5)
-    parser.add_argument("--rounds", type=positive, default=30)
-    parser.add_argument("--seed", type=int, default=100)
     args = parser.parse_args(argv)
-    if args.seed < 0:
-        parser.error("--seed must be >= 0")
     try:
         base_commit = git("rev-parse", "--verify", "--quiet", f"{args.base}^{{commit}}").strip()
     except subprocess.CalledProcessError:
@@ -95,15 +84,15 @@ def main(argv=None) -> int:
 
         modules = {"base": base, "change": change}
         data = [
-            change.serialize_corpus(change.CorpusDocument(workloads.wide_licenses(workloads.chunk_seed(args.seed, j))))
-            for j in range(args.corpora)
+            change.serialize_corpus(change.CorpusDocument(workloads.wide_licenses(workloads.chunk_seed(SEED, j))))
+            for j in range(CORPORA)
         ]
         docs = {side: [module.parse_corpus(d) for d in data] for side, module in modules.items()}
         if any(base.serialize_corpus(doc) != d for doc, d in zip(docs["base"], data)):
             print("the base does not write the working tree's bytes back unchanged", file=sys.stderr)
             return 1
         times = {(side, call): [[] for _ in data] for side in SIDES for call in CALLS}
-        for _ in range(args.rounds):
+        for _ in range(ROUNDS):
             for j, d in enumerate(data):
                 for side, module in modules.items():
                     times[side, "parse_corpus"][j].append(seconds(module.parse_corpus, d))
@@ -118,8 +107,8 @@ def main(argv=None) -> int:
                 "dirty": bool(git("status", "--porcelain", "--untracked-files=no").strip()),
                 "python": platform.python_version(),
                 "nproc": os.cpu_count(),
-                "seed": args.seed,
-                "rounds": args.rounds,
+                "seed": SEED,
+                "rounds": ROUNDS,
                 "ms": {side: {call: round(ms[side, call], 3) for call in CALLS} for side in SIDES},
                 "ratio": {call: round(ms["change", call] / ms["base", call], 3) for call in CALLS},
                 "bytes": [len(d) for d in data],
