@@ -284,6 +284,7 @@ def cmd_simulate(args) -> int:
     labels = state_labels(state)
     final = initial
     steps: list[dict] = []
+    rights_after: dict[int, Counter] = {}  # step -> rights after it, for the text view
     exit_code = EXIT_OK
 
     for i, request in enumerate(requests, 1):
@@ -330,7 +331,7 @@ def cmd_simulate(args) -> int:
             {"action": p.action.value, "content": p.content} for p in sorted(black) if p in initial
         ]
         state, labels = after, labels_after
-        final = rights(state, request.at)
+        final = rights_after[i] = rights(state, request.at)
         entry["rights"] = _rights_entries(final)
         steps.append(entry)
 
@@ -360,10 +361,7 @@ def cmd_simulate(args) -> int:
             if entry["black"]:
                 blacks = ", ".join(f"{b['action']} {b['content']}" for b in entry["black"])
                 print(f"  black: {blacks}")
-            rights_now = ", ".join(
-                f"{e['action']} {e['content']} x{e['count']}" for e in entry["rights"]
-            ) or "(none)"
-            print(f"  rights: {rights_now}")
+            print(f"  rights: {_rights_text(rights_after[entry['step']])}")
         print(f"final rights: {_rights_text(final)}")
     return exit_code
 

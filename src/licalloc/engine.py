@@ -23,8 +23,8 @@ untouched, so replaying a request log always reproduces the same final state.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .errors import InvalidTargetError
 from .model import (
@@ -35,16 +35,12 @@ from .model import (
     Interval,
     License,
     LicenseSet,
-    Permission,
     Request,
     SubLicense,
     TimedCount,
     Timestamp,
     Unconstrained,
 )
-
-if TYPE_CHECKING:
-    from .rights import Resolved
 
 NodeKey = tuple[str, str, Optional[str]]
 
@@ -91,17 +87,13 @@ class AgentState:
 
     ``cstate`` maps (license id, sublicense id) to the sublicense's ``Slot``.
     Treat instances as immutable: ``execute``, and ``consume`` through it,
-    returns a new state and never mutates its input.  ``resolutions`` is
-    ``rights.select_target``'s memo (see there); it takes no part in equality
-    or repr, and every new state, a successor and a ``dataclasses.replace``
-    copy included, starts with it empty.
+    returns a new state and never mutates its input, and nothing caches on
+    it, so a state is a plain value: equal states answer every question
+    alike.
     """
 
     licenses: LicenseSet
     cstate: dict[tuple[str, str], Slot]
-    resolutions: dict[tuple[str, Permission, Timestamp, int], Optional[Resolved]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     def license(self, license_id: str) -> License:
         return self.licenses.license(license_id)

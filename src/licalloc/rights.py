@@ -7,18 +7,18 @@ once).  It is the sum of ``sublicense_rights``: a sublicense's share reads
 only its own node and its cps' nodes.
 
 Target resolution is one walk of a license (``select_target``), which also
-labels both target nodes.  The ``verify`` checks do not trust the allocator
-they check: their oracle, built once per decision, maps each license id that
-``candidates`` finds, by its own walk of the valid pairs and not from the
-allocator's pool, to its ``loss``; the two share resolutions only through
-``select_target``'s per-state memo (see there).  ``resolve_candidates`` and
-``candidates`` walk only the hosts of the requested permission:
-``LicenseSet.hosts`` reads them from a flat ``{Permission: (host licenses in
-declaration order)}`` index that the set builds on first use, in one pass
-over its tree.  Within a host, ``select_target`` skips a sublicense with no
-cp granting the permission before it reads any state, so only sublicenses
-that could serve the request are read and labelled.  Hosts keep declaration
-order, so every tie-break is the one a walk of every license would make.
+labels both target nodes; it is pure, and nothing is cached on the state.
+The ``verify`` checks do not trust the allocator they check: their oracle
+finds its candidates by its own ``candidates`` walk of the valid pairs, not
+from the allocator's pool (see ``verify.oracle_losses``).
+``resolve_candidates`` and ``candidates`` walk only the hosts of the
+requested permission: ``LicenseSet.hosts`` reads them from a flat
+``{Permission: (host licenses in declaration order)}`` index that the set
+builds on first use, in one pass over its tree.  Within a host,
+``select_target`` skips a sublicense with no cp granting the permission
+before it reads any state, so only sublicenses that could serve the request
+are read and labelled.  Hosts keep declaration order, so every tie-break is
+the one a walk of every license would make.
 
 Loss is measured at the instant of the request.  There a consume changes what
 holds only by depletion (other charges leave a counter at one or more, and an
@@ -36,9 +36,9 @@ requested occurrence with it.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .engine import AgentState, Depletion, constraints_hold
+from .engine import AgentState, ConstraintState, Depletion, constraints_hold
 from .errors import NotFoundError
 from .labels import Label, Times, cp_label, sublicense_label
 from .model import ConstraintPermissionSet, License, Request, SubLicense, Timestamp
@@ -47,15 +47,21 @@ RightsMultiset = Counter  # Permission -> multiplicity
 Target = tuple[str, str]  # (sublicense id, cp id) a selection would consume
 
 
+def _holding_cps(
+    sl: SubLicense, cp_states: tuple[tuple[ConstraintState, ...], ...], at: Timestamp
+) -> Iterator[ConstraintPermissionSet]:
+    """The cps of ``sl`` whose own constraints hold at ``at``; the sublicense's are not read."""
+    for cp, states in zip(sl.cps, cp_states):
+        if constraints_hold(cp.constraints, states, at):
+            yield cp
+
+
 def _valid_cps(
     state: AgentState, license_id: str, sl: SubLicense, at: Timestamp
-) -> Iterator[ConstraintPermissionSet]:
+) -> Iterable[ConstraintPermissionSet]:
     """The sublicense's cps whose constraints, and the sublicense's own, all hold at ``at``."""
     sl_states, cp_states = state.slot(license_id, sl.id)
-    if constraints_hold(sl.constraints, sl_states, at):
-        for cp, states in zip(sl.cps, cp_states):
-            if constraints_hold(cp.constraints, states, at):
-                yield cp
+    return _holding_cps(sl, cp_states, at) if constraints_hold(sl.constraints, sl_states, at) else ()
 
 
 class Resolved(NamedTuple):
@@ -91,10 +97,6 @@ class Resolved(NamedTuple):
         return Depletion.NONE
 
 
-# Marks a (license id, request) that the state's memo has no answer for yet.
-_UNRESOLVED = object()
-
-
 def select_target(state: AgentState, lic: License, request: Request) -> Optional[Resolved]:
     """The target a selection of this license would consume, or None if it has none.
 
@@ -106,24 +108,9 @@ def select_target(state: AgentState, lic: License, request: Request) -> Optional
     the permission is skipped before any of its states are read.
 
     ``lic`` is one of the state's licenses.  The answer depends only on the
-    state, the license and the whole request (its instant and use duration
-    included), so it is memoized in ``state.resolutions`` per (license id,
-    permission, instant, use duration), and a second call returns the first
-    answer without walking the license.  The key spells out every field of
-    the request, so that it hashes in C, not through ``Request``'s
-    Python-level hash; a field added to ``Request`` must join it.
-
-    The allocator and the ``verify`` oracle's ``loss`` both resolve through
-    this function, so they share one walk of each host per decision.  That
-    is sound because resolution is pure and both sides always called this
-    same function: a memo hit returns what a second walk would have.  The
-    oracle still trusts nothing the allocator chose, since it finds its
-    candidates by its own ``candidates`` walk.
+    state, the license and the whole request, its instant and use duration
+    included.
     """
-    memo, key = state.resolutions, (lic.id, request.permission, request.at, request.usage_duration)
-    answer = memo.get(key, _UNRESOLVED)
-    if answer is not _UNRESOLVED:
-        return answer
     permission = request.permission
     options = []  # (sublicense label, sublicense, [(matching cp's index, its states)])
     for sl in lic.sublicenses:
@@ -139,14 +126,12 @@ def select_target(state: AgentState, lic: License, request: Request) -> Optional
         if matching:
             options.append((sublicense_label(sl, sl_states, cp_states, request), sl, matching))
     if not options:
-        memo[key] = None
         return None
     # A label's ``key`` is ``label_sort_key``'s answer, read without the call.
     sl_label, sl, matching = min(options, key=lambda option: option[0].key)
     labelled = ((i, cp_label(sl.cps[i], states, request)) for i, states in matching)
     i, cp_lbl = min(labelled, key=lambda pair: pair[1].key)
-    answer = memo[key] = Resolved(sl, sl.cps[i], sl_label, cp_lbl, i)
-    return answer
+    return Resolved(sl, sl.cps[i], sl_label, cp_lbl, i)
 
 
 def resolve_candidates(state: AgentState, request: Request) -> dict[str, Resolved]:
@@ -192,7 +177,9 @@ def _target_loss(
     """Rights lost at ``request.at`` by consuming the license's resolved target.
 
     It was resolved at this state for this request, so ``Resolved.depletion``
-    prices it without a lookup, a check or a successor state.
+    prices it without a lookup, a check or a successor state.  Its sublicense
+    holds at ``request.at``, so a depleting one loses what ``_holding_cps``
+    yields, as ``_valid_cps`` would.
     """
     sl, depletion = resolved.sublicense, resolved.depletion
     if depletion is Depletion.NONE:
@@ -200,9 +187,8 @@ def _target_loss(
     if depletion is Depletion.CP_DEPLETES:
         return Counter(resolved.cp.permissions)
     lost: RightsMultiset = Counter()
-    for other, states in zip(sl.cps, state.slot(license_id, sl.id)[1]):
-        if constraints_hold(other.constraints, states, request.at):
-            lost.update(other.permissions)
+    for cp in _holding_cps(sl, state.slot(license_id, sl.id)[1], request.at):
+        lost.update(cp.permissions)
     return lost
 
 

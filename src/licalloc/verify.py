@@ -23,10 +23,10 @@ instances instead of being trusted:
 Every decision is checked against one oracle, which ``run_trial`` builds
 once per decision with ``oracle_losses``: ``{candidate id: loss}``, found by
 ``rights.candidates`` independently of the pool the allocator resolved, and
-priced by ``rights.loss`` (which shares resolutions with the allocator only
-through ``rights.select_target``'s per-state memo; see there).  Each entry
-of ``CHECKS`` takes ``(state, request, decision, losses)`` and walks no
-license itself; a choice naming no candidate fails as ``not_a_candidate``.
+priced from the decision's pool where it resolved a candidate (see there).
+Each entry of ``CHECKS`` takes ``(state, request, decision, losses)`` and
+walks no license itself; a choice naming no candidate fails as
+``not_a_candidate``.
 
 The three campaigns share one runner, ``_run_campaign``: each supplies a
 generator and a function from a document to its verdicts, and the runner
@@ -134,9 +134,23 @@ def _describe_losses(losses: dict[str, RightsMultiset]) -> dict:
     }
 
 
-def oracle_losses(state: AgentState, request: Request) -> dict[str, RightsMultiset]:
-    """{candidate id: loss}, found by ``candidates`` and priced by ``loss``: the checks' oracle."""
-    return {lid: loss(state, lid, request) for lid in candidates(state, request)}
+def oracle_losses(
+    state: AgentState, request: Request, decision: AllocationDecision
+) -> dict[str, RightsMultiset]:
+    """The checks' oracle: {candidate id: loss}, one entry per candidate ``candidates`` finds.
+
+    ``decision`` is an allocator's, made at ``state`` for ``request``.  The
+    candidates come from the oracle's own ``candidates`` walk, never from the
+    decision.  Those the decision's pool resolved are priced by one
+    ``pool_losses`` call on that part of the pool, any other (every
+    candidate of a ``NoMatch``, which has no pool) by ``loss``.  That is
+    sound because the pool's targets are ``select_target``'s answers at this
+    state for this request, so they are what ``loss`` would resolve again.
+    """
+    found = candidates(state, request)
+    pool = {} if isinstance(decision, NoMatch) else decision.pool
+    priced = pool_losses(state, request, {lid: pool[lid] for lid in found if lid in pool})
+    return {lid: priced[lid] if lid in priced else loss(state, lid, request) for lid in found}
 
 
 def _all_lossy(losses: Iterable[RightsMultiset], request: Request) -> bool:
@@ -448,7 +462,7 @@ def run_trial(
     results = []
     for step, request in enumerate(doc.requests):
         decision = allocate(state, request, algorithm=algorithm)
-        losses = oracle_losses(state, request) if checks else {}
+        losses = oracle_losses(state, request, decision) if checks else {}
         for name in checks:
             results.append((step, name, CHECKS[name](state, request, decision, losses)))
         if isinstance(decision, PromptRequired):

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import random
 from collections import Counter
@@ -291,8 +290,8 @@ def _two_sublicenses(first_constraint):
     ],
     ids=["usage_duration", "at"],
 )
-def test_select_target_memo_is_keyed_by_the_whole_request(first_constraint, requests, targets):
-    """Two requests for one permission on one state each get their own labels and target."""
+def test_select_target_resolves_each_request_on_its_own(first_constraint, requests, targets):
+    """Two requests for one permission on one state, apart in one field, each get their own labels and target."""
     lic = _two_sublicenses(first_constraint)
     licenses = LicenseSet([lic])
     state = initial_state(licenses)
@@ -300,10 +299,6 @@ def test_select_target_memo_is_keyed_by_the_whole_request(first_constraint, requ
     assert [answer.sublicense.id for answer in answers] == targets
     for request, answer in zip(requests, answers):
         assert answer == select_target(initial_state(licenses), lic, request)
-        assert select_target(state, lic, request) is answer
-    assert list(state.resolutions) == [("l", r.permission, r.at, r.usage_duration) for r in requests]
-    # The key spells out the request field by field: a new field must join it.
-    assert [f.name for f in dataclasses.fields(Request) if f.compare] == ["action", "content", "at", "usage_duration"]
     if isinstance(first_constraint, TimedCount):
         assert [str(answer.sublicense_label) for answer in answers] == [
             "simple.many.timed_count",
@@ -311,17 +306,13 @@ def test_select_target_memo_is_keyed_by_the_whole_request(first_constraint, requ
         ]
 
 
-def test_select_target_memo_starts_empty_on_every_new_state():
-    """``consume``'s successor and a ``dataclasses.replace`` copy answer from their own states."""
+def test_a_successor_resolves_from_its_own_node_states():
+    """``consume``'s successor answers from its own node states, and its parent's answer stays."""
     lic = _two_sublicenses(Count(1))
     state = initial_state(LicenseSet([lic]))
     request = Request(Action.PLAY, "a", at=0)
     assert select_target(state, lic, request).sublicense.id == "sl-2"
-    assert state.resolutions
     after = consume(state, "l", "sl-2", "cp", request)
-    copy = dataclasses.replace(state)
-    assert after.resolutions == {} and copy.resolutions == {}
-    assert copy == state and repr(copy) == repr(state)
     # Both sublicenses are on their last charge after the consume, so the
     # successor's answer is sl-1, labelled once; the parent's is unchanged.
     resolved = select_target(after, lic, request)

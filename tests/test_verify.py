@@ -8,6 +8,7 @@ import pytest
 
 from licalloc.allocate import (
     Chosen,
+    NoMatch,
     PromptRequired,
     allocate_and_execute,
     min_loss_chooser,
@@ -30,7 +31,7 @@ from licalloc.model import (
     SubLicense,
     TimedCount,
 )
-from licalloc.rights import candidates, rights
+from licalloc.rights import candidates, loss, rights
 from licalloc.verify import (
     CHECKS,
     MAX_COUNTEREXAMPLES,
@@ -73,7 +74,7 @@ rights_module = importlib.import_module("licalloc.rights")
 
 def judge(check, state, request, decision):
     """The verdict of ``check`` on the decision, given the oracle ``run_trial`` builds."""
-    return check(state, request, decision, oracle_losses(state, request))
+    return check(state, request, decision, oracle_losses(state, request, decision))
 
 
 class TestColoring:
@@ -139,7 +140,7 @@ class TestSelectionSoundness:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="sublicense_label counts the permissions of a cp whose date window has closed (ROADMAP item 1)",
+        reason="sublicense_label counts the permissions of a cp whose date window has closed (ROADMAP item 2)",
     )
     def test_a_cp_whose_window_has_closed_does_not_make_its_sublicense_complex(self):
         """``l1`` loses only ``play a``: its ``cp-2`` no longer holds at t=1000, so it has nothing to lose."""
@@ -878,9 +879,15 @@ class TestEachPoolIsPricedOnce:
 
 @pytest.mark.parametrize("checks", [tuple(CHECKS), ("soundness",)], ids=["all", "soundness"])
 def test_each_checked_decision_builds_one_oracle(checks, monkeypatch):
-    """One ``candidates`` walk per checked decision, one ``loss`` per candidate it found."""
+    """One ``candidates`` walk per checked decision, and one oracle pricing per candidate it found.
+
+    The oracle prices what the decision's pool resolved with one
+    ``pool_losses`` call, and any other candidate with ``loss``.  The
+    allocator's pool holds every candidate here, so ``loss`` never runs.
+    """
     calls = Counter()
-    walk, price = rights_module.candidates, rights_module.loss
+    verify_module = sys.modules["licalloc.verify"]
+    walk, price, price_pool = rights_module.candidates, rights_module.loss, verify_module.pool_losses
 
     def candidates(*args):
         pool = walk(*args)
@@ -892,23 +899,49 @@ def test_each_checked_decision_builds_one_oracle(checks, monkeypatch):
         calls["loss"] += 1
         return price(*args)
 
+    def pool_losses(state, request, pool):
+        calls["pool_losses"] += 1
+        calls["pool_priced"] += len(pool)
+        return price_pool(state, request, pool)
+
     for loaded_name, module in list(sys.modules.items()):
         if loaded_name.startswith("licalloc"):
             for original, counted in ((walk, candidates), (price, loss)):
                 if getattr(module, original.__name__, None) is original:
                     monkeypatch.setattr(module, original.__name__, counted)
+    # Only the oracle's pricing: the allocator prices a prompt through its own name.
+    monkeypatch.setattr(verify_module, "pool_losses", pool_losses)
     report = fuzz_campaign(InstanceGenerator(GeneratorCaps(), seed=100), 200, checks)
     assert not report.failed
-    assert calls["candidates"] == report.decisions_checked // len(checks)
-    assert calls["loss"] == calls["candidates_found"] > 0
+    assert calls["candidates"] == calls["pool_losses"] == report.decisions_checked // len(checks)
+    assert calls["pool_priced"] + calls["loss"] == calls["candidates_found"] > 0
+    assert calls["loss"] == 0
+
+
+@pytest.mark.parametrize("decision_kind", ["no_match", "partial_pool"])
+def test_the_oracle_prices_a_candidate_the_pool_lacks_with_loss(all_lossy_state, decision_kind):
+    """Every candidate ``candidates`` finds is priced as ``loss`` prices it, in its order, pool or no pool."""
+    request = Request(Action.PLAY, "song-a", at=REQUEST_AT)
+    found = candidates(all_lossy_state, request)
+    assert len(found) > 1
+    if decision_kind == "no_match":
+        decision = NoMatch()
+    else:
+        # A hand-built choice whose pool resolved only the last candidate.
+        pool = proposed_allocate(all_lossy_state, request).pool
+        kept = found[-1]
+        decision = Chosen(kept, *pool[kept].target, pool={kept: pool[kept]})
+    losses = oracle_losses(all_lossy_state, request, decision)
+    assert list(losses) == found
+    assert losses == {lid: loss(all_lossy_state, lid, request) for lid in found}
 
 
 def test_each_checked_decision_labels_each_hosts_sublicenses_once(monkeypatch):
-    """The allocator and the oracle's ``loss`` share one ``select_target`` walk per host and decision.
+    """Each host is resolved once per checked decision: the oracle resolves nothing the allocator resolved.
 
-    ``select_target`` is still called once per host by the allocator and
-    once per candidate by ``loss``; the second call is answered from the
-    state's memo, so no sublicense is labelled twice for one decision.
+    The allocator calls ``select_target`` once per host; the oracle prices
+    the candidates its pool resolved from the pool, so no sublicense is
+    labelled twice for one decision.
     """
     verify_module = sys.modules["licalloc.verify"]
     decide, label, resolve = verify_module.allocate, rights_module.sublicense_label, rights_module.select_target
@@ -935,5 +968,5 @@ def test_each_checked_decision_labels_each_hosts_sublicenses_once(monkeypatch):
     for index in range(200):
         run_trial(generator.document(index), "proposed", tuple(CHECKS))
     assert calls["candidates"] > 0
-    assert calls["select_target"] == calls["hosts"] + calls["candidates"]
+    assert calls["select_target"] == calls["hosts"]
     assert len(labelled) > decisions[0] and set(labelled.values()) == {1}
