@@ -18,16 +18,16 @@ import os
 import sys
 from collections import Counter
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Mapping, Sequence
 
 from . import cases as case_fixtures
 from .allocate import Chosen, NoMatch, PromptRequired, allocate, allocate_and_execute, min_loss_chooser
 from .corpus import CorpusDocument, LabelMismatchError, load_corpus, serialize_corpus
-from .engine import consume, initial_state
+from .engine import initial_state
 from .errors import LicallocError
 from .labels import state_labels
 from .model import Action, Request
-from .rights import pool_losses, rights
+from .rights import RightsMultiset, pool_losses, rights
 from .verify import (
     CHECKS,
     LIVENESS_CAPS,
@@ -183,18 +183,14 @@ def cmd_label(args) -> int:
 # --- allocate ---------------------------------------------------------------
 
 
-def _prompt_user(request: Request, decision: PromptRequired) -> Optional[str]:
+def _prompt_user(request: Request, ids: Sequence[str], losses: Mapping[str, RightsMultiset]) -> str:
+    """A ``Chooser`` that asks the terminal; raises EOFError when input ends first."""
     print("every candidate loses rights beyond the request; pick one:")
-    ids = list(decision.candidates)
     for i, lid in enumerate(ids, 1):
-        print(f"  [{i}] {lid}  would lose: {_rights_text(decision.losses[lid])}")
+        print(f"  [{i}] {lid}  would lose: {_rights_text(losses[lid])}")
     while True:
-        try:
-            answer = input(f"license for {request.action.value} {request.content} [1-{len(ids)}]: ")
-        except EOFError:
-            return None
-        answer = answer.strip()
-        if answer in decision.candidates:
+        answer = input(f"license for {request.action.value} {request.content} [1-{len(ids)}]: ").strip()
+        if answer in ids:
             return answer
         if answer.isdigit() and 1 <= int(answer) <= len(ids):
             return ids[int(answer) - 1]
@@ -206,7 +202,13 @@ def cmd_allocate(args) -> int:
     at = args.time if args.time is not None else 0
     request = Request(Action(args.action), args.content, at=at, usage_duration=args.duration)
     state = initial_state(doc.licenses)
-    decision = allocate(state, request, algorithm=args.algorithm, datetime_tiebreak=args.datetime_tiebreak)
+    try:
+        decision, after = allocate_and_execute(
+            state, request, algorithm=args.algorithm, datetime_tiebreak=args.datetime_tiebreak,
+            chooser=_prompt_user if args.interactive else None,
+        )
+    except EOFError:
+        return EXIT_PROMPT
 
     if isinstance(decision, NoMatch):
         if args.format == "json":
@@ -215,7 +217,7 @@ def cmd_allocate(args) -> int:
             print("no installed license satisfies the request")
         return EXIT_NO_MATCH
 
-    if isinstance(decision, PromptRequired) and not args.interactive:
+    if isinstance(decision, PromptRequired):
         if args.format == "json":
             _emit_json(
                 {
@@ -232,17 +234,8 @@ def cmd_allocate(args) -> int:
                 print(f"  {lid}  would lose: {_rights_text(decision.losses[lid])}")
         return EXIT_PROMPT
 
-    if isinstance(decision, PromptRequired):
-        picked = _prompt_user(request, decision)
-        if picked is None:
-            return EXIT_PROMPT
-        losses = decision.losses
-        decision = decision.choose(picked)
-    else:
-        losses = pool_losses(state, request, decision.pool)
+    losses = decision.losses if decision.losses is not None else pool_losses(state, request, decision.pool)
     pool = list(decision.pool)
-
-    after = consume(state, decision.license_id, decision.sublicense_id, decision.cp_id, request)
     remaining = rights(after, request.at)
     if args.format == "json":
         _emit_json(

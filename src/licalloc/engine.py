@@ -13,11 +13,13 @@ one that reads it; the labels ask ``depleted`` and ``on_last_charge``.
 ``execute`` is the only state transition: it takes the target's nodes (the
 sublicense and its cp's index, as ``rights.Resolved`` holds them) and returns
 a fresh state, with no lookup and no check; ``allocate_and_execute`` hands it
-the target its allocator resolved at this state.  ``consume`` is the checked
-entry point by ids, for callers that must not trust an allocator (the CLI,
-a replayed request log, the ``verify`` oracle): it looks the target up,
-checks it and then executes it.  A failed check raises and leaves the input
-untouched, so replaying a request log always reproduces the same final state.
+the target its allocator resolved at this state, for every caller that acts
+on its own decision (``licalloc allocate`` and ``simulate`` among them).
+``consume`` is the checked entry point by ids, for callers that must not
+trust an allocator (a replayed request log, ``verify.run_trial``): it looks
+the target up, checks it and then executes it.  A failed check raises and
+leaves the input untouched, so replaying a request log always reproduces the
+same final state.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ A label is a (complexity, times, constraint) triple:
   when the node is built.
 
 There are only 20 labels, and each is built once, at import, with its
-``label_sort_key`` fixed on it.  ``cp_label`` and ``sublicense_label`` pick
+preference ``key`` fixed on it.  ``cp_label`` and ``sublicense_label`` pick
 one out of the table, so a call reads only ``times`` and complexity off the
 current constraint states; ``table_label`` gives the entry for given fields,
 which is how a corpus file's labels are read.  Labels are always derived from
@@ -90,7 +90,9 @@ class Label:
     complexity: Complexity
     times: Times
     constraint: ConstraintName
-    # ``label_sort_key``'s answer, fixed when the label is built.
+    # Preference key, lower is better, fixed when the label is built: many beats
+    # once, then simple beats complex (it loses only the requested permission),
+    # then the better-ranked constraint wins.
     key: tuple[int, int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -169,13 +171,3 @@ def state_labels(state: AgentState) -> dict[NodeKey, Label]:
                 out[(lic.id, sl.id, cp.id)] = cp_label(cp, states)
     return out
 
-
-def label_sort_key(label: Label) -> tuple[int, int, int]:
-    """Preference key, lower is better.
-
-    A node that survives the use (many) beats one that depletes (once); among
-    depleting nodes a simple one loses only the requested permission, so
-    simple beats complex; remaining ties go to the better-ranked constraint.
-    The key is fixed when the label is built, so this only reads it.
-    """
-    return label.key

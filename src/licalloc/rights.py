@@ -26,19 +26,20 @@ interval it starts holds at its own start), and only on the target's path.
 ``Resolved.depletion`` reads what it depletes off the target's labels, so
 ``loss`` builds no successor state: the permissions of the sublicense's
 currently valid cps when the sublicense depletes, the target cp's permissions
-when only the cp depletes, and nothing otherwise.  ``remnants`` is ``rights``
-minus that loss, and ``pool_losses`` prices a resolved pool, one target at a
-time.  A selection is lossy when its loss exceeds
-``Counter({request.permission: 1})``, that is, when it takes more than the one
-requested occurrence with it.
+when only the cp depletes, and nothing otherwise.  Which cps are valid is
+read in one place, ``_valid_cps``, for ``rights``, ``candidates`` and that
+loss alike.  ``remnants`` is ``rights`` minus that loss, and ``pool_losses``
+prices a resolved pool, one target at a time.  A selection is lossy when its
+loss exceeds ``Counter({request.permission: 1})``, that is, when it takes
+more than the one requested occurrence with it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .engine import AgentState, ConstraintState, Depletion, constraints_hold
+from .engine import AgentState, Depletion, constraints_hold
 from .errors import NotFoundError
 from .labels import Label, Times, cp_label, sublicense_label
 from .model import ConstraintPermissionSet, License, Request, SubLicense, Timestamp
@@ -47,21 +48,14 @@ RightsMultiset = Counter  # Permission -> multiplicity
 Target = tuple[str, str]  # (sublicense id, cp id) a selection would consume
 
 
-def _holding_cps(
-    sl: SubLicense, cp_states: tuple[tuple[ConstraintState, ...], ...], at: Timestamp
-) -> Iterator[ConstraintPermissionSet]:
-    """The cps of ``sl`` whose own constraints hold at ``at``; the sublicense's are not read."""
-    for cp, states in zip(sl.cps, cp_states):
-        if constraints_hold(cp.constraints, states, at):
-            yield cp
-
-
 def _valid_cps(
     state: AgentState, license_id: str, sl: SubLicense, at: Timestamp
 ) -> Iterable[ConstraintPermissionSet]:
-    """The sublicense's cps whose constraints, and the sublicense's own, all hold at ``at``."""
+    """The sublicense's cps whose constraints, and the sublicense's own, all hold at ``at``; lazy in the cps."""
     sl_states, cp_states = state.slot(license_id, sl.id)
-    return _holding_cps(sl, cp_states, at) if constraints_hold(sl.constraints, sl_states, at) else ()
+    if not constraints_hold(sl.constraints, sl_states, at):
+        return ()
+    return (cp for cp, states in zip(sl.cps, cp_states) if constraints_hold(cp.constraints, states, at))
 
 
 class Resolved(NamedTuple):
@@ -127,7 +121,7 @@ def select_target(state: AgentState, lic: License, request: Request) -> Optional
             options.append((sublicense_label(sl, sl_states, cp_states, request), sl, matching))
     if not options:
         return None
-    # A label's ``key`` is ``label_sort_key``'s answer, read without the call.
+    # ``Label.key`` is the preference order: lower is better.
     sl_label, sl, matching = min(options, key=lambda option: option[0].key)
     labelled = ((i, cp_label(sl.cps[i], states, request)) for i, states in matching)
     i, cp_lbl = min(labelled, key=lambda pair: pair[1].key)
@@ -177,9 +171,8 @@ def _target_loss(
     """Rights lost at ``request.at`` by consuming the license's resolved target.
 
     It was resolved at this state for this request, so ``Resolved.depletion``
-    prices it without a lookup, a check or a successor state.  Its sublicense
-    holds at ``request.at``, so a depleting one loses what ``_holding_cps``
-    yields, as ``_valid_cps`` would.
+    prices it without a lookup or a successor state.  A depleting sublicense
+    loses its valid cps, read through ``_valid_cps`` as ``rights`` reads them.
     """
     sl, depletion = resolved.sublicense, resolved.depletion
     if depletion is Depletion.NONE:
@@ -187,7 +180,7 @@ def _target_loss(
     if depletion is Depletion.CP_DEPLETES:
         return Counter(resolved.cp.permissions)
     lost: RightsMultiset = Counter()
-    for cp in _holding_cps(sl, state.slot(license_id, sl.id)[1], request.at):
+    for cp in _valid_cps(state, license_id, sl, request.at):
         lost.update(cp.permissions)
     return lost
 

@@ -387,27 +387,20 @@ class InstanceGenerator:
 
     def _sublicense(self, rng: random.Random, sl_id: str) -> SubLicense:
         n_cps = rng.randrange(1, self.caps.max_cps + 1)
+        cp_constraints = None  # None: each cp draws its own
         if self.profile != "depleting":
-            return SubLicense(
-                sl_id,
-                constraints=self._constraints(rng),
-                cps=[self._cp(rng, f"cp-{i}") for i in range(1, n_cps + 1)],
-            )
+            constraints = self._constraints(rng)
         # depleting: either the sublicense burns itself, or every cp does
-        if rng.random() < 0.5:
+        elif rng.random() < 0.5:
             constraints = [Count(1)]
             if rng.random() < 0.4:
                 constraints.append(self._datetime(rng))
-            cps = [self._cp(rng, f"cp-{i}") for i in range(1, n_cps + 1)]
         else:
-            constraints = []
+            constraints, cp_constraints = [], [Count(1)]
             soft = self._soft_constraint(rng)
             if soft is not None and rng.random() < 0.4:
                 constraints.append(soft)
-            cps = [
-                self._cp(rng, f"cp-{i}", constraints=[Count(1)])
-                for i in range(1, n_cps + 1)
-            ]
+        cps = [self._cp(rng, f"cp-{i}", constraints=cp_constraints) for i in range(1, n_cps + 1)]
         return SubLicense(sl_id, constraints=constraints, cps=cps)
 
     def licenses(self, index: int) -> LicenseSet:
@@ -551,9 +544,10 @@ class Counterexample:
 class CampaignReport:
     """Verdict counts of one campaign, with up to ``MAX_COUNTEREXAMPLES`` kept.
 
-    ``decisions_checked`` counts every recorded verdict: one per check and
-    decision for fuzz, one per instance for neutrality (its first request)
-    and for liveness (the whole search over its schedules).
+    ``decisions_checked`` counts verdicts, not decisions: every recorded
+    pass and failure, that is one per check and decision for fuzz, one per
+    instance for neutrality (its first request) and for liveness (the whole
+    search over its schedules).
     """
 
     campaign: str
@@ -563,7 +557,6 @@ class CampaignReport:
     profile: str
     trials: int
     checks: tuple[str, ...]
-    decisions_checked: int = 0
     passes: Counter = field(default_factory=Counter)
     vacuous: Counter = field(default_factory=Counter)
     failures: Counter = field(default_factory=Counter)
@@ -578,7 +571,6 @@ class CampaignReport:
         while fewer than ``MAX_COUNTEREXAMPLES`` are kept, so a failure is
         shrunk only when its counterexample will be kept.
         """
-        self.decisions_checked += 1
         if result.passed:
             self.passes[name] += 1
             if result.vacuous:
@@ -587,6 +579,10 @@ class CampaignReport:
         self.failures[name] += 1
         if counterexample is not None and len(self.counterexamples) < MAX_COUNTEREXAMPLES:
             self.counterexamples.append(counterexample())
+
+    @property
+    def decisions_checked(self) -> int:
+        return sum(self.passes.values()) + sum(self.failures.values())
 
     @property
     def failed(self) -> bool:

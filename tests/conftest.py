@@ -1,6 +1,8 @@
 import itertools
 import json
-from collections import Counter
+import sys
+from collections import Counter, defaultdict
+from typing import Any, NamedTuple
 
 import pytest
 
@@ -12,10 +14,49 @@ from licalloc.cases import (
     mixed_branch_license,
 )
 from licalloc.engine import constraints_hold, consume, initial_state
-from licalloc.labels import Times, cp_label, label_sort_key, state_labels, sublicense_label
+from licalloc.labels import Times, cp_label, state_labels, sublicense_label
 from licalloc.model import Action, Count, Interval, License, LicenseSet, Permission, Request, TimedCount
 from licalloc.rights import candidates, select_target
 from licalloc.verify import T0, USAGE_DURATION, GeneratorCaps, InstanceGenerator, color_step
+
+
+class Call(NamedTuple):
+    args: tuple
+    result: Any
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(*names)`` records every call of the named ``licalloc`` functions.
+
+    A name is ``"module.function"`` under ``licalloc``, such as
+    ``"rights.select_target"``.  The function is rebound in every loaded
+    ``licalloc`` namespace that holds it, the defining module included, as
+    ``bench/tracing.py`` rebinds a traced function, so a call through any
+    import is seen.  Returns ``{function name: [Call of each returned call,
+    in the order they returned]}``, the same dict on every call of ``spy``;
+    a list's length is the function's call count.
+    """
+    calls = defaultdict(list)
+
+    def rebind(*names):
+        for qualified in names:
+            module_name, name = qualified.rsplit(".", 1)
+            original = getattr(sys.modules[f"licalloc.{module_name}"], name)
+
+            def recorded(*args, _name=name, _original=original, **kwargs):
+                result = _original(*args, **kwargs)
+                calls[_name].append(Call(args, result))
+                return result
+
+            for loaded_name, module in list(sys.modules.items()):
+                if loaded_name == "licalloc" or loaded_name.startswith("licalloc."):
+                    for key, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, key, recorded)
+        return calls
+
+    return rebind
 
 
 @pytest.fixture
@@ -117,8 +158,8 @@ def full_walk_resolution(state, request) -> dict:
             if matching and constraints_hold(sl.constraints, sl_states, request.at):
                 options.append((sl_label, sl, matching))
         if options:
-            sl_label, sl, matching = min(options, key=lambda option: label_sort_key(option[0]))
-            cp, cp_lbl = min(matching, key=lambda pair: label_sort_key(pair[1]))
+            sl_label, sl, matching = min(options, key=lambda option: option[0].key)
+            cp, cp_lbl = min(matching, key=lambda pair: pair[1].key)
             out[lic.id] = ((sl.id, cp.id), sl_label, cp_lbl)
     return out
 

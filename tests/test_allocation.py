@@ -1,5 +1,4 @@
 import functools
-import importlib
 from collections import Counter
 
 import pytest
@@ -17,7 +16,7 @@ from licalloc.cases import REQUEST_AT, all_lossy_licenses, case_studies
 from licalloc.corpus import parse_corpus
 from licalloc.engine import consume, fresh_state, initial_state
 from licalloc.errors import ChooserContractError
-from licalloc.labels import Complexity, ConstraintName, Label, Times, cp_label, label_sort_key, sublicense_label
+from licalloc.labels import Complexity, ConstraintName, Label, Times, cp_label, sublicense_label
 from licalloc.model import (
     CP,
     Action,
@@ -37,9 +36,6 @@ from licalloc.verify import LIVENESS_CAPS, T0, USAGE_DURATION, GeneratorCaps, In
 
 from conftest import duplicate_listing_corpus, perm, wide_licenses
 
-# The rights module, as opposed to the ``rights`` function the package re-exports.
-rights_module = importlib.import_module("licalloc.rights")
-
 
 class TestRank:
     def test_unconstrained_is_best(self):
@@ -56,16 +52,16 @@ class TestCompareLabels:
     def test_many_preferred_over_once(self):
         a = Label(Complexity.COMPLEX, Times.MANY, ConstraintName.COUNT)
         b = Label(Complexity.SIMPLE, Times.ONCE, ConstraintName.TRUE)
-        assert label_sort_key(a) < label_sort_key(b)
+        assert a.key < b.key
 
     def test_equal_labels_tie(self):
         a = Label(Complexity.SIMPLE, Times.MANY, ConstraintName.TRUE)
-        assert label_sort_key(a) == label_sort_key(Label(Complexity.SIMPLE, Times.MANY, ConstraintName.TRUE))
+        assert a.key == Label(Complexity.SIMPLE, Times.MANY, ConstraintName.TRUE).key
 
     def test_simple_preferred_when_depleting(self):
         a = Label(Complexity.SIMPLE, Times.ONCE, ConstraintName.COUNT)
         b = Label(Complexity.COMPLEX, Times.ONCE, ConstraintName.COUNT)
-        assert label_sort_key(a) < label_sort_key(b)
+        assert a.key < b.key
 
     def test_constraint_names_follow_constraint_rank(self):
         """The constraint a node's label names sorts by that constraint's rank, at either level."""
@@ -75,7 +71,7 @@ class TestCompareLabels:
             sl = SubLicense("sl", constraints=[c], cps=[cp])
             states = (fresh_state(c),)
             for label in (cp_label(cp, states), sublicense_label(sl, states, (states,))):
-                assert label_sort_key(label)[2] == constraint_rank(c)
+                assert label.key[2] == constraint_rank(c)
 
 
 @pytest.mark.parametrize("case", case_studies(), ids=lambda c: c.id)
@@ -279,22 +275,14 @@ def test_tiebreak_is_validated_before_any_decision(deadline_state, play_a, all_l
     [oma_allocate, proposed_allocate, functools.partial(proposed_allocate, chooser=min_loss_chooser)],
     ids=["oma", "proposed", "proposed-chooser"],
 )
-def test_one_target_resolution_per_candidate(allocator, monkeypatch):
+def test_one_target_resolution_per_candidate(allocator, spy):
     """A decision walks each host of the requested permission once, in declaration
-    order, only through ``select_target``, and never walks a license that does not host it."""
-    walked = []
-    resolve = rights_module.select_target
+    order, only through ``select_target``, and never walks a license that does not host it.
 
-    def counting_resolve(state, lic, request):
-        walked.append(lic.id)
-        return resolve(state, lic, request)
-
-    def second_walk(*args):
-        raise AssertionError("the allocator walked a license outside its pool resolution")
-
-    monkeypatch.setattr(rights_module, "select_target", counting_resolve)
-    for name in ("candidates", "_valid_cps"):
-        monkeypatch.setattr(rights_module, name, second_walk)
+    ``candidates``, the other walk, must not run.  Reading which of a
+    resolved target's cps are valid, as pricing a prompt does, is not a walk.
+    """
+    calls = spy("rights.select_target", "rights.candidates")
 
     def stranger(lid):
         return License(lid, [SubLicense("sl", cps=[CP("cp", permissions=[perm("display", "poster")])])])
@@ -317,9 +305,10 @@ def test_one_target_resolution_per_candidate(allocator, monkeypatch):
             if any(request.permission in cp.permissions for sl in lic.sublicenses for cp in sl.cps)
         ]
         assert 0 < len(hosts) < len(licenses)
-        walked.clear()
+        calls.clear()
         allocator(initial_state(licenses), request)
-        assert walked == hosts
+        assert [call.args[1].id for call in calls["select_target"]] == hosts
+        assert calls["candidates"] == []
 
 
 def test_open_ended_window_never_wins_earliest_mode():

@@ -223,6 +223,45 @@ class TestAllocate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "answers, transcript",
+        [
+            (
+                "2\n",
+                "every candidate loses rights beyond the request; pick one:\n"
+                "  [1] license-1  would lose: play song-a x1, play song-b x1\n"
+                "  [2] license-2  would lose: play song-a x1, play song-c x1, play song-d x1\n"
+                "license for play song-a [1-2]: chosen: license-2 / sl-1 / cp-1\n"
+                "    license-1  would lose: play song-a x1, play song-b x1\n"
+                "  * license-2  would lose: play song-a x1, play song-c x1, play song-d x1\n"
+                "rights after execution: play song-a x1, play song-b x1\n",
+            ),
+            (
+                "x\nlicense-1\n",
+                "every candidate loses rights beyond the request; pick one:\n"
+                "  [1] license-1  would lose: play song-a x1, play song-b x1\n"
+                "  [2] license-2  would lose: play song-a x1, play song-c x1, play song-d x1\n"
+                "license for play song-a [1-2]: pick 1-2 or a license id\n"
+                "license for play song-a [1-2]: chosen: license-1 / sl-1 / cp-1\n"
+                "  * license-1  would lose: play song-a x1, play song-b x1\n"
+                "    license-2  would lose: play song-a x1, play song-c x1, play song-d x1\n"
+                "rights after execution: play song-a x1, play song-c x1, play song-d x1\n",
+            ),
+        ],
+        ids=["by-number", "by-id-after-a-bad-answer"],
+    )
+    def test_an_interactive_prompt_executes_from_its_pool(self, answers, transcript, all_lossy_path, capsys, monkeypatch, spy):
+        """The terminal is the allocator's chooser: the pool is priced once, and no ``consume`` looks the choice up."""
+        calls = spy("engine.consume", "rights.pool_losses", "rights.loss")
+        monkeypatch.setattr("sys.stdin", io.StringIO(answers))
+        code = main(
+            ["allocate", all_lossy_path, "play", "song-a", "--interactive", "--time", str(REQUEST_AT)]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == transcript
+        assert len(calls["consume"]) == len(calls["loss"]) == 0
+        assert len(calls["pool_losses"]) == 1
+
     def test_json_output_parses_back(self, deadline_path, capsys):
         code = main(
             ["allocate", deadline_path, "play", "song-a", "--format", "json", "--time", str(REQUEST_AT)]

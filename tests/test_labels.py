@@ -12,7 +12,6 @@ from licalloc.labels import (
     Label,
     Times,
     cp_label,
-    label_sort_key,
     state_labels,
     sublicense_label,
     table_label,
@@ -278,15 +277,15 @@ def test_the_table_holds_each_of_the_twenty_labels_once():
     assert all(is_table_entry(label) for label in ALL_LABELS)
 
 
-def test_label_sort_key_is_the_three_part_preference():
+def test_label_key_is_the_three_part_preference():
     for label in ALL_LABELS:
-        assert label_sort_key(label) == (
+        assert label.key == (
             0 if label.times is Times.MANY else 1,
             0 if label.complexity is Complexity.SIMPLE else 1,
             constraint_rank(SAMPLE_CONSTRAINT[label.constraint]),
         )
         # A label built anywhere else carries the same key.
-        assert label_sort_key(Label(label.complexity, label.times, label.constraint)) == label_sort_key(label)
+        assert Label(label.complexity, label.times, label.constraint).key == label.key
 
 
 @pytest.mark.parametrize("profile", PROFILES)

@@ -795,42 +795,26 @@ class TestEachPoolIsPricedOnce:
     request = Request(Action.PLAY, "song-a", at=REQUEST_AT)
 
     @pytest.fixture
-    def counts(self, monkeypatch):
-        # Every licalloc namespace that bound a name by import gets the
-        # counting wrapper, the defining module included.
-        counts = Counter()
-        for module_name, name in (
-            ("licalloc.rights", "rights"),
-            ("licalloc.rights", "remnants"),
-            ("licalloc.engine", "consume"),
-        ):
-            original = getattr(sys.modules[module_name], name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
-
-            for loaded_name, module in list(sys.modules.items()):
-                if loaded_name.startswith("licalloc") and getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
-        return counts
+    def counts(self, spy):
+        """{function name: its calls} of ``rights``, ``remnants`` and ``consume``."""
+        return spy("rights.rights", "rights.remnants", "engine.consume")
 
     def test_color_step(self, all_lossy_state, counts):
         decision = proposed_allocate(all_lossy_state, self.request, chooser=min_loss_chooser)
         counts.clear()
         color_step(all_lossy_state, decision, self.request)
-        assert counts["consume"] == 0 and counts["rights"] <= 1
+        assert len(counts["consume"]) == 0 and len(counts["rights"]) <= 1
 
-    def test_color_step_walks_no_license(self, all_lossy_state, monkeypatch):
-        """``color_step`` prices the pool its decision carries."""
+    def test_color_step_walks_no_license(self, all_lossy_state, spy):
+        """``color_step`` prices the pool its decision carries: it resolves and searches no license.
+
+        Reading which of a target's cps are valid, as pricing a depleting
+        sublicense does, is not a walk.
+        """
         decision = proposed_allocate(all_lossy_state, self.request, chooser=min_loss_chooser)
-
-        def second_walk(*args):
-            raise AssertionError("color_step walked a license its decision had resolved")
-
-        for name in ("select_target", "candidates", "_valid_cps"):
-            monkeypatch.setattr(rights_module, name, second_walk)
+        calls = spy("rights.select_target", "rights.candidates")
         after = color_step(all_lossy_state, decision, self.request)
+        assert calls["select_target"] == calls["candidates"] == []
         assert perm("play", "song-b") in after
 
     def test_a_chosen_prompt_is_priced_once(self, all_lossy_state, monkeypatch):
@@ -851,71 +835,51 @@ class TestEachPoolIsPricedOnce:
         assert isinstance(decision, PromptRequired)
         counts.clear()
         assert judge(check_selection_soundness, all_lossy_state, self.request, decision).passed
-        assert counts["consume"] == 0 and counts["rights"] <= 1
+        assert len(counts["consume"]) == 0 and len(counts["rights"]) <= 1
 
     def test_cli_allocate_on_a_prompt(self, tmp_path, counts, capsys):
         path = tmp_path / "all-lossy.json"
         path.write_bytes(serialize_corpus(CorpusDocument(all_lossy_licenses())))
         assert main(["allocate", str(path), "play", "song-a", "--time", str(REQUEST_AT)]) == 3
-        assert counts["consume"] == 0 and counts["rights"] <= 1
+        assert len(counts["consume"]) == 0 and len(counts["rights"]) <= 1
 
-    def test_run_trial_resolves_a_prompt_from_its_pool(self, counts, monkeypatch):
+    def test_run_trial_resolves_a_prompt_from_its_pool(self, counts, spy):
         """The allocator walks each host once; choosing and consuming its prompt resolves no target again."""
-        original, walked = rights_module.select_target, []
-
-        def counting_resolve(state, lic, request):
-            walked.append(lic.id)
-            return original(state, lic, request)
-
-        for loaded_name, module in list(sys.modules.items()):
-            if loaded_name.startswith("licalloc") and getattr(module, "select_target", None) is original:
-                monkeypatch.setattr(module, "select_target", counting_resolve)
+        calls = spy("rights.select_target")
         licenses = all_lossy_licenses()
         doc = CorpusDocument(licenses, [self.request])
         assert run_trial(doc, "proposed", []) == []
+        walked = [call.args[1].id for call in calls["select_target"]]
         assert walked == [lic.id for lic in licenses.hosts(self.request.permission)]
-        assert counts["consume"] == 1
+        assert len(counts["consume"]) == 1
 
 
 @pytest.mark.parametrize("checks", [tuple(CHECKS), ("soundness",)], ids=["all", "soundness"])
-def test_each_checked_decision_builds_one_oracle(checks, monkeypatch):
+def test_each_checked_decision_builds_one_oracle(checks, monkeypatch, spy):
     """One ``candidates`` walk per checked decision, and one oracle pricing per candidate it found.
 
     The oracle prices what the decision's pool resolved with one
     ``pool_losses`` call, and any other candidate with ``loss``.  The
     allocator's pool holds every candidate here, so ``loss`` never runs.
     """
-    calls = Counter()
+    calls = spy("rights.candidates", "rights.loss")
+    priced = Counter()
     verify_module = sys.modules["licalloc.verify"]
-    walk, price, price_pool = rights_module.candidates, rights_module.loss, verify_module.pool_losses
-
-    def candidates(*args):
-        pool = walk(*args)
-        calls["candidates"] += 1
-        calls["candidates_found"] += len(pool)
-        return pool
-
-    def loss(*args):
-        calls["loss"] += 1
-        return price(*args)
+    price_pool = verify_module.pool_losses
 
     def pool_losses(state, request, pool):
-        calls["pool_losses"] += 1
-        calls["pool_priced"] += len(pool)
+        priced["pool_losses"] += 1
+        priced["pool_priced"] += len(pool)
         return price_pool(state, request, pool)
 
-    for loaded_name, module in list(sys.modules.items()):
-        if loaded_name.startswith("licalloc"):
-            for original, counted in ((walk, candidates), (price, loss)):
-                if getattr(module, original.__name__, None) is original:
-                    monkeypatch.setattr(module, original.__name__, counted)
     # Only the oracle's pricing: the allocator prices a prompt through its own name.
     monkeypatch.setattr(verify_module, "pool_losses", pool_losses)
     report = fuzz_campaign(InstanceGenerator(GeneratorCaps(), seed=100), 200, checks)
     assert not report.failed
-    assert calls["candidates"] == calls["pool_losses"] == report.decisions_checked // len(checks)
-    assert calls["pool_priced"] + calls["loss"] == calls["candidates_found"] > 0
-    assert calls["loss"] == 0
+    found = sum(len(call.result) for call in calls["candidates"])
+    assert len(calls["candidates"]) == priced["pool_losses"] == report.decisions_checked // len(checks)
+    assert priced["pool_priced"] + len(calls["loss"]) == found > 0
+    assert len(calls["loss"]) == 0
 
 
 @pytest.mark.parametrize("decision_kind", ["no_match", "partial_pool"])
