@@ -8,7 +8,9 @@ reference digests cover only ``proposed`` on the ``general`` profile; these
 add ``oma``, the ``depleting`` profile, ``pair_discipline``, each check run
 alone, neutrality, liveness under both algorithms (the reports and, per
 search, the nodes searched), the ``furthest`` tiebreak and the CLI's
-``simulate``/``allocate`` output on the bundled fixtures.
+``simulate``/``allocate`` output on the bundled fixtures.  The reports count
+verdicts, so a changed draw could keep them; the generated documents
+themselves are pinned too.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ import json
 
 from licalloc.allocate import Chosen, NoMatch, min_loss_chooser, oma_allocate, proposed_allocate
 from licalloc.cli import main
-from licalloc.corpus import parse_corpus
+from licalloc.corpus import parse_corpus, serialize_corpus
 from licalloc.engine import consume, initial_state
 from licalloc.model import License, LicenseSet, Request
 from licalloc.rights import candidates, remnants, rights
@@ -68,6 +70,18 @@ def test_single_check_fuzz_reports_are_pinned():
         for algorithm in ("proposed", "oma")
     )
     assert _sha256(reports) == "8919dbca1b4d73e2bb7b034476f6fa4448c551d13df453ccb2661b89190826e4"
+
+
+def test_generated_documents_are_pinned():
+    """Every profile at the default, liveness and ``stream_wide`` caps, byte for byte."""
+    documents = (
+        serialize_corpus(InstanceGenerator(caps, seed=seed, profile=profile).document(index))
+        for caps in (GeneratorCaps(), LIVENESS_CAPS, GeneratorCaps(max_licenses=1, contents=16))
+        for profile in ("general", "many_only", "depleting")
+        for seed in (0, 7)
+        for index in range(100)
+    )
+    assert _sha256(documents) == "75302e26f764a89249a01620796f7a509acbdf1290bebac4de93863473e4be8f"
 
 
 def test_neutrality_reports_are_pinned():
