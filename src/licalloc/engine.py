@@ -117,18 +117,20 @@ def initial_state(licenses: LicenseSet) -> AgentState:
     Equal node states, and equal slots, are one shared tuple.
     """
     shared: dict = {}
-
-    def share(value: tuple) -> tuple:
-        return shared.setdefault(value, value)
+    share = shared.setdefault
 
     def fresh(constraints: tuple[Constraint, ...]) -> tuple[ConstraintState, ...]:
-        return share(tuple(map(fresh_state, constraints)))
+        if not constraints:
+            return ()
+        states = tuple([fresh_state(c) for c in constraints])
+        return share(states, states)
 
-    cstate = {
-        (lic.id, sl.id): share((fresh(sl.constraints), share(tuple(fresh(cp.constraints) for cp in sl.cps))))
-        for lic in licenses
-        for sl in lic.sublicenses
-    }
+    cstate = {}
+    for lic in licenses:
+        for sl in lic.sublicenses:
+            cps = tuple([fresh(cp.constraints) for cp in sl.cps])
+            slot = (fresh(sl.constraints), share(cps, cps))
+            cstate[lic.id, sl.id] = share(slot, slot)
     return AgentState(licenses=licenses, cstate=cstate)
 
 

@@ -143,10 +143,15 @@ def constraint_rank(constraint: Constraint) -> int:
 
 def _dominant_rank(constraints: tuple[Constraint, ...]) -> int:
     """Rank of the best-ranked constraint of a node; an empty list ranks as unconstrained."""
-    return min(map(constraint_rank, constraints), default=_RANK[Unconstrained])
+    if len(constraints) < 2:
+        return _RANK[type(constraints[0])] if constraints else _RANK[Unconstrained]
+    return min([_RANK[type(c)] for c in constraints])
 
 
 # --- license tree ----------------------------------------------------------
+
+# The frozen dataclasses below set their fields through this one binding.
+_set = object.__setattr__
 
 
 def _require_id(value: str, what: str) -> None:
@@ -155,7 +160,11 @@ def _require_id(value: str, what: str) -> None:
 
 
 def _require_unique_ids(items, what: str, within: str = "") -> None:
-    """Raise ValueError naming the first of ``items`` whose id an earlier one has."""
+    """Raise ValueError naming the first of ``items`` whose id an earlier one has.
+
+    A constructor calls it only once one set of the ids has come out
+    smaller than ``items``.
+    """
     seen = set()
     for item in items:
         if item.id in seen:
@@ -178,11 +187,13 @@ class ConstraintPermissionSet:
 
     def __init__(self, id, constraints=(), permissions=()):
         _require_id(id, "cp")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "constraints", tuple(constraints))
-        object.__setattr__(self, "permissions", tuple(dict.fromkeys(permissions)))
-        object.__setattr__(self, "rank", _dominant_rank(self.constraints))
-        if not self.permissions:
+        constraints = tuple(constraints)
+        permissions = tuple(dict.fromkeys(permissions))
+        _set(self, "id", id)
+        _set(self, "constraints", constraints)
+        _set(self, "permissions", permissions)
+        _set(self, "rank", _dominant_rank(constraints))
+        if not permissions:
             raise ValueError(f"cp {id!r} must grant at least one permission")
 
 
@@ -203,13 +214,16 @@ class SubLicense:
 
     def __init__(self, id, constraints=(), cps=()):
         _require_id(id, "sublicense")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "constraints", tuple(constraints))
-        object.__setattr__(self, "cps", tuple(cps))
-        object.__setattr__(self, "rank", _dominant_rank(self.constraints))
-        if not self.cps:
+        constraints = tuple(constraints)
+        cps = tuple(cps)
+        _set(self, "id", id)
+        _set(self, "constraints", constraints)
+        _set(self, "cps", cps)
+        _set(self, "rank", _dominant_rank(constraints))
+        if not cps:
             raise ValueError(f"sublicense {id!r} must contain at least one cp")
-        _require_unique_ids(self.cps, "cp", f" in sublicense {id!r}")
+        if len({cp.id for cp in cps}) < len(cps):
+            _require_unique_ids(cps, "cp", f" in sublicense {id!r}")
 
     def cp(self, cp_id: str) -> ConstraintPermissionSet:
         for cp in self.cps:
@@ -225,11 +239,13 @@ class License:
 
     def __init__(self, id, sublicenses=()):
         _require_id(id, "license")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "sublicenses", tuple(sublicenses))
-        if not self.sublicenses:
+        sublicenses = tuple(sublicenses)
+        _set(self, "id", id)
+        _set(self, "sublicenses", sublicenses)
+        if not sublicenses:
             raise ValueError(f"license {id!r} must contain at least one sublicense")
-        _require_unique_ids(self.sublicenses, "sublicense", f" in license {id!r}")
+        if len({sl.id for sl in sublicenses}) < len(sublicenses):
+            _require_unique_ids(sublicenses, "sublicense", f" in license {id!r}")
 
     def sublicense(self, sl_id: str) -> SubLicense:
         for sl in self.sublicenses:
@@ -251,9 +267,11 @@ class LicenseSet:
     _hosts: Optional[dict[Permission, tuple[License, ...]]] = field(repr=False, compare=False)
 
     def __init__(self, licenses=()):
-        object.__setattr__(self, "licenses", tuple(licenses))
-        object.__setattr__(self, "_hosts", None)
-        _require_unique_ids(self.licenses, "license")
+        licenses = tuple(licenses)
+        _set(self, "licenses", licenses)
+        _set(self, "_hosts", None)
+        if len({lic.id for lic in licenses}) < len(licenses):
+            _require_unique_ids(licenses, "license")
 
     def __iter__(self):
         return iter(self.licenses)

@@ -34,10 +34,13 @@ builds the report.  A campaign with no check or no trial is refused with
 ValueError, since a report of zero verdicts would read as a pass.
 
 All generation is seed-deterministic; identical seeds and caps produce
-byte-identical reports.  Campaign instances keep every date window open
-around the shared request timestamp and make every use long enough for
-timed counts, so depletion by counting is the only dynamics, which is the
-regime the guarantees are stated for.
+byte-identical reports.  The draws are CPython ``random.Random``'s, each
+integer taken through one helper, ``_bounded_draw``, and the generated
+documents are pinned by digest in ``tests/test_pinned_decisions.py``.
+Campaign instances keep every date window open around the shared request
+timestamp and make every use long enough for timed counts, so depletion by
+counting is the only dynamics, which is the regime the guarantees are
+stated for.
 """
 
 from __future__ import annotations
@@ -154,9 +157,18 @@ def oracle_losses(
 
 
 def _all_lossy(losses: Iterable[RightsMultiset], request: Request) -> bool:
-    """Every loss takes more than the one requested occurrence with it."""
-    bound = Counter({request.permission: 1})
-    return all(lost > bound for lost in losses)
+    """Every loss takes more than the one requested occurrence with it.
+
+    That is ``lost > Counter({p: 1})`` for the requested ``p``.  A loss has
+    positive counts, so it holds exactly when ``lost[p] >= 1`` and either
+    ``lost[p] > 1`` or some other permission is lost too.
+    """
+    p = request.permission
+    for lost in losses:
+        n = lost.get(p, 0)
+        if n < 1 or (n == 1 and len(lost) == 1):
+            return False
+    return True
 
 
 def _stray_choice(decision: AllocationDecision, losses: dict[str, RightsMultiset]) -> Optional[CheckResult]:
@@ -289,6 +301,26 @@ def _permission_grid(actions: int, contents: int) -> tuple[tuple[Permission, ...
     return tuple(tuple(Permission(a, c) for c in names) for a in list(Action)[:actions])
 
 
+def _bounded_draw(getrandbits: Callable[[int], int]) -> Callable[[int], int]:
+    """``below(n)``, a draw from ``range(n)`` for ``n >= 1``, taken from ``getrandbits``.
+
+    ``below`` is CPython 3.11's ``Random._randbelow_with_getrandbits``, so on
+    a ``random.Random``'s ``getrandbits`` it draws what that stream's
+    ``randrange(a, b)`` draws as ``a + below(b - a)``, its ``choice(s)`` as
+    ``s[below(len(s))]`` and its ``shuffle`` of a two-item list as one
+    ``below(2)``, which swaps the items when it returns 0.
+    """
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 class InstanceGenerator:
     """Seed-deterministic stream of small corpus documents.
 
@@ -303,6 +335,13 @@ class InstanceGenerator:
     All date windows contain the shared request timestamp and every request
     outlasts every timer, so counter depletion is the only way rights
     disappear.
+
+    Instance ``index`` draws from ``random.Random(seed * SEED_STRIDE +
+    index)``: its floats from ``random()`` and every integer through one
+    ``_bounded_draw`` on its ``getrandbits``, bound once per instance.  The
+    draws are the ones ``randrange``, ``choice`` and ``shuffle`` make on
+    CPython 3.11, and ``tests/test_pinned_decisions.py`` pins the generated
+    documents by digest.
 
     Known fault: ``document`` draws its requests from a fresh
     ``self._rng(index)``, the stream ``licenses(index)`` has just used, so
@@ -327,112 +366,107 @@ class InstanceGenerator:
         self.profile = profile
         self._grid = _permission_grid(caps.actions, caps.contents)
         self._universe = caps.actions * caps.contents
+        # A counter's charges are drawn from [_count_min, max_count].
+        self._count_min = 2 if profile == "many_only" else 1
 
     def _rng(self, index: int) -> random.Random:
         if not 0 <= index < SEED_STRIDE:
             raise ValueError(f"instance index must be in [0, {SEED_STRIDE}), got {index}")
         return random.Random(self.seed * SEED_STRIDE + index)
 
-    def _permission(self, rng: random.Random) -> Permission:
-        """One ``rng.choice`` of the action, then one of the content."""
-        return rng.choice(rng.choice(self._grid))
-
-    def _datetime(self, rng: random.Random) -> DateTime:
-        kind = rng.randrange(3)
-        start = rng.randrange(0, T0 + 1) if kind != 0 else None
-        end = rng.randrange(T0, T0 + 5000) if kind != 1 else None
+    def _datetime(self, below) -> DateTime:
+        kind = below(3)
+        start = below(T0 + 1) if kind != 0 else None
+        end = T0 + below(5000) if kind != 1 else None
         if start is None and end is None:
             end = T0 + 1000
         return DateTime(start=start, end=end)
 
-    def _soft_constraint(self, rng: random.Random):
+    def _soft_constraint(self, below, rand):
         # Constraints that never deplete by use.
-        roll = rng.random()
+        roll = rand()
         if roll < 0.5:
-            return self._datetime(rng)
+            return self._datetime(below)
         if roll < 0.8:
-            return Interval(rng.randrange(1, 5000))
+            return Interval(1 + below(4999))
         return None
 
-    def _counter(self, rng: random.Random, minimum: int):
-        n = rng.randrange(minimum, self.caps.max_count + 1)
-        if rng.random() < 0.25:
-            return TimedCount(n, timer=rng.randrange(1, TIMER_MAX + 1))
-        return Count(n)
+    def _constraints(self, below, rand) -> tuple:
+        counter = None
+        if rand() < 0.5:
+            minimum = self._count_min
+            n = minimum + below(self.caps.max_count + 1 - minimum)
+            counter = TimedCount(n, timer=1 + below(TIMER_MAX)) if rand() < 0.25 else Count(n)
+        soft = self._soft_constraint(below, rand)
+        if soft is None or rand() >= 0.6:
+            return () if counter is None else (counter,)
+        if counter is None:
+            return (soft,)
+        # rng.shuffle of [counter, soft]: one below(2), a swap on 0
+        return (soft, counter) if below(2) == 0 else (counter, soft)
 
-    def _constraints(self, rng: random.Random) -> list:
-        out = []
-        if rng.random() < 0.5:
-            minimum = 2 if self.profile == "many_only" else 1
-            out.append(self._counter(rng, minimum))
-        soft = self._soft_constraint(rng)
-        if soft is not None and rng.random() < 0.6:
-            out.append(soft)
-        rng.shuffle(out)
-        return out
-
-    def _cp(self, rng: random.Random, cp_id: str, constraints=None) -> CP:
-        n = rng.randrange(1, self.caps.max_permissions + 1)
+    def _cp(self, below, rand, cp_id: str, constraints=None) -> CP:
+        grid, actions, contents, universe = self._grid, self.caps.actions, self.caps.contents, self._universe
+        n = 1 + below(self.caps.max_permissions)
         perms: dict[Permission, None] = {}  # distinct draws in draw order
         while len(perms) < n:
-            p = self._permission(rng)
-            if p in perms and len(perms) == self._universe:
+            p = grid[below(actions)][below(contents)]
+            if p in perms and len(perms) == universe:
                 break
             perms[p] = None
         return CP(
             cp_id,
-            constraints=self._constraints(rng) if constraints is None else constraints,
+            constraints=self._constraints(below, rand) if constraints is None else constraints,
             permissions=perms,
         )
 
-    def _sublicense(self, rng: random.Random, sl_id: str) -> SubLicense:
-        n_cps = rng.randrange(1, self.caps.max_cps + 1)
+    def _sublicense(self, below, rand, sl_id: str) -> SubLicense:
+        n_cps = 1 + below(self.caps.max_cps)
         cp_constraints = None  # None: each cp draws its own
         if self.profile != "depleting":
-            constraints = self._constraints(rng)
+            constraints = self._constraints(below, rand)
         # depleting: either the sublicense burns itself, or every cp does
-        elif rng.random() < 0.5:
-            constraints = [Count(1)]
-            if rng.random() < 0.4:
-                constraints.append(self._datetime(rng))
+        elif rand() < 0.5:
+            constraints = (Count(1), self._datetime(below)) if rand() < 0.4 else (Count(1),)
         else:
-            constraints, cp_constraints = [], [Count(1)]
-            soft = self._soft_constraint(rng)
-            if soft is not None and rng.random() < 0.4:
-                constraints.append(soft)
-        cps = [self._cp(rng, f"cp-{i}", constraints=cp_constraints) for i in range(1, n_cps + 1)]
+            constraints, cp_constraints = (), (Count(1),)
+            soft = self._soft_constraint(below, rand)
+            if soft is not None and rand() < 0.4:
+                constraints = (soft,)
+        cps = [self._cp(below, rand, f"cp-{i}", constraints=cp_constraints) for i in range(1, n_cps + 1)]
         return SubLicense(sl_id, constraints=constraints, cps=cps)
 
     def licenses(self, index: int) -> LicenseSet:
         rng = self._rng(index)
-        n = rng.randrange(1, self.caps.max_licenses + 1)
+        below, rand = _bounded_draw(rng.getrandbits), rng.random
+        max_sublicenses = self.caps.max_sublicenses
         out = []
-        for i in range(1, n + 1):
-            n_subs = rng.randrange(1, self.caps.max_sublicenses + 1)
+        for i in range(1, 2 + below(self.caps.max_licenses)):
+            n_subs = 1 + below(max_sublicenses)
             out.append(
                 License(
                     f"license-{i}",
-                    [self._sublicense(rng, f"sl-{j}") for j in range(1, n_subs + 1)],
+                    [self._sublicense(below, rand, f"sl-{j}") for j in range(1, n_subs + 1)],
                 )
             )
         return LicenseSet(out)
 
     def document(self, index: int) -> CorpusDocument:
         rng = self._rng(index)
+        below, rand = _bounded_draw(rng.getrandbits), rng.random
         licenses = self.licenses(index)
         installed = sorted(
             {p for lic in licenses for sl in lic.sublicenses for cp in sl.cps for p in cp.permissions}
         )
-        n_requests = 1 if self.profile == "many_only" else rng.randrange(1, self.caps.max_requests + 1)
+        n_requests = 1 if self.profile == "many_only" else 1 + below(self.caps.max_requests)
+        grid, actions, contents = self._grid, self.caps.actions, self.caps.contents
         requests = []
         for _ in range(n_requests):
-            if installed and rng.random() < 0.85:
-                p = rng.choice(installed)
+            if installed and rand() < 0.85:
+                p = installed[below(len(installed))]
             else:
-                p = self._permission(rng)
-            requests.append(
-                Request(p.action, p.content, at=T0, usage_duration=USAGE_DURATION + rng.randrange(30))
-            )
+                p = grid[below(actions)][below(contents)]
+            requests.append(Request(p.action, p.content, at=T0, usage_duration=USAGE_DURATION + below(30)))
         return CorpusDocument(licenses=licenses, requests=requests)
 
 

@@ -7,11 +7,15 @@ from licalloc.model import (
     Action,
     Count,
     DateTime,
+    Interval,
     License,
     LicenseSet,
     Permission,
     Request,
     SubLicense,
+    TimedCount,
+    Unconstrained,
+    constraint_rank,
 )
 
 from conftest import perm
@@ -133,11 +137,26 @@ _SL = SubLicense("sl", cps=[_CP])
         (lambda: SubLicense("sl", cps=[_CP, CP("cp", permissions=[perm("play", "b")])]), "duplicate cp id 'cp' in sublicense 'sl'"),
         (lambda: License("l", [_SL, _SL]), "duplicate sublicense id 'sl' in license 'l'"),
         (lambda: LicenseSet([License("l", [_SL]), License("l", [_SL])]), "duplicate license id 'l'"),
+        # Past the first pair, the first repeat is named.
+        (lambda: SubLicense("sl", cps=[CP(i, permissions=[perm("play", i)]) for i in "abab"]), "duplicate cp id 'a' in sublicense 'sl'"),
+        (lambda: License("l", [SubLicense(i, cps=[_CP]) for i in "abab"]), "duplicate sublicense id 'a' in license 'l'"),
+        (lambda: LicenseSet([License(i, [_SL]) for i in "aba"]), "duplicate license id 'a'"),
     ],
-    ids=["cp", "sublicense", "license"],
+    ids=["cp", "sublicense", "license", "cp-abab", "sublicense-abab", "license-aba"],
 )
 def test_a_duplicate_id_is_refused(build, message):
     """Ids are unique among siblings, so (license id, sublicense id) names one sublicense."""
     with pytest.raises(ValueError) as raised:
         build()
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "constraints",
+    [(), (Count(2),), (DateTime(end=5),), (Count(2), Interval(9)), (TimedCount(1, 3), Unconstrained())],
+    ids=["none", "one", "one-dated", "two", "two-with-unconstrained"],
+)
+def test_a_nodes_rank_is_its_best_constraints_rank(constraints):
+    expected = min(map(constraint_rank, constraints), default=constraint_rank(Unconstrained()))
+    assert CP("cp", constraints, [perm("play", "a")]).rank == expected
+    assert SubLicense("sl", constraints, [_CP]).rank == expected

@@ -1,10 +1,13 @@
 import importlib
 import math
+import random
 import sys
 from collections import Counter
 from operator import itemgetter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from licalloc.allocate import (
     Chosen,
@@ -29,6 +32,7 @@ from licalloc.model import (
     LicenseSet,
     Request,
     SubLicense,
+    Permission,
     TimedCount,
 )
 from licalloc.rights import candidates, loss, rights
@@ -45,6 +49,8 @@ from licalloc.verify import (
     T0,
     USAGE_DURATION,
     InstanceGenerator,
+    _all_lossy,
+    _bounded_draw,
     LivenessResult,
     check_selection_soundness,
     check_weak_minimal_loss,
@@ -783,6 +789,58 @@ def test_generators_of_one_shape_share_one_permission_grid():
     assert InstanceGenerator(GeneratorCaps(), seed=1)._grid is not first._grid
     permissions = [p for row in first._grid for p in row]
     assert len(set(permissions)) == len(permissions) == first._universe == wide.actions * 16
+
+
+# Every width the generator draws below: counts and ids (1-5), timers (60),
+# date and interval bounds (1,001, 4,999 and 5,000), usage (30), and grid and
+# ``installed`` lengths up to 40.
+GENERATOR_WIDTHS = (*range(1, 41), 60, 1001, 4999, 5000)
+
+
+def test_the_bounded_draw_draws_what_random_random_draws():
+    """``_bounded_draw`` on a stream's ``getrandbits`` makes ``randrange``, ``choice`` and ``shuffle``'s draws.
+
+    The generator takes every integer draw through it, so a CPython whose
+    ``Random._randbelow`` draws otherwise fails here, by name, and not only
+    through the pinned document digest.
+    """
+    for seed in range(200):
+        ours, twin = random.Random(seed), random.Random(seed)
+        below = _bounded_draw(ours.getrandbits)
+        steps = random.Random(f"widths/{seed}")
+        for step in range(60):
+            width = steps.choice(GENERATOR_WIDTHS)
+            kind = steps.randrange(4)
+            where = f"seed {seed}, step {step}, width {width}"
+            if kind == 0:
+                start = steps.randrange(T0 + 1)
+                assert start + below(width) == twin.randrange(start, start + width), f"randrange at {where}"
+            elif kind == 1:
+                items = list(range(width))
+                assert items[below(width)] == twin.choice(items), f"choice at {where}"
+            elif kind == 2:
+                pair, twin_pair = ["first", "second"], ["first", "second"]
+                if below(2) == 0:
+                    pair.reverse()
+                twin.shuffle(twin_pair)
+                assert pair == twin_pair, f"shuffle at {where}"
+            else:
+                assert ours.random() == twin.random(), f"random at {where}"
+        assert ours.getstate() == twin.getstate(), f"seed {seed}: the streams drew apart"
+
+
+_PERMISSIONS = [Permission(a, c) for a in (Action.PLAY, Action.DISPLAY) for c in ("a", "b")]
+_LOSSES = st.lists(
+    st.dictionaries(st.sampled_from(_PERMISSIONS), st.integers(min_value=1, max_value=3)).map(Counter),
+    max_size=4,
+)
+
+
+@given(_LOSSES, st.sampled_from(_PERMISSIONS))
+def test_all_lossy_is_the_counter_comparison(losses, permission):
+    """Every loss of positive counts exceeds the one requested occurrence, as ``Counter``'s ``>`` says."""
+    request = Request(permission.action, permission.content, at=T0)
+    assert _all_lossy(losses, request) == all(lost > Counter({permission: 1}) for lost in losses)
 
 
 def test_checks_registry_contains_documented_names():

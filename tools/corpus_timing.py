@@ -1,28 +1,35 @@
-"""Time ``parse_corpus`` and ``serialize_corpus`` of a base commit against the working tree.
+"""Time generating, parsing and serializing a corpus, a base commit against the working tree.
 
     python3 tools/corpus_timing.py [--base REV]
 
-Both sides run in one interpreter on the same bytes: ``CORPORA`` 64-license
-``stream_wide`` corpora (``bench/workloads.wide_licenses`` at
-``chunk_seed(SEED, j)``), written by the working tree.  The base commit's ``src/licalloc`` is exported with ``git archive``
-into a temporary directory and imported as the package ``licalloc_base``;
-that works because the package imports its own modules only relatively, and
-a base that imports ``licalloc`` by name is refused.  Each round times every
-call once per corpus, base then change, so a drift in machine speed reaches
-both sides alike; per corpus and call the fastest of ``ROUNDS`` rounds
-counts.
+Both sides run in one interpreter on the same ``CORPORA`` 64-license
+``stream_wide`` corpora, those of ``bench/workloads.wide_licenses`` at
+``chunk_seed(SEED, j)``.  The base commit's ``src/licalloc`` is exported
+with ``git archive`` into a temporary directory and imported as the package
+``licalloc_base``; that works because the package imports its own modules
+only relatively, and a base that imports ``licalloc`` by name is refused.
+
+Three calls are timed per corpus: ``generate`` draws its 64 licenses with
+the side's own ``verify.InstanceGenerator`` by the ``stream_wide`` recipe
+(``wide_licenses`` here), and ``parse_corpus`` and ``serialize_corpus`` read
+and write the bytes the working tree writes.  Each round times every call
+once per corpus, base then change, so a drift in machine speed reaches both
+sides alike; per corpus and call the fastest of ``ROUNDS`` rounds counts.
 
 Prints one JSON object: the base commit, the working tree's ``HEAD`` and
 whether the tree differs from it, Python version and ``nproc``; per side
 and call, the mean over the corpora of the fastest time in ms; each call's
-change-to-base ratio; and each corpus's size in bytes.  Exit codes: 0, 1 when
-the base does not write the working tree's bytes back unchanged, and 2 for a
-usage error.  ``--base`` defaults to ``HEAD``.
+change-to-base ratio; and each corpus's size in bytes.  Exit codes: 0, 1
+when the two sides generate different corpora or the base does not write
+the working tree's bytes back unchanged, and 2 for a usage error.
+``--base`` defaults to ``HEAD``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import json
 import os
 import platform
@@ -35,7 +42,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLS = ("parse_corpus", "serialize_corpus")
+CALLS = ("generate", "parse_corpus", "serialize_corpus")
 SIDES = ("base", "change")
 CORPORA, ROUNDS, SEED = 5, 30, 100
 
@@ -56,6 +63,23 @@ def export_package(rev: str, into: Path) -> Path:
 def imports_itself_by_name(package: Path) -> bool:
     pattern = re.compile(r"^\s*(from|import)\s+licalloc\b", re.MULTILINE)
     return any(pattern.search(path.read_text()) for path in package.rglob("*.py"))
+
+
+def wide_licenses(package: str, seed: int, caps: dict, count: int):
+    """``bench/workloads.wide_licenses(seed)``, drawn with the package ``package``'s own generator and model.
+
+    ``caps`` are the generator caps as ``GeneratorCaps.to_json`` gives them,
+    and ``count`` the number of licenses.
+    """
+    verify = importlib.import_module(f"{package}.verify")
+    model = importlib.import_module(f"{package}.model")
+    generator_caps = verify.GeneratorCaps(**caps)
+    out = []
+    for i in range(count):
+        profile = "general" if i % 2 == 0 else "depleting"
+        drawn = verify.InstanceGenerator(generator_caps, seed=seed, profile=profile).licenses(i)
+        out.append(model.License(f"license-{i + 1}", drawn.licenses[0].sublicenses))
+    return model.LicenseSet(out)
 
 
 def seconds(call, arg) -> float:
@@ -83,10 +107,20 @@ def main(argv=None) -> int:
         from licalloc import corpus as change
 
         modules = {"base": base, "change": change}
-        data = [
-            change.serialize_corpus(change.CorpusDocument(workloads.wide_licenses(workloads.chunk_seed(SEED, j))))
-            for j in range(CORPORA)
-        ]
+        seeds = [workloads.chunk_seed(SEED, j) for j in range(CORPORA)]
+        shape = {"caps": workloads.WIDE_CAPS.to_json(), "count": workloads.WIDE_LICENSES}
+        generate = {
+            "base": functools.partial(wide_licenses, "licalloc_base", **shape),
+            "change": functools.partial(wide_licenses, "licalloc", **shape),
+        }
+        generated = {
+            side: [module.serialize_corpus(module.CorpusDocument(generate[side](seed))) for seed in seeds]
+            for side, module in modules.items()
+        }
+        if generated["base"] != generated["change"]:
+            print("the base and the working tree generate different corpora", file=sys.stderr)
+            return 1
+        data = generated["change"]
         docs = {side: [module.parse_corpus(d) for d in data] for side, module in modules.items()}
         if any(base.serialize_corpus(doc) != d for doc, d in zip(docs["base"], data)):
             print("the base does not write the working tree's bytes back unchanged", file=sys.stderr)
@@ -95,6 +129,7 @@ def main(argv=None) -> int:
         for _ in range(ROUNDS):
             for j, d in enumerate(data):
                 for side, module in modules.items():
+                    times[side, "generate"][j].append(seconds(generate[side], seeds[j]))
                     times[side, "parse_corpus"][j].append(seconds(module.parse_corpus, d))
                     times[side, "serialize_corpus"][j].append(seconds(module.serialize_corpus, docs[side][j]))
 
