@@ -366,8 +366,6 @@ class InstanceGenerator:
         self.profile = profile
         self._grid = _permission_grid(caps.actions, caps.contents)
         self._universe = caps.actions * caps.contents
-        # A counter's charges are drawn from [_count_min, max_count].
-        self._count_min = 2 if profile == "many_only" else 1
 
     def _rng(self, index: int) -> random.Random:
         if not 0 <= index < SEED_STRIDE:
@@ -394,7 +392,7 @@ class InstanceGenerator:
     def _constraints(self, below, rand) -> tuple:
         counter = None
         if rand() < 0.5:
-            minimum = self._count_min
+            minimum = 2 if self.profile == "many_only" else 1
             n = minimum + below(self.caps.max_count + 1 - minimum)
             counter = TimedCount(n, timer=1 + below(TIMER_MAX)) if rand() < 0.25 else Count(n)
         soft = self._soft_constraint(below, rand)
@@ -439,10 +437,10 @@ class InstanceGenerator:
     def licenses(self, index: int) -> LicenseSet:
         rng = self._rng(index)
         below, rand = _bounded_draw(rng.getrandbits), rng.random
-        max_sublicenses = self.caps.max_sublicenses
+        n = 1 + below(self.caps.max_licenses)
         out = []
-        for i in range(1, 2 + below(self.caps.max_licenses)):
-            n_subs = 1 + below(max_sublicenses)
+        for i in range(1, n + 1):
+            n_subs = 1 + below(self.caps.max_sublicenses)
             out.append(
                 License(
                     f"license-{i}",
