@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -57,6 +58,12 @@ def test_sides_that_generate_different_corpora_exit_1_before_any_timing(bench_wo
     def seconds(call, arg):
         raise AssertionError("a call was timed")
 
+    def export_package(rev, into):
+        # The working tree's package stands in for the base commit's.
+        return Path(shutil.copytree(ROOT / "src" / "licalloc", into / "licalloc_base"))
+
+    monkeypatch.setattr(corpus_timing, "git", lambda *args: "0" * 40 + "\n")
+    monkeypatch.setattr(corpus_timing, "export_package", export_package)
     monkeypatch.setattr(corpus_timing, "wide_licenses", wide_licenses)
     monkeypatch.setattr(corpus_timing, "seconds", seconds)
     try:
